@@ -83,3 +83,7 @@ def main(argv=None) -> int:
     for label, why in stats.empty_cells:
         print(f"cell without usable samples: {label}: {why}", file=sys.stderr)
     return 0 if stats.clean else 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,10 +24,8 @@ from .grid import (
     SpatialGrid,
     make_initial_state,
 )
-from .noise import NoiseAmplitude
-from .schemes import MAX_ITERATIONS, SchemeConfig, _SCHEMES
-
-_ITERATIVE = ("iter_after", "iter_before", "iter_before_trapezoid")
+from .noise import NoiseAmplitude, whole_steps
+from .schemes import SchemeConfig, scheme_traits
 
 DEFAULT_SEED_BASE = 1
 DEFAULT_SEED_COUNT = 50
@@ -42,9 +40,7 @@ class SchemeSpec:
     iterations: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.name not in _SCHEMES:
-            raise ConfigError(f"unknown scheme {self.name!r}")
-        if self.name not in _ITERATIVE:
+        if not scheme_traits(self.name).iterations:
             if self.iterations:
                 raise ConfigError(
                     f"scheme {self.name!r} takes no iteration counts"
@@ -53,22 +49,14 @@ class SchemeSpec:
         iters = self.iterations or (2,)
         object.__setattr__(self, "iterations", tuple(iters))
         for i in self.iterations:
-            if int(i) != i or not (1 <= i <= MAX_ITERATIONS):
-                raise ConfigError(
-                    f"iteration counts must be integers in 1..{MAX_ITERATIONS}, got {i}"
-                )
+            SchemeConfig(self.name, iterations=i)
         if len(set(self.iterations)) != len(self.iterations):
             raise ConfigError(f"duplicate iteration counts for {self.name!r}")
 
     def cells(self) -> tuple[tuple[str, int], ...]:
-        if self.name in _ITERATIVE:
+        if self.iterations:
             return tuple((self.name, int(i)) for i in self.iterations)
         return ((self.name, 0),)
-
-
-def _is_multiple(value: float, base: float) -> bool:
-    k = round(value / base)
-    return k >= 1 and abs(k * base - value) <= 1e-9 * max(value, base)
 
 
 @dataclass(frozen=True)
@@ -99,16 +87,13 @@ class RunConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        # constructing the runtime objects validates the enumerated kinds
+        # constructing the runtime objects validates the enumerated kinds; each
+        # scheme cell builds the flux, the noise amplitude and the boundary
         self.make_grid()
-        self.make_flux()
-        self.make_sigma()
-        self.make_bc()
         self.make_policy()
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
-        for name, iters in self.cells():
-            self.make_scheme(name, iters)
+        quantum = max(self.make_scheme(name, iters).quantum for name, iters in self.cells())
 
         if not self.dt_ladder:
             raise ConfigError("dt ladder must not be empty")
@@ -119,24 +104,23 @@ class RunConfig:
             raise ConfigError("dt ladder must be strictly decreasing")
         finest = self.dt_ladder[-1]
         for dt in self.dt_ladder:
-            if not _is_multiple(dt, finest):
+            if not whole_steps(dt, finest):
                 raise ConfigError(
                     f"dt ladder entry {dt} is not an integer multiple of the finest {finest}"
                 )
         if self.dt_fine <= 0.0:
             raise ConfigError(f"dt_fine must be positive, got {self.dt_fine}")
-        quantum = 2 * self.dt_fine if self._needs_half_increments() else self.dt_fine
         for dt in self.dt_ladder:
-            if not _is_multiple(dt, quantum):
+            if not whole_steps(dt, quantum * self.dt_fine):
                 raise ConfigError(
                     f"dt ladder entry {dt} is not path-aligned: it must be an "
-                    f"integer multiple of {quantum:g} "
-                    f"({'2 * ' if quantum != self.dt_fine else ''}dt_fine)"
+                    f"integer multiple of {quantum * self.dt_fine:g} "
+                    f"({'2 * ' if quantum == 2 else ''}dt_fine)"
                 )
         if self.t_end <= 0.0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         for dt in self.dt_ladder:
-            if not _is_multiple(self.t_end, dt):
+            if not whole_steps(self.t_end, dt):
                 raise ConfigError(
                     f"t_end {self.t_end} is not an integer multiple of dt {dt}"
                 )
@@ -149,12 +133,6 @@ class RunConfig:
         if len(set(self.seeds)) != len(self.seeds):
             dupes = sorted({s for s in self.seeds if list(self.seeds).count(s) > 1})
             raise ConfigError(f"duplicate seeds {dupes}")
-
-    def _needs_half_increments(self) -> bool:
-        return any(
-            name == "bab" or (name == "iter_before" and self.inner_mode == "half_steps")
-            for name, _ in self.cells()
-        )
 
     def cells(self) -> tuple[tuple[str, int], ...]:
         out: list[tuple[str, int]] = []
@@ -318,11 +296,37 @@ def _parse_seeds(section) -> tuple[int, ...]:
     raise ConfigError("seeds must be a list or a {base, count} / {list} mapping")
 
 
-_TOP_KEYS = {
-    "grid", "initial_condition", "flux", "boundary", "noise", "schemes",
-    "dt_ladder", "dt_fine", "t_end", "seeds", "cfl", "adaptive_dt",
-    "blowup_threshold", "stochastic_substep", "inner_mode", "output_dir",
+#: YAML key (or section.key) -> (RunConfig field, coercion) of every scalar
+_SCALARS = {
+    "grid.x_min": ("x_min", _as_float),
+    "grid.x_max": ("x_max", _as_float),
+    "grid.n_cells": ("n_cells", _as_int),
+    "flux": ("flux_kind", _as_str),
+    "boundary": ("boundary", _as_str),
+    "noise.kind": ("noise_kind", _as_str),
+    "noise.lam": ("lam", _as_float),
+    "dt_fine": ("dt_fine", _as_float),
+    "t_end": ("t_end", _as_float),
+    "cfl.mode": ("cfl_mode", _as_str),
+    "cfl.safety": ("safety", _as_float),
+    "cfl.xi_bound": ("xi_bound", _as_float),
+    "cfl.dt_max": ("dt_max", _as_float),
+    "adaptive_dt": ("adaptive_dt", _as_bool),
+    "blowup_threshold": ("blowup_threshold", _as_float),
+    "stochastic_substep": ("stochastic_substep", _as_str),
+    "inner_mode": ("inner_mode", _as_str),
+    "output_dir": ("output_dir", _as_str),
 }
+
+#: YAML key -> (RunConfig field, parser) of every structured entry
+_STRUCTURED = {
+    "initial_condition": ("ic", _parse_ic),
+    "schemes": ("schemes", _parse_schemes),
+    "dt_ladder": ("dt_ladder", _parse_ladder),
+    "seeds": ("seeds", _parse_seeds),
+}
+
+_SECTIONS = ("grid", "noise", "cfl")
 
 
 def parse_config(doc) -> RunConfig:
@@ -336,73 +340,26 @@ def parse_config(doc) -> RunConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    _reject_unknown(doc, _TOP_KEYS, "top level")
+    _reject_unknown(doc, {key.partition(".")[0] for key in _SCALARS} | set(_STRUCTURED),
+                    "top level")
+    for section in _SECTIONS:
+        node = doc.get(section, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{section} must be a mapping")
+        _reject_unknown(node, {key.partition(".")[2] for key in _SCALARS
+                               if key.startswith(section + ".")}, section)
 
     kwargs: dict = {}
-
-    grid = doc.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("grid must be a mapping")
-    _reject_unknown(grid, {"x_min", "x_max", "n_cells"}, "grid")
-    if "x_min" in grid:
-        kwargs["x_min"] = _as_float(grid["x_min"], "grid.x_min")
-    if "x_max" in grid:
-        kwargs["x_max"] = _as_float(grid["x_max"], "grid.x_max")
-    if "n_cells" in grid:
-        kwargs["n_cells"] = _as_int(grid["n_cells"], "grid.n_cells")
-
-    if "initial_condition" in doc:
-        kwargs["ic"] = _parse_ic(doc["initial_condition"])
-    if "flux" in doc:
-        kwargs["flux_kind"] = _as_str(doc["flux"], "flux")
-    if "boundary" in doc:
-        kwargs["boundary"] = _as_str(doc["boundary"], "boundary")
-
-    noise = doc.get("noise", {})
-    if not isinstance(noise, dict):
-        raise ConfigError("noise must be a mapping")
-    _reject_unknown(noise, {"kind", "lam"}, "noise")
-    if "kind" in noise:
-        kwargs["noise_kind"] = _as_str(noise["kind"], "noise.kind")
-    if "lam" in noise:
-        kwargs["lam"] = _as_float(noise["lam"], "noise.lam")
-
-    if "schemes" in doc:
-        kwargs["schemes"] = _parse_schemes(doc["schemes"])
-    if "dt_ladder" in doc:
-        kwargs["dt_ladder"] = _parse_ladder(doc["dt_ladder"])
+    for key, (field_name, parse) in _STRUCTURED.items():
+        if key in doc:
+            kwargs[field_name] = parse(doc[key])
+    if "dt_ladder" in kwargs:  # dt_fine defaults to half the finest level
         kwargs["dt_fine"] = kwargs["dt_ladder"][-1] / 2.0
-    if "dt_fine" in doc:
-        kwargs["dt_fine"] = _as_float(doc["dt_fine"], "dt_fine")
-    if "t_end" in doc:
-        kwargs["t_end"] = _as_float(doc["t_end"], "t_end")
-    if "seeds" in doc:
-        kwargs["seeds"] = _parse_seeds(doc["seeds"])
-
-    cfl = doc.get("cfl", {})
-    if not isinstance(cfl, dict):
-        raise ConfigError("cfl must be a mapping")
-    _reject_unknown(cfl, {"mode", "safety", "xi_bound", "dt_max"}, "cfl")
-    if "mode" in cfl:
-        kwargs["cfl_mode"] = _as_str(cfl["mode"], "cfl.mode")
-    if "safety" in cfl:
-        kwargs["safety"] = _as_float(cfl["safety"], "cfl.safety")
-    if "xi_bound" in cfl:
-        kwargs["xi_bound"] = _as_float(cfl["xi_bound"], "cfl.xi_bound")
-    if "dt_max" in cfl:
-        kwargs["dt_max"] = _as_float(cfl["dt_max"], "cfl.dt_max")
-
-    if "adaptive_dt" in doc:
-        kwargs["adaptive_dt"] = _as_bool(doc["adaptive_dt"], "adaptive_dt")
-    if "blowup_threshold" in doc:
-        kwargs["blowup_threshold"] = _as_float(doc["blowup_threshold"], "blowup_threshold")
-    if "stochastic_substep" in doc:
-        kwargs["stochastic_substep"] = _as_str(doc["stochastic_substep"], "stochastic_substep")
-    if "inner_mode" in doc:
-        kwargs["inner_mode"] = _as_str(doc["inner_mode"], "inner_mode")
-    if "output_dir" in doc:
-        kwargs["output_dir"] = _as_str(doc["output_dir"], "output_dir")
-
+    for key, (field_name, coerce) in _SCALARS.items():
+        section, _, leaf = key.rpartition(".")
+        node = doc.get(section, {}) if section else doc
+        if leaf in node:
+            kwargs[field_name] = coerce(node[leaf], key)
     return RunConfig(**kwargs)
 
 

@@ -62,6 +62,15 @@ class NoiseAmplitude:
         return _shaped_like(c, 0.0)
 
 
+def whole_steps(value: float, base: float) -> int | None:
+    """How many whole steps of size `base` make up `value`; None when `value`
+    is not an integer multiple of `base` up to rounding."""
+    k = round(value / base)
+    if abs(k * base - value) > 1e-9 * max(value, base):
+        return None
+    return k
+
+
 def _left_to_right_sum(a: np.ndarray) -> float:
     # cumsum accumulates sequentially; the documented aggregation order
     return float(np.cumsum(a)[-1]) if a.size else 0.0
@@ -87,13 +96,6 @@ class NoisePath:
     @property
     def t_end(self) -> float:
         return self.n_steps * self.dt_fine
-
-    @property
-    def levels(self) -> tuple[int, ...]:
-        """Coarsening factors that divide the path length."""
-        n = self.n_steps
-        divs = [k for k in range(1, int(np.sqrt(n)) + 1) if n % k == 0]
-        return tuple(sorted(set(divs + [n // k for k in divs])))
 
     def increment_over(self, k_start: int, k_stop: int) -> float:
         """Increment over fine steps [k_start, k_stop), summed left to right."""
@@ -121,8 +123,8 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
         raise ConfigError(f"dt_fine must be positive, got {dt_fine}")
     if t_end < 0.0:
         raise ConfigError(f"t_end must be non-negative, got {t_end}")
-    n = round(t_end / dt_fine)
-    if abs(n * dt_fine - t_end) > 1e-9 * max(t_end, dt_fine):
+    n = whole_steps(t_end, dt_fine)
+    if n is None:
         raise ConfigError(
             f"t_end {t_end} is not a multiple of dt_fine {dt_fine}"
         )
@@ -151,6 +153,16 @@ def coarsen(path: NoisePath, factor: int) -> np.ndarray:
     return np.cumsum(blocks, axis=1)[:, -1]
 
 
+def stochastic_update(base, lin, sigma: NoiseAmplitude, dw: float, dt: float,
+                      kind: str):
+    """EM (kind "em") or Milstein update of `base`, linearized at `lin`:
+    base + sigma(lin) dW [+ (1/2) sigma(lin) sigma'(lin) (dW^2 - dt)]."""
+    amp = sigma(lin)
+    if kind == "em":
+        return base + amp * dw
+    return base + amp * dw + 0.5 * amp * sigma.deriv(lin) * (dw * dw - dt)
+
+
 def em_step(c, sigma: NoiseAmplitude, dw: float):
     """Euler-Maruyama update c + sigma(c) dW.
 
@@ -159,15 +171,14 @@ def em_step(c, sigma: NoiseAmplitude, dw: float):
     """
     if isinstance(c, FieldState):
         return c.with_values(em_step(c.values, sigma, dw))
-    return c + sigma(c) * dw
+    return stochastic_update(c, c, sigma, dw, 0.0, "em")
 
 
 def milstein_step(c, sigma: NoiseAmplitude, dw: float, dt: float):
     """Milstein update c + sigma(c) dW + (1/2) sigma(c) sigma'(c) (dW^2 - dt)."""
     if isinstance(c, FieldState):
         return c.with_values(milstein_step(c.values, sigma, dw, dt))
-    amp = sigma(c)
-    return c + amp * dw + 0.5 * amp * sigma.deriv(c) * (dw * dw - dt)
+    return stochastic_update(c, c, sigma, dw, dt, "milstein")
 
 
 def exact_linear_sde(c0, lam: float, w_t: float, t: float):

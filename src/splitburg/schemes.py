@@ -30,6 +30,7 @@ fixed step size or a stability-bound-governed one, truncating on blow-up.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,8 @@ import numpy as np
 from .burgers import CflPolicy, FluxFunction, _eo_step, cfl_dt
 from .errors import CflViolation, ConfigError
 from .grid import BoundaryKind, FieldState
-from .noise import NoiseAmplitude, NoisePath
+from .noise import NoiseAmplitude, NoisePath, stochastic_update, whole_steps
 
-_SCHEMES = ("ab", "aba", "bab", "iter_after", "iter_before", "iter_before_trapezoid")
 _SUBSTEPS = ("em", "milstein")
 _INNER_MODES = ("whole_step", "half_steps")
 
@@ -67,52 +67,32 @@ class SchemeConfig:
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.scheme not in _SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        allowed = scheme_traits(self.scheme).iterations or range(1, MAX_ITERATIONS + 1)
         if self.stochastic_substep not in _SUBSTEPS:
             raise ConfigError(f"unknown stochastic substep {self.stochastic_substep!r}")
         if self.inner_mode not in _INNER_MODES:
             raise ConfigError(f"unknown inner mode {self.inner_mode!r}")
-        if int(self.iterations) != self.iterations or self.iterations < 1:
-            raise ConfigError(f"iterations must be a positive integer, got {self.iterations}")
-        if self.iterations > MAX_ITERATIONS:
-            raise ConfigError(f"iterations capped at {MAX_ITERATIONS}, got {self.iterations}")
-        if self.scheme == "iter_before" and self.iterations not in (1, 2):
-            raise ConfigError("iter_before supports iterations 1 or 2")
-        if self.scheme == "iter_before_trapezoid" and self.iterations < 2:
-            raise ConfigError("iter_before_trapezoid needs iterations >= 2")
+        if self.iterations not in allowed:
+            raise ConfigError(f"{self.scheme} takes iterations "
+                              f"{allowed.start}..{allowed.stop - 1}, got {self.iterations}")
         if self.blowup_threshold <= 0.0:
             raise ConfigError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
     @property
-    def is_iterative(self) -> bool:
-        return self.scheme in ("iter_after", "iter_before", "iter_before_trapezoid")
-
-    @property
-    def needs_half_increments(self) -> bool:
-        return self.scheme == "bab" or (
-            self.scheme == "iter_before" and self.inner_mode == "half_steps"
-        )
-
-    @property
-    def tracks_companion(self) -> bool:
-        """Whole-step second iterates carry an aba solution alongside."""
-        return (
-            self.scheme == "iter_before"
-            and self.inner_mode == "whole_step"
-            and self.iterations == 2
-        )
+    def quantum(self) -> int:
+        """Fine path steps every step size must be a multiple of: 2 when a
+        step consumes the increments of its two half intervals."""
+        return 2 if self.inner_mode in SCHEMES[self.scheme].half_increments else 1
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Outcome of one step: the new state, what was consumed, and the
-    iterate residuals (one entry per sweep beyond the first; empty for
-    non-iterative schemes)."""
+    """Outcome of one step: the new state, the step size, and the iterate
+    residuals (one entry per sweep beyond the first; empty for non-iterative
+    schemes)."""
 
     state_after: FieldState
     dt_used: float
-    dw_used: tuple[float, ...]
     iterate_residuals: tuple[float, ...] = ()
 
 
@@ -124,14 +104,6 @@ class StepNoise:
     full: float
     first_half: float | None = None
     second_half: float | None = None
-
-
-def _stoch(values: np.ndarray, sigma: NoiseAmplitude, dw: float, dt: float,
-           kind: str) -> np.ndarray:
-    if kind == "em":
-        return values + sigma(values) * dw
-    amp = sigma(values)
-    return values + amp * dw + 0.5 * amp * sigma.deriv(values) * (dw * dw - dt)
 
 
 def _mean_abs(diff: np.ndarray) -> float:
@@ -153,8 +125,8 @@ def _check_contraction(residuals: list[float]) -> None:
 def ab_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
     """Transport over dt, then the configured noise substep with increment dw."""
     v = _eo_step(state.values, dt, cfg.flux, cfg.bc, state.grid.dx)
-    v = _stoch(v, cfg.sigma, dw, dt, cfg.stochastic_substep)
-    return StepRecord(state.with_values(v, time=state.time + dt), dt, (dw,))
+    v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
+    return StepRecord(state.with_values(v, time=state.time + dt), dt)
 
 
 def aba_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
@@ -163,9 +135,9 @@ def aba_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> Step
     h = 0.5 * dt
     dx = state.grid.dx
     v = _eo_step(state.values, h, cfg.flux, cfg.bc, dx)
-    v = _stoch(v, cfg.sigma, dw, dt, cfg.stochastic_substep)
+    v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
     v = _eo_step(v, h, cfg.flux, cfg.bc, dx)
-    return StepRecord(state.with_values(v, time=state.time + dt), dt, (dw,))
+    return StepRecord(state.with_values(v, time=state.time + dt), dt)
 
 
 def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
@@ -174,12 +146,11 @@ def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
     consume the genuine increments of the two half intervals."""
     h = 0.5 * dt
     dx = state.grid.dx
-    v = _stoch(state.values, cfg.sigma, dw_first, h, cfg.stochastic_substep)
+    v = state.values
+    v = stochastic_update(v, v, cfg.sigma, dw_first, h, cfg.stochastic_substep)
     v = _eo_step(v, dt, cfg.flux, cfg.bc, dx)
-    v = _stoch(v, cfg.sigma, dw_second, h, cfg.stochastic_substep)
-    return StepRecord(
-        state.with_values(v, time=state.time + dt), dt, (dw_first, dw_second)
-    )
+    v = stochastic_update(v, v, cfg.sigma, dw_second, h, cfg.stochastic_substep)
+    return StepRecord(state.with_values(v, time=state.time + dt), dt)
 
 
 def iter_after_step(state: FieldState, dt: float, dw: float,
@@ -196,27 +167,29 @@ def iter_after_step(state: FieldState, dt: float, dw: float,
     lin = state.values
     residuals: list[float] = []
     for sweep in range(1, cfg.iterations + 1):
-        amp = cfg.sigma(lin)
-        nxt = base + amp * dw + 0.5 * amp * cfg.sigma.deriv(lin) * (dw * dw - dt)
+        nxt = stochastic_update(base, lin, cfg.sigma, dw, dt, "milstein")
         if sweep >= 2:
             residuals.append(_mean_abs(nxt - lin))
         lin = nxt
     _check_contraction(residuals)
-    return StepRecord(
-        state.with_values(lin, time=state.time + dt), dt, (dw,), tuple(residuals)
-    )
+    return StepRecord(state.with_values(lin, time=state.time + dt), dt, tuple(residuals))
 
 
-def _voc_milstein(values: np.ndarray, dw: float, dt: float, cfg: SchemeConfig,
-                  dx: float) -> np.ndarray:
-    """Variation-of-constants Milstein form built from one linearization field:
-    propagate the field, the amplitude, and (twice) the correction product."""
+def _voc_terms(values: np.ndarray, dt: float, cfg: SchemeConfig,
+               dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Variation-of-constants terms of one linearization field: the field and
+    the amplitude propagated over dt, and the correction product twice."""
     def prop(v: np.ndarray) -> np.ndarray:
         return _eo_step(v, dt, cfg.flux, cfg.bc, dx)
 
     amp = np.asarray(cfg.sigma(values), dtype=np.float64)
     corr = amp * np.asarray(cfg.sigma.deriv(values), dtype=np.float64)
-    return prop(values) + prop(amp) * dw + 0.5 * prop(prop(corr)) * (dw * dw - dt)
+    return prop(values), prop(amp), prop(prop(corr))
+
+
+def _voc_milstein(terms: tuple[np.ndarray, ...], dw: float, dt: float) -> np.ndarray:
+    field, amp, corr = terms
+    return field + amp * dw + 0.5 * corr * (dw * dw - dt)
 
 
 def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
@@ -233,13 +206,13 @@ def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
     """
     u = state.values
     dx = state.grid.dx
-    c1 = _voc_milstein(u, noise.full, dt, cfg, dx)
+    c1 = _voc_milstein(_voc_terms(u, dt, cfg, dx), noise.full, dt)
 
     if cfg.iterations == 1:
         after, residuals = c1, ()
     elif cfg.inner_mode == "whole_step":
         companion = state if aba_state is None else aba_state
-        c2 = _voc_milstein(companion.values, noise.full, dt, cfg, dx)
+        c2 = _voc_milstein(_voc_terms(companion.values, dt, cfg, dx), noise.full, dt)
         after, residuals = c2, (_mean_abs(c2 - c1),)
     else:
         if noise.first_half is None or noise.second_half is None:
@@ -247,30 +220,16 @@ def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
         h = 0.5 * dt
         dw1, dw2 = noise.first_half, noise.second_half
         mid = aba_step(state, h, dw1, cfg).state_after.values
-
-        def prop(v: np.ndarray) -> np.ndarray:
-            return _eo_step(v, h, cfg.flux, cfg.bc, dx)
-
-        amp_u = np.asarray(cfg.sigma(u), dtype=np.float64)
-        amp_m = np.asarray(cfg.sigma(mid), dtype=np.float64)
-        corr_u = amp_u * np.asarray(cfg.sigma.deriv(u), dtype=np.float64)
-        corr_m = amp_m * np.asarray(cfg.sigma.deriv(mid), dtype=np.float64)
+        field_u, amp_u, corr_u = _voc_terms(u, h, cfg, dx)
+        field_m, amp_m, corr_m = _voc_terms(mid, h, cfg, dx)
         c2 = (
-            prop(u) + prop(mid)
-            + prop(amp_u) * dw1 + prop(amp_m) * dw2
-            + 0.5 * prop(prop(corr_u)) * (dw1 * dw1 - h)
-            + 0.5 * prop(prop(corr_m)) * (dw2 * dw2 - h)
+            field_u + field_m
+            + amp_u * dw1 + amp_m * dw2
+            + 0.5 * corr_u * (dw1 * dw1 - h)
+            + 0.5 * corr_m * (dw2 * dw2 - h)
         )
         after, residuals = c2, (_mean_abs(c2 - c1),)
-
-    dw_used = (
-        (noise.full,)
-        if cfg.inner_mode == "whole_step" or cfg.iterations == 1
-        else (noise.first_half, noise.second_half)
-    )
-    return StepRecord(
-        state.with_values(after, time=state.time + dt), dt, dw_used, residuals
-    )
+    return StepRecord(state.with_values(after, time=state.time + dt), dt, residuals)
 
 
 def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
@@ -282,9 +241,8 @@ def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
     with the quadratic term frozen at the first pass c_1.
     """
     u = state.values
-    dx = state.grid.dx
-    base = _eo_step(u, dt, cfg.flux, cfg.bc, dx)
-    c1 = _voc_milstein(u, dw, dt, cfg, dx)
+    terms = _voc_terms(u, dt, cfg, state.grid.dx)
+    base, c1 = terms[0], _voc_milstein(terms, dw, dt)
     quad = 0.5 * np.asarray(cfg.sigma(c1), dtype=np.float64) ** 2 * dt
 
     prev = c1
@@ -294,9 +252,7 @@ def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
         residuals.append(_mean_abs(nxt - prev))
         prev = nxt
     _check_contraction(residuals)
-    return StepRecord(
-        state.with_values(prev, time=state.time + dt), dt, (dw,), tuple(residuals)
-    )
+    return StepRecord(state.with_values(prev, time=state.time + dt), dt, tuple(residuals))
 
 
 def detect_blowup(state: FieldState,
@@ -332,33 +288,73 @@ class Trajectory:
         return len(self.records)
 
 
-def _one_step(state: FieldState, step_dt: float, cfg: SchemeConfig,
-              path: NoisePath, k: int, m: int,
-              companion: FieldState | None) -> StepRecord:
-    dw_full = path.increment_over(k, k + m)
-    if cfg.scheme == "ab":
-        return ab_step(state, step_dt, dw_full, cfg)
-    if cfg.scheme == "aba":
-        return aba_step(state, step_dt, dw_full, cfg)
-    if cfg.scheme == "bab":
-        half = m // 2
-        dw1 = path.increment_over(k, k + half)
-        dw2 = path.increment_over(k + half, k + m)
-        return bab_step(state, step_dt, dw1, dw2, cfg)
-    if cfg.scheme == "iter_after":
-        return iter_after_step(state, step_dt, dw_full, cfg)
-    if cfg.scheme == "iter_before":
-        if cfg.inner_mode == "half_steps":
-            half = m // 2
-            noise = StepNoise(
-                dw_full,
-                path.increment_over(k, k + half),
-                path.increment_over(k + half, k + m),
-            )
-        else:
-            noise = StepNoise(dw_full)
-        return iter_before_step(state, step_dt, noise, cfg, aba_state=companion)
-    return iter_before_trapezoid_step(state, step_dt, dw_full, cfg)
+def _halves(path: NoisePath, k: int, m: int) -> tuple[float, float]:
+    mid = k + m // 2
+    return path.increment_over(k, mid), path.increment_over(mid, k + m)
+
+
+def _advance_full(step):
+    """`advance` for a step function (state, dt, dw, cfg)."""
+    def advance(state, dt, path, k, m, cfg, companion):
+        return step(state, dt, path.increment_over(k, k + m), cfg), companion
+    return advance
+
+
+def _advance_bab(state, dt, path, k, m, cfg, companion):
+    return bab_step(state, dt, *_halves(path, k, m), cfg), companion
+
+
+def _advance_iter_before(state, dt, path, k, m, cfg, companion):
+    dw = path.increment_over(k, k + m)
+    halves = _halves(path, k, m) if cfg.iterations > 1 and cfg.quantum == 2 else ()
+    rec = iter_before_step(state, dt, StepNoise(dw, *halves), cfg, aba_state=companion)
+    if companion is not None:
+        companion = aba_step(companion, dt, dw, cfg).state_after
+    return rec, companion
+
+
+@dataclass(frozen=True)
+class SchemeTraits:
+    """One row of the scheme table, the one place each scheme fact lives.
+
+    `advance(state, dt, path, k, m, cfg, companion) -> (record, companion)`
+    draws the increments over fine steps [k, k + m) that the scheme uses and
+    calls its step function.  `iterations` are the counts it takes (empty: not
+    iterative).  `half_increments` are the inner modes in which a step
+    consumes its two half-interval increments, so dt spans an even number of
+    fine steps; `companion` those in which the second iterate is refreshed
+    from an aba solution carried alongside.
+
+    `stochastic_substep: em` reaches only ab, aba, bab and the aba solutions
+    inside iter_before (whole-step companion, half-steps midpoint); the
+    iterative updates themselves are always Milstein.
+    """
+
+    advance: Callable
+    iterations: range = range(0)
+    half_increments: tuple[str, ...] = ()
+    companion: tuple[str, ...] = ()
+
+
+SCHEMES = {
+    "ab": SchemeTraits(_advance_full(ab_step)),
+    "aba": SchemeTraits(_advance_full(aba_step)),
+    "bab": SchemeTraits(_advance_bab, half_increments=_INNER_MODES),
+    "iter_after": SchemeTraits(_advance_full(iter_after_step),
+                               range(1, MAX_ITERATIONS + 1)),
+    "iter_before": SchemeTraits(_advance_iter_before, range(1, 3),
+                                half_increments=("half_steps",),
+                                companion=("whole_step",)),
+    "iter_before_trapezoid": SchemeTraits(_advance_full(iter_before_trapezoid_step),
+                                          range(2, MAX_ITERATIONS + 1)),
+}
+
+
+def scheme_traits(name: str) -> SchemeTraits:
+    """The table row of a scheme name."""
+    if name not in SCHEMES:
+        raise ConfigError(f"unknown scheme {name!r}")
+    return SCHEMES[name]
 
 
 def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
@@ -377,27 +373,28 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     if t_end < 0.0:
         raise ConfigError(f"t_end must be non-negative, got {t_end}")
     fine = path.dt_fine
-    n_total = round(t_end / fine)
-    if abs(n_total * fine - t_end) > 1e-9 * max(t_end, fine):
+    n_total = whole_steps(t_end, fine)
+    if n_total is None:
         raise ConfigError(f"t_end {t_end} is not a multiple of the path resolution {fine}")
     if n_total > path.n_steps:
         raise ConfigError(f"path covers only [0, {path.t_end}], t_end {t_end} is beyond it")
-    quantum = 2 if cfg.needs_half_increments else 1
+    quantum = cfg.quantum
     if n_total % quantum:
         raise ConfigError("t_end must cover a whole number of half-interval pairs")
 
     m_fixed = None
     if dt is not None:
-        m_fixed = round(dt / fine)
-        if m_fixed < 1 or abs(m_fixed * fine - dt) > 1e-9 * dt:
+        m_fixed = whole_steps(dt, fine)
+        if m_fixed is None or m_fixed < 1:
             raise ConfigError(f"dt {dt} is not a multiple of the path resolution {fine}")
         if m_fixed % quantum:
             raise ConfigError(f"dt {dt} cannot be split into aligned half intervals")
         if n_total % m_fixed:
             raise ConfigError(f"t_end {t_end} is not a multiple of dt {dt}")
 
+    traits = SCHEMES[cfg.scheme]
     state = c0
-    companion = c0 if cfg.tracks_companion else None
+    companion = c0 if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
     records: list[StepRecord] = []
     blowup_time: float | None = None
     blowup_reason: str | None = None
@@ -419,10 +416,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
                 break
         step_dt = m * fine
         try:
-            rec = _one_step(state, step_dt, cfg, path, k, m, companion)
-            if companion is not None:
-                dw_full = path.increment_over(k, k + m)
-                companion = aba_step(companion, step_dt, dw_full, cfg).state_after
+            rec, companion = traits.advance(state, step_dt, path, k, m, cfg, companion)
         except CflViolation:
             blowup_time = state.time
             blowup_reason = "cfl_rejected"

@@ -1,7 +1,13 @@
 """Command line interface: subcommands, exit codes, and output routing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import splitburg
 import splitburg.runner as runner_mod
 from splitburg.cli import OUT_ENV_VAR, main
 
@@ -113,3 +119,27 @@ def test_summary_is_byte_identical_across_jobs(config_file, tmp_path, capsys):
     for sub in ("profiles", "residuals"):
         for fa in sorted((a / sub).iterdir()):
             assert fa.read_bytes() == (b / sub / fa.name).read_bytes()
+
+
+def run_module(module, *args):
+    src = str(Path(splitburg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", module, *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["splitburg", "splitburg.cli"])
+def test_python_dash_m_runs_the_cli(module, config_file, tmp_path):
+    out = tmp_path / "out"
+    done = run_module(module, "run", config_file, "--quiet", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert (out / "summary.csv").exists()
+
+
+def test_python_dash_m_exits_1_on_a_bad_config(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("dt_ladder: [0.01, 0.02]\n")
+    done = run_module("splitburg", "run", str(bad), "--out", str(tmp_path / "x"))
+    assert done.returncode == 1
+    assert done.stderr.startswith("config error:")

@@ -15,6 +15,7 @@ from splitburg import (
     generate_path,
     milstein_step,
 )
+from splitburg.noise import stochastic_update, whole_steps
 
 EXP_HALF = 1.6487212707001282  # e^{1/2}
 
@@ -49,8 +50,24 @@ def test_path_geometry():
     path = generate_path(1, 0.01, 1e-3)
     assert path.n_steps == 10
     assert path.t_end == pytest.approx(0.01)
-    assert 2 in path.levels and 5 in path.levels and 10 in path.levels
-    assert 3 not in path.levels
+
+
+def test_whole_steps_counts_aligned_multiples_only():
+    assert whole_steps(0.1, 0.001) == 100
+    assert whole_steps(0.0, 0.001) == 0  # a zero horizon has zero steps
+    assert whole_steps(0.3, 0.1) == 3  # 0.3 / 0.1 is not exactly 3 in binary
+    assert whole_steps(0.0105, 0.01) is None
+    assert whole_steps(0.0015, 0.001) is None
+
+
+def test_stochastic_update_linearizes_at_a_separate_point():
+    sigma = NoiseAmplitude("linear", 0.5)
+    base, lin = np.array([1.0, 2.0]), np.array([4.0, -2.0])
+    # amplitudes 2 and -1, correction (1/2) sigma sigma' (dW^2 - dt) = 0.5*amp*0.5*0.03
+    assert np.allclose(stochastic_update(base, lin, sigma, 0.2, 0.01, "milstein"),
+                       [1.4 + 0.015, 1.8 - 0.0075], rtol=1e-15)
+    assert np.array_equal(stochastic_update(base, lin, sigma, 0.2, 0.01, "em"),
+                          base + sigma(lin) * 0.2)
 
 
 def test_path_increments_have_the_right_moments():

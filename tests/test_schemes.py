@@ -33,6 +33,7 @@ from splitburg import (
     milstein_step,
     scl_step,
 )
+from splitburg.schemes import SCHEMES
 
 GRID = SpatialGrid(0.0, 1.0, 16)
 DIR = BoundaryKind.ZERO_DIRICHLET
@@ -78,13 +79,17 @@ def test_scheme_config_validation():
 
 
 def test_scheme_config_flags():
-    assert SchemeConfig("bab").needs_half_increments
-    assert SchemeConfig("iter_before", inner_mode="half_steps").needs_half_increments
-    assert not SchemeConfig("iter_before").needs_half_increments
-    assert SchemeConfig("iter_before", iterations=2).tracks_companion
-    assert not SchemeConfig("iter_before", iterations=1).tracks_companion
-    assert SchemeConfig("iter_after").is_iterative
-    assert not SchemeConfig("aba").is_iterative
+    assert set(SCHEMES) == {"ab", "aba", "bab", "iter_after", "iter_before",
+                            "iter_before_trapezoid"}
+    assert SchemeConfig("bab").quantum == 2
+    assert SchemeConfig("iter_before", inner_mode="half_steps").quantum == 2
+    assert SchemeConfig("iter_before").quantum == 1
+    assert [name for name, row in SCHEMES.items() if row.companion] == ["iter_before"]
+    assert SCHEMES["iter_before"].companion == ("whole_step",)
+    assert list(SCHEMES["iter_after"].iterations) == list(range(1, 9))
+    assert list(SCHEMES["iter_before"].iterations) == [1, 2]
+    assert list(SCHEMES["iter_before_trapezoid"].iterations) == list(range(2, 9))
+    assert not SCHEMES["aba"].iterations
 
 
 # ----------------------------------------------------- non-iterative maps
@@ -100,7 +105,6 @@ def test_ab_step_is_the_manual_composition_bitwise():
         expected = milstein_step(transported(state, 0.01, cfg), cfg.sigma, dw, 0.01)
         assert np.array_equal(got.state_after.values, expected.values)
         assert got.state_after.time == pytest.approx(state.time + 0.01)
-        assert got.dw_used == (dw,)
         assert got.iterate_residuals == ()
 
 
@@ -162,7 +166,6 @@ def test_bab_step_is_the_manual_composition_bitwise():
         moved = propagate_values(first, state, 0.01, cfg)
         expected = milstein_step(moved, cfg.sigma, dw2, 0.005)
         assert np.array_equal(got.state_after.values, expected)
-        assert got.dw_used == (dw1, dw2)
 
 
 def test_bab_constant_noise_merges_the_half_increments():
@@ -296,7 +299,6 @@ def test_iter_before_half_steps_zero_flux_sums_two_milstein_half_steps():
     first = milstein_step(state.values, cfg.sigma, dw, 0.005)
     second = milstein_step(first, cfg.sigma, dw, 0.005)
     assert np.allclose(got.state_after.values, first + second, rtol=1e-13)
-    assert got.dw_used == (dw, dw)
 
 
 def test_iter_before_half_steps_requires_both_half_increments():
@@ -405,13 +407,15 @@ def test_integrate_alignment_errors():
 def test_integrate_fixed_dt_consumes_the_coarsened_path():
     c0 = sine_state()
     path = generate_path(3, 0.1, 0.001)
-    traj = integrate(c0, 0.1, cfg_for("ab"), path, dt=0.01)
+    cfg = cfg_for("ab")
+    traj = integrate(c0, 0.1, cfg, path, dt=0.01)
     assert traj.n_steps == 10
-    coarse = coarsen(path, 10)
-    for i, rec in enumerate(traj.records):
+    manual = c0
+    for i, (rec, dw) in enumerate(zip(traj.records, coarsen(path, 10))):
         assert rec.dt_used == pytest.approx(0.01)
-        assert rec.dw_used[0] == coarse[i]
         assert rec.state_after.time == pytest.approx(0.01 * (i + 1))
+        manual = ab_step(manual, 0.01, dw, cfg).state_after
+    assert np.array_equal(traj.final_state.values, manual.values)
 
 
 def test_integrate_is_reproducible():
@@ -501,3 +505,32 @@ def test_integrate_carries_the_aba_companion_across_steps():
                           step1.state_after.values)
     assert np.array_equal(traj.records[1].state_after.values,
                           step2.state_after.values)
+
+
+def test_only_ab_aba_bab_and_aba_companions_follow_the_em_substep():
+    # iter_after, iter_before and iter_before_trapezoid linearize the noise in
+    # Milstein form whatever stochastic_substep says; the aba solutions inside
+    # iter_before (whole-step companion, half-steps midpoint) do follow it
+    c0 = sine_state(32)
+    path = generate_path(19, 0.02, 0.001)
+    cases = {  # (scheme, iterations, inner_mode): first step where em differs
+        ("ab", 1, "whole_step"): 0,
+        ("aba", 1, "whole_step"): 0,
+        ("bab", 1, "whole_step"): 0,
+        ("iter_after", 3, "whole_step"): None,
+        ("iter_before", 1, "whole_step"): None,
+        ("iter_before", 2, "whole_step"): 1,
+        ("iter_before", 2, "half_steps"): 0,
+        ("iter_before_trapezoid", 3, "whole_step"): None,
+    }
+    for (scheme, iterations, inner_mode), first_diff in cases.items():
+        trajs = [
+            integrate(c0, 0.02, cfg_for(scheme, iterations=iterations,
+                                        inner_mode=inner_mode,
+                                        stochastic_substep=substep), path, dt=0.01)
+            for substep in ("em", "milstein")
+        ]
+        equal = [np.array_equal(a.state_after.values, b.state_after.values)
+                 for a, b in zip(*(t.records for t in trajs))]
+        expected = [first_diff is None or i < first_diff for i in range(2)]
+        assert equal == expected, (scheme, iterations, inner_mode)
