@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from .grid import FieldState, l1_distance
 
@@ -143,6 +142,8 @@ def fit_order(pairs: Sequence[tuple[float, float]]) -> FitResult:
             f"order fit failed: only {int(keep.sum())} usable points after "
             f"excluding non-positive errors at indices {excluded}"
         )
+    from scipy.stats import linregress  # deferred: scipy.stats doubles start-up
+
     fit = linregress(np.log(dts[keep]), np.log(errs[keep]))
     return FitResult(
         float(fit.slope), 1.96 * float(fit.stderr), int(keep.sum()), excluded

@@ -56,7 +56,7 @@ class FluxFunction:
     def max_speed(self, u) -> float:
         """Largest |f'(u)| over the given values."""
         d = np.abs(self.deriv(u))
-        return float(np.max(d)) if np.size(d) else 0.0
+        return float(d.max()) if d.size else 0.0
 
 
 def engquist_osher_flux(u_left, u_right, flux: FluxFunction = FluxFunction()):
@@ -68,18 +68,32 @@ def engquist_osher_flux(u_left, u_right, flux: FluxFunction = FluxFunction()):
     return flux(np.maximum(u_left, 0.0)) + flux(np.minimum(u_right, 0.0))
 
 
-def _eo_step(values: np.ndarray, dt: float, flux: FluxFunction,
-             bc: BoundaryKind, dx: float) -> np.ndarray:
-    """One conservative update of raw cell values; asserts the wave-speed bound."""
-    speed = flux.max_speed(values)
+def _check_cfl(speed: float, dt: float, dx: float) -> None:
     if speed > 0.0:
         admissible = dx / speed
         if dt > admissible * (1.0 + 1e-12):
             raise CflViolation(dt, admissible)
+
+
+def _eo_step(values: np.ndarray, dt: float, flux: FluxFunction,
+             bc: BoundaryKind, dx: float) -> np.ndarray:
+    """One conservative update of raw cell values; asserts the wave-speed bound.
+
+    `values` is one field of n_cells values or a stack of independent
+    fields along leading axes, such as (k, n_cells).  A stack is updated row
+    by row, bitwise as one call per row would be, and raises CflViolation
+    when one of those calls would (the first such row names the admissible
+    step).
+    """
+    if values.ndim == 1:
+        _check_cfl(flux.max_speed(values), dt, dx)
+    else:
+        for speed in np.abs(flux.deriv(values)).max(axis=-1).ravel().tolist():
+            _check_cfl(speed, dt, dx)
     with np.errstate(over="ignore", invalid="ignore"):
         padded = bc.pad(values)
-        interface = engquist_osher_flux(padded[:-1], padded[1:], flux)
-        return values - (dt / dx) * (interface[1:] - interface[:-1])
+        interface = engquist_osher_flux(padded[..., :-1], padded[..., 1:], flux)
+        return values - (dt / dx) * (interface[..., 1:] - interface[..., :-1])
 
 
 def scl_step(state: FieldState, dt: float, flux: FluxFunction,
@@ -92,7 +106,7 @@ def scl_step(state: FieldState, dt: float, flux: FluxFunction,
     if dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
     new = _eo_step(state.values, dt, flux, bc, state.grid.dx)
-    return state.with_values(new, time=state.time + dt)
+    return state.successor(new, state.time + dt)
 
 
 class CflMode(Enum):
@@ -153,7 +167,7 @@ def cfl_dt(state: FieldState, sigma, policy: CflPolicy,
     bound = math.inf
 
     if policy.mode is CflMode.DETERMINISTIC_ONLY:
-        speed = flux.max_speed(u) if flux is not None else float(np.max(absu))
+        speed = flux.max_speed(u) if flux is not None else float(absu.max())
         if speed > VELOCITY_FLOOR:
             bound = dx / speed
     elif policy.mode is CflMode.STOCHASTIC_ONLY:
@@ -161,13 +175,13 @@ def cfl_dt(state: FieldState, sigma, policy: CflPolicy,
             amp = np.abs(np.asarray(sigma(u[mask]), dtype=np.float64))
             with np.errstate(divide="ignore"):
                 cell = np.where(amp > 0.0, (absu[mask] / (amp * xi)) ** 2, math.inf)
-            bound = float(np.min(cell))
+            bound = float(cell.min())
     else:
         if mask.any():
             au = absu[mask]
             amp = np.abs(np.asarray(sigma(u[mask]), dtype=np.float64))
             cell = (1.0 / (au / dx + amp * xi / au)) ** 2
-            bound = float(np.min(cell))
+            bound = float(cell.min())
 
     if math.isinf(bound):
         if policy.dt_max is None:

@@ -7,7 +7,8 @@ be shared freely across threads and worker processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -58,10 +59,12 @@ class BoundaryKind(Enum):
     PERIODIC = "periodic"
 
     def pad(self, values: np.ndarray) -> np.ndarray:
-        """Return values extended by one ghost cell on each side."""
+        """Return values extended by one ghost cell on each side of the last
+        axis, so a (k, n_cells) stack is padded row by row."""
         if self is BoundaryKind.ZERO_DIRICHLET:
-            return np.concatenate(([0.0], values, [0.0]))
-        return np.concatenate((values[-1:], values, values[:1]))
+            edge = np.zeros(values.shape[:-1] + (1,))
+            return np.concatenate((edge, values, edge), axis=-1)
+        return np.concatenate((values[..., -1:], values, values[..., :1]), axis=-1)
 
     @classmethod
     def from_name(cls, name: str) -> "BoundaryKind":
@@ -71,30 +74,56 @@ class BoundaryKind(Enum):
             raise ConfigError(f"unknown boundary kind {name!r}") from None
 
 
+def _frozen(values) -> bool:
+    """True for a read-only float64 array that owns its data: it has no
+    writable base, so a state may share it instead of copying it."""
+    return (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable)
+
+
+def _peak(values: np.ndarray) -> float:
+    """Largest |value|; nan or inf when an entry is non-finite."""
+    return float(np.abs(values).max())
+
+
 @dataclass(frozen=True)
 class FieldState:
     """Cell-averaged solution values at one time level.
 
-    `blown_up` marks a diverged state; it is set automatically whenever a
-    non-finite entry is present, so finite-valued states are the invariant
-    everywhere else.
+    Values are stored read-only.  A writable or borrowed buffer is copied; a
+    read-only float64 array that owns its data is shared as is.  `peak` is
+    the largest |value|, from the one scan every state gets.  `blown_up`
+    marks a diverged state; it is set automatically whenever a non-finite
+    entry is present (non-finite `peak`), so finite-valued states are the
+    invariant everywhere else.
     """
 
     grid: SpatialGrid
     values: np.ndarray
     time: float = 0.0
     blown_up: bool = False
+    peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=np.float64)  # copy: never alias caller buffers
+        vals = self.values
+        if not _frozen(vals):
+            vals = np.array(vals, dtype=np.float64)  # copy: never alias caller buffers
+            vals.setflags(write=False)
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"expected {self.grid.n_cells} cell values, got shape {vals.shape}"
             )
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if not bool(np.isfinite(vals).all()):
+        peak = _peak(vals)
+        object.__setattr__(self, "peak", peak)
+        if not math.isfinite(peak):
             object.__setattr__(self, "blown_up", True)
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writable; `peak` holds only while the
+        # values cannot change
+        self.__dict__.update(state)
+        self.values.setflags(write=False)
 
     def with_values(
         self, values, time: float | None = None, blown_up: bool = False
@@ -102,6 +131,15 @@ class FieldState:
         return FieldState(
             self.grid, values, self.time if time is None else time, blown_up
         )
+
+    def successor(self, values: np.ndarray, time: float) -> "FieldState":
+        """The state at `time` holding `values`, an array the caller has just
+        computed and hands over: it is frozen in place instead of copied
+        (a view is copied, since its base may still be written)."""
+        if values.base is not None:
+            values = values.copy()
+        values.setflags(write=False)
+        return FieldState(self.grid, values, time)
 
 
 _IC_KINDS = ("sine_bump", "riemann_step", "constant", "table")

@@ -56,10 +56,13 @@ class NoiseAmplitude:
             return self.lam * c
         return _shaped_like(c, self.lam)
 
+    @property
+    def slope(self) -> float:
+        """sigma'(c), the same for every c."""
+        return self.lam if self.kind == "linear" else 0.0
+
     def deriv(self, c):
-        if self.kind == "linear":
-            return _shaped_like(c, self.lam)
-        return _shaped_like(c, 0.0)
+        return _shaped_like(c, self.slope)
 
 
 def whole_steps(value: float, base: float) -> int | None:
@@ -160,7 +163,7 @@ def stochastic_update(base, lin, sigma: NoiseAmplitude, dw: float, dt: float,
     amp = sigma(lin)
     if kind == "em":
         return base + amp * dw
-    return base + amp * dw + 0.5 * amp * sigma.deriv(lin) * (dw * dw - dt)
+    return base + amp * dw + 0.5 * amp * sigma.slope * (dw * dw - dt)
 
 
 def em_step(c, sigma: NoiseAmplitude, dw: float):

@@ -114,7 +114,7 @@ def _run_cell(task: tuple[RunConfig, str, int, float, int]) -> SeedOutcome:
     for step_index, rec in enumerate(traj.records):
         for offset, residual in enumerate(rec.iterate_residuals):
             trace.append((step_index, rec.state_after.time, offset + 2, residual))
-    endpoint = None if traj.blown_up else np.array(traj.final_state.values)
+    endpoint = None if traj.blown_up else traj.final_state.values
     return SeedOutcome(
         scheme, iterations, dt, seed, endpoint, traj.final_state.time,
         traj.blowup_time, tuple(trace), traj.n_steps,
@@ -266,14 +266,13 @@ def emit_csv(rows, archive: RunArchive, out_dir) -> Path:
     traces = out / "residuals"
     profiles.mkdir(exist_ok=True)
     traces.mkdir(exist_ok=True)
+    # tolist() gives builtin floats, whose repr is _fmt's
+    x_column = [repr(x) for x in archive.x_centers.tolist()]
     for o in archive.outcomes:
         stem = f"{cell_label(o.scheme, o.iterations)}_{_fmt(o.dt)}_{o.seed}.csv"
         if o.endpoint is not None:
             body = ["x,c"]
-            body.extend(
-                f"{_fmt(x)},{_fmt(c)}"
-                for x, c in zip(archive.x_centers, o.endpoint)
-            )
+            body.extend(f"{x},{c!r}" for x, c in zip(x_column, o.endpoint.tolist()))
             (profiles / stem).write_text("\n".join(body) + "\n", encoding="utf-8")
         if o.iterations > 0:
             body = ["step,time,iteration,residual"]

@@ -107,7 +107,8 @@ class StepNoise:
 
 
 def _mean_abs(diff: np.ndarray) -> float:
-    return float(np.mean(np.abs(diff)))
+    # np.mean's own sum and division, without its per-call dispatch
+    return float(np.add.reduce(np.abs(diff))) / diff.size
 
 
 def _check_contraction(residuals: list[float]) -> None:
@@ -126,18 +127,22 @@ def ab_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepR
     """Transport over dt, then the configured noise substep with increment dw."""
     v = _eo_step(state.values, dt, cfg.flux, cfg.bc, state.grid.dx)
     v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
-    return StepRecord(state.with_values(v, time=state.time + dt), dt)
+    return StepRecord(state.successor(v, state.time + dt), dt)
+
+
+def _aba(values: np.ndarray, dt: float, dw: float, cfg: SchemeConfig,
+         dx: float) -> np.ndarray:
+    h = 0.5 * dt
+    v = _eo_step(values, h, cfg.flux, cfg.bc, dx)
+    v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
+    return _eo_step(v, h, cfg.flux, cfg.bc, dx)
 
 
 def aba_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
     """Symmetrized transport around a single noise substep consuming the
     full-interval increment."""
-    h = 0.5 * dt
-    dx = state.grid.dx
-    v = _eo_step(state.values, h, cfg.flux, cfg.bc, dx)
-    v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
-    v = _eo_step(v, h, cfg.flux, cfg.bc, dx)
-    return StepRecord(state.with_values(v, time=state.time + dt), dt)
+    v = _aba(state.values, dt, dw, cfg, state.grid.dx)
+    return StepRecord(state.successor(v, state.time + dt), dt)
 
 
 def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
@@ -150,7 +155,7 @@ def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
     v = stochastic_update(v, v, cfg.sigma, dw_first, h, cfg.stochastic_substep)
     v = _eo_step(v, dt, cfg.flux, cfg.bc, dx)
     v = stochastic_update(v, v, cfg.sigma, dw_second, h, cfg.stochastic_substep)
-    return StepRecord(state.with_values(v, time=state.time + dt), dt)
+    return StepRecord(state.successor(v, state.time + dt), dt)
 
 
 def iter_after_step(state: FieldState, dt: float, dw: float,
@@ -172,19 +177,21 @@ def iter_after_step(state: FieldState, dt: float, dw: float,
             residuals.append(_mean_abs(nxt - lin))
         lin = nxt
     _check_contraction(residuals)
-    return StepRecord(state.with_values(lin, time=state.time + dt), dt, tuple(residuals))
+    return StepRecord(state.successor(lin, state.time + dt), dt, tuple(residuals))
 
 
-def _voc_terms(values: np.ndarray, dt: float, cfg: SchemeConfig,
+def _voc_terms(fields: np.ndarray, dt: float, cfg: SchemeConfig,
                dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Variation-of-constants terms of one linearization field: the field and
-    the amplitude propagated over dt, and the correction product twice."""
-    def prop(v: np.ndarray) -> np.ndarray:
-        return _eo_step(v, dt, cfg.flux, cfg.bc, dx)
-
-    amp = np.asarray(cfg.sigma(values), dtype=np.float64)
-    corr = amp * np.asarray(cfg.sigma.deriv(values), dtype=np.float64)
-    return prop(values), prop(amp), prop(prop(corr))
+    """Variation-of-constants terms of a linearization field, or of each row
+    of a (k, n_cells) stack of them: the field and the amplitude propagated
+    over dt, and the correction product twice.  The field, amplitude and
+    correction go through one transport call, the correction's second pass
+    through another."""
+    amp = np.asarray(cfg.sigma(fields), dtype=np.float64)
+    corr = amp * cfg.sigma.slope
+    field_t, amp_t, corr_t = _eo_step(np.array((fields, amp, corr)), dt, cfg.flux,
+                                      cfg.bc, dx)
+    return field_t, amp_t, _eo_step(corr_t, dt, cfg.flux, cfg.bc, dx)
 
 
 def _voc_milstein(terms: tuple[np.ndarray, ...], dw: float, dt: float) -> np.ndarray:
@@ -206,30 +213,30 @@ def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
     """
     u = state.values
     dx = state.grid.dx
-    c1 = _voc_milstein(_voc_terms(u, dt, cfg, dx), noise.full, dt)
-
-    if cfg.iterations == 1:
-        after, residuals = c1, ()
-    elif cfg.inner_mode == "whole_step":
+    time = state.time + dt
+    if cfg.iterations == 2 and cfg.inner_mode == "whole_step":
         companion = state if aba_state is None else aba_state
-        c2 = _voc_milstein(_voc_terms(companion.values, dt, cfg, dx), noise.full, dt)
-        after, residuals = c2, (_mean_abs(c2 - c1),)
-    else:
-        if noise.first_half is None or noise.second_half is None:
-            raise ConfigError("half_steps mode needs both half-interval increments")
-        h = 0.5 * dt
-        dw1, dw2 = noise.first_half, noise.second_half
-        mid = aba_step(state, h, dw1, cfg).state_after.values
-        field_u, amp_u, corr_u = _voc_terms(u, h, cfg, dx)
-        field_m, amp_m, corr_m = _voc_terms(mid, h, cfg, dx)
-        c2 = (
-            field_u + field_m
-            + amp_u * dw1 + amp_m * dw2
-            + 0.5 * corr_u * (dw1 * dw1 - h)
-            + 0.5 * corr_m * (dw2 * dw2 - h)
-        )
-        after, residuals = c2, (_mean_abs(c2 - c1),)
-    return StepRecord(state.with_values(after, time=state.time + dt), dt, residuals)
+        terms = _voc_terms(np.array((u, companion.values)), dt, cfg, dx)
+        c1, c2 = _voc_milstein(terms, noise.full, dt)
+        return StepRecord(state.successor(c2, time), dt, (_mean_abs(c2 - c1),))
+
+    c1 = _voc_milstein(_voc_terms(u, dt, cfg, dx), noise.full, dt)
+    if cfg.iterations == 1:
+        return StepRecord(state.successor(c1, time), dt)
+    if noise.first_half is None or noise.second_half is None:
+        raise ConfigError("half_steps mode needs both half-interval increments")
+    h = 0.5 * dt
+    dw1, dw2 = noise.first_half, noise.second_half
+    mid = _aba(u, h, dw1, cfg, dx)
+    (field_u, field_m), (amp_u, amp_m), (corr_u, corr_m) = _voc_terms(
+        np.array((u, mid)), h, cfg, dx)
+    c2 = (
+        field_u + field_m
+        + amp_u * dw1 + amp_m * dw2
+        + 0.5 * corr_u * (dw1 * dw1 - h)
+        + 0.5 * corr_m * (dw2 * dw2 - h)
+    )
+    return StepRecord(state.successor(c2, time), dt, (_mean_abs(c2 - c1),))
 
 
 def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
@@ -252,7 +259,18 @@ def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
         residuals.append(_mean_abs(nxt - prev))
         prev = nxt
     _check_contraction(residuals)
-    return StepRecord(state.with_values(prev, time=state.time + dt), dt, tuple(residuals))
+    return StepRecord(state.successor(prev, state.time + dt), dt, tuple(residuals))
+
+
+def _blowup_reason(state: FieldState, threshold: float) -> str | None:
+    """"non_finite" for a flagged state (every non-finite one is), "threshold"
+    when its peak |value| exceeds the threshold strictly, else None; reads
+    the state's one scan."""
+    if state.blown_up:
+        return "non_finite"
+    if state.peak > threshold:
+        return "threshold"
+    return None
 
 
 def detect_blowup(state: FieldState,
@@ -261,9 +279,7 @@ def detect_blowup(state: FieldState,
     threshold (strictly)."""
     if threshold <= 0.0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
-    if state.blown_up:
-        return True
-    return bool(np.any(np.abs(state.values) > threshold))
+    return _blowup_reason(state, threshold) is not None
 
 
 @dataclass(frozen=True)
@@ -288,25 +304,55 @@ class Trajectory:
         return len(self.records)
 
 
-def _halves(path: NoisePath, k: int, m: int) -> tuple[float, float]:
-    mid = k + m // 2
-    return path.increment_over(k, mid), path.increment_over(mid, k + m)
+class _PathIncrements:
+    """Increments over fine steps [k, k + m), summed from the path as each
+    step asks for them (governed steps, whose m varies)."""
+
+    def __init__(self, path: NoisePath) -> None:
+        self._path = path
+
+    def full(self, k: int, m: int) -> float:
+        return self._path.increment_over(k, k + m)
+
+    def halves(self, k: int, m: int) -> tuple[float, float]:
+        mid = k + m // 2
+        return self._path.increment_over(k, mid), self._path.increment_over(mid, k + m)
+
+
+class _FixedIncrements:
+    """Increments of fixed steps of m fine steps each, summed once per
+    trajectory: one left-to-right cumsum over every step's row of fine
+    increments (and, with `halves`, one over each half row), the order
+    `increment_over` sums in."""
+
+    def __init__(self, path: NoisePath, n_total: int, m: int, halves: bool) -> None:
+        rows = path.increments[:n_total].reshape(-1, m)
+        self._full = np.cumsum(rows, axis=1)[:, -1].tolist()
+        if halves:
+            pairs = np.cumsum(rows.reshape(len(rows), 2, -1), axis=2)[:, :, -1]
+            self._halves = list(map(tuple, pairs.tolist()))
+
+    def full(self, k: int, m: int) -> float:
+        return self._full[k // m]
+
+    def halves(self, k: int, m: int) -> tuple[float, float]:
+        return self._halves[k // m]
 
 
 def _advance_full(step):
     """`advance` for a step function (state, dt, dw, cfg)."""
-    def advance(state, dt, path, k, m, cfg, companion):
-        return step(state, dt, path.increment_over(k, k + m), cfg), companion
+    def advance(state, dt, draw, k, m, cfg, companion):
+        return step(state, dt, draw.full(k, m), cfg), companion
     return advance
 
 
-def _advance_bab(state, dt, path, k, m, cfg, companion):
-    return bab_step(state, dt, *_halves(path, k, m), cfg), companion
+def _advance_bab(state, dt, draw, k, m, cfg, companion):
+    return bab_step(state, dt, *draw.halves(k, m), cfg), companion
 
 
-def _advance_iter_before(state, dt, path, k, m, cfg, companion):
-    dw = path.increment_over(k, k + m)
-    halves = _halves(path, k, m) if cfg.iterations > 1 and cfg.quantum == 2 else ()
+def _advance_iter_before(state, dt, draw, k, m, cfg, companion):
+    dw = draw.full(k, m)
+    halves = draw.halves(k, m) if cfg.iterations > 1 and cfg.quantum == 2 else ()
     rec = iter_before_step(state, dt, StepNoise(dw, *halves), cfg, aba_state=companion)
     if companion is not None:
         companion = aba_step(companion, dt, dw, cfg).state_after
@@ -317,13 +363,14 @@ def _advance_iter_before(state, dt, path, k, m, cfg, companion):
 class SchemeTraits:
     """One row of the scheme table, the one place each scheme fact lives.
 
-    `advance(state, dt, path, k, m, cfg, companion) -> (record, companion)`
-    draws the increments over fine steps [k, k + m) that the scheme uses and
-    calls its step function.  `iterations` are the counts it takes (empty: not
-    iterative).  `half_increments` are the inner modes in which a step
-    consumes its two half-interval increments, so dt spans an even number of
-    fine steps; `companion` those in which the second iterate is refreshed
-    from an aba solution carried alongside.
+    `advance(state, dt, draw, k, m, cfg, companion) -> (record, companion)`
+    draws the increments over fine steps [k, k + m) that the scheme uses
+    (`draw.full(k, m)`, `draw.halves(k, m)`) and calls its step function.
+    `iterations` are the counts it takes (empty: not iterative).
+    `half_increments` are the inner modes in which a step consumes its two
+    half-interval increments, so dt spans an even number of fine steps;
+    `companion` those in which the second iterate is refreshed from an aba
+    solution carried alongside.
 
     `stochastic_substep: em` reaches only ab, aba, bab and the aba solutions
     inside iter_before (whole-step companion, half-steps midpoint); the
@@ -393,6 +440,8 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             raise ConfigError(f"t_end {t_end} is not a multiple of dt {dt}")
 
     traits = SCHEMES[cfg.scheme]
+    draw = (_PathIncrements(path) if m_fixed is None
+            else _FixedIncrements(path, n_total, m_fixed, quantum == 2))
     state = c0
     companion = c0 if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
     records: list[StepRecord] = []
@@ -416,7 +465,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
                 break
         step_dt = m * fine
         try:
-            rec, companion = traits.advance(state, step_dt, path, k, m, cfg, companion)
+            rec, companion = traits.advance(state, step_dt, draw, k, m, cfg, companion)
         except CflViolation:
             blowup_time = state.time
             blowup_reason = "cfl_rejected"
@@ -424,8 +473,8 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
         records.append(rec)
         state = rec.state_after
         k += m
-        if detect_blowup(state, cfg.blowup_threshold):
+        blowup_reason = _blowup_reason(state, cfg.blowup_threshold)
+        if blowup_reason is not None:
             blowup_time = state.time
-            blowup_reason = "non_finite" if state.blown_up else "threshold"
             break
     return Trajectory(c0, tuple(records), blowup_time, blowup_reason)

@@ -121,12 +121,17 @@ def test_summary_is_byte_identical_across_jobs(config_file, tmp_path, capsys):
             assert fa.read_bytes() == (b / sub / fa.name).read_bytes()
 
 
-def run_module(module, *args):
+def run_python(*args):
+    """A fresh interpreter with this package on its path."""
     src = str(Path(splitburg.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", module, *args],
+    return subprocess.run([sys.executable, *args],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=120)
+
+
+def run_module(module, *args):
+    return run_python("-m", module, *args)
 
 
 @pytest.mark.parametrize("module", ["splitburg", "splitburg.cli"])
@@ -143,3 +148,11 @@ def test_python_dash_m_exits_1_on_a_bad_config(tmp_path):
     done = run_module("splitburg", "run", str(bad), "--out", str(tmp_path / "x"))
     assert done.returncode == 1
     assert done.stderr.startswith("config error:")
+
+
+def test_importing_the_cli_loads_no_scipy_stats():
+    # scipy.stats serves only analysis.fit_order and is most of the start-up
+    done = run_python("-c", "import sys, splitburg.cli; "
+                            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

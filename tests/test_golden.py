@@ -1,8 +1,8 @@
 """Golden outputs: tiny studies whose written files must not change by a bit.
 
-Each study goes through `run_matrix` + `emit_csv` at --jobs 1, and the sha256
-digests of summary.csv (without wall_time), profiles/ and residuals/ are
-compared with pinned values.  Together the studies run all six schemes, both
+Each study goes through `run_matrix` + `emit_csv` at --jobs 1 and at --jobs 2,
+and the sha256 digests of summary.csv (without wall_time), profiles/ and
+residuals/ are compared with the same pinned values.  Together the studies run all six schemes, both
 stochastic substeps, both inner modes, fixed and adaptive steps, both
 boundary kinds and both noise kinds.
 
@@ -130,17 +130,20 @@ def output_digests(out: Path) -> dict:
     return digests
 
 
-def study_digests(doc: str, out: Path) -> dict:
-    rows, archive, stats = run_matrix(parse_config(doc), jobs=1)
+def study_digests(doc: str, out: Path, jobs: int = 1) -> dict:
+    rows, archive, stats = run_matrix(parse_config(doc), jobs=jobs)
     emit_csv(rows, archive, out)
     return output_digests(out)
 
 
-@pytest.mark.parametrize("name", sorted(STUDIES))
-def test_outputs_match_the_golden_digests(name, tmp_path):
+@pytest.mark.parametrize("name, jobs", [
+    pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+    for jobs in (1, 2) for name in sorted(STUDIES)
+])
+def test_outputs_match_the_golden_digests(name, jobs, tmp_path):
     if numerics() != NUMERICS:
         pytest.skip(f"digests pinned under {NUMERICS}, running {numerics()}")
-    assert study_digests(STUDIES[name], tmp_path) == GOLDEN[name]
+    assert study_digests(STUDIES[name], tmp_path, jobs) == GOLDEN[name]
 
 
 if __name__ == "__main__":

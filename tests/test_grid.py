@@ -1,5 +1,7 @@
 """Mesh, state and initial-condition tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,30 @@ def test_field_state_copies_and_freezes_values():
     assert state.values[0] == 1.0
     with pytest.raises(ValueError):
         state.values[0] = 0.0
+
+
+def test_field_state_shares_frozen_arrays_and_successor_adopts_fresh_ones():
+    grid = SpatialGrid(0.0, 1.0, 3)
+    state = FieldState(grid, np.array([1.0, 2.0, 3.0]), time=0.1)
+    assert FieldState(grid, state.values).values is state.values
+    fresh = np.array([4.0, 5.0, 6.0])
+    after = state.successor(fresh, 0.2)
+    assert after.values is fresh and not fresh.flags.writeable
+    assert after.time == 0.2 and after.peak == 6.0
+    stack = np.array([[1.0, -7.0, 2.0], [0.0, 0.0, 0.0]])
+    row = state.successor(stack[0], 0.2)
+    assert row.values is not stack[0] and row.peak == 7.0
+    stack[0, 0] = 99.0  # the view's base stays writable; the state is a copy
+    assert row.values[0] == 1.0
+
+
+def test_field_state_stays_read_only_through_pickle():
+    state = FieldState(SpatialGrid(0.0, 1.0, 3), np.array([1.0, -4.0, 3.0]), time=0.5)
+    back = pickle.loads(pickle.dumps(state))
+    assert back.time == 0.5 and back.peak == 4.0
+    assert np.array_equal(back.values, state.values)
+    with pytest.raises(ValueError):
+        back.values[0] = 0.0
 
 
 def test_field_state_shape_check():

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import splitburg.grid as grid_mod
+import splitburg.schemes as schemes_mod
 from splitburg import (
     BoundaryKind,
     CflMode,
@@ -15,6 +17,7 @@ from splitburg import (
     FluxFunction,
     InitialCondition,
     NoiseAmplitude,
+    NoisePath,
     SchemeConfig,
     SpatialGrid,
     StepNoise,
@@ -534,3 +537,96 @@ def test_only_ab_aba_bab_and_aba_companions_follow_the_em_substep():
                  for a, b in zip(*(t.records for t in trajs))]
         expected = [first_diff is None or i < first_diff for i in range(2)]
         assert equal == expected, (scheme, iterations, inner_mode)
+
+
+def given_path(increments):
+    """A path with these increments at dt_fine 0.01."""
+    return NoisePath(0, 0.01, np.asarray(increments, dtype=np.float64))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("last_dw, bad", [(1e10, np.inf), (np.nan, np.nan)])
+def test_integrate_ends_non_finite_at_the_overflowing_step(last_dw, bad):
+    # zero flux, c + c dW: 1e300 doubles on the first step, then overflows
+    # (or turns NaN) on the second, below the threshold all the while
+    c0 = FieldState(SpatialGrid(0.0, 1.0, 4), np.full(4, 1e300))
+    cfg = cfg_for("ab", lam=1.0, flux=FluxFunction("zero"),
+                  stochastic_substep="em", blowup_threshold=1e305)
+    traj = integrate(c0, 0.03, cfg, given_path([1.0, last_dw, 1.0]), dt=0.01)
+    assert traj.blowup_reason == "non_finite"
+    assert traj.blowup_time == traj.records[-1].state_after.time == pytest.approx(0.02)
+    assert traj.n_steps == 2
+    assert np.array_equal(traj.final_state.values, np.full(4, bad), equal_nan=True)
+
+
+def test_integrate_threshold_is_strict():
+    # noise off and zero flux: the state keeps its values exactly
+    cfg = cfg_for("ab", lam=0.0, flux=FluxFunction("zero"), blowup_threshold=2.5)
+    path = given_path([0.1, 0.1])
+    at = FieldState(SpatialGrid(0.0, 1.0, 4), np.array([0.0, -2.5, 1.0, 2.5]))
+    traj = integrate(at, 0.02, cfg, path, dt=0.01)
+    assert not traj.blown_up and traj.n_steps == 2
+    above = at.with_values(np.array([0.0, -np.nextafter(2.5, 3.0), 1.0, 2.5]))
+    traj = integrate(above, 0.02, cfg, path, dt=0.01)
+    assert traj.blowup_reason == "threshold"
+    assert traj.blowup_time == pytest.approx(0.01)
+    assert traj.n_steps == 1
+
+
+@pytest.mark.parametrize("scheme, iterations, inner_mode, calls", [
+    ("iter_before", 2, "whole_step", 4),  # start state and companion stacked, + aba
+    ("iter_before", 1, "whole_step", 2),
+    ("iter_before", 2, "half_steps", 6),
+    ("iter_before_trapezoid", 3, "whole_step", 2),
+])
+def test_iterative_steps_batch_their_independent_transports(
+        monkeypatch, scheme, iterations, inner_mode, calls):
+    c0 = sine_state(32)
+    path = generate_path(21, 0.02, 0.001)
+    cfg = cfg_for(scheme, iterations=iterations, inner_mode=inner_mode)
+    expected = integrate(c0, 0.02, cfg, path, dt=0.01)
+    count = []
+
+    def counting(*args):
+        count.append(1)
+        return real(*args)
+
+    real = schemes_mod._eo_step
+    monkeypatch.setattr(schemes_mod, "_eo_step", counting)
+    traj = integrate(c0, 0.02, cfg, path, dt=0.01)
+    assert len(count) == 2 * calls
+    for got, want in zip(traj.records, expected.records):
+        assert np.array_equal(got.state_after.values, want.state_after.values)
+
+
+def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
+    c0 = sine_state()
+    path = generate_path(23, 0.1, 0.001)
+    computed, scans = [], []
+
+    def update(*args):
+        computed.append(real_update(*args))
+        return computed[-1]
+
+    def peak(values):
+        scans.append(values)
+        return real_peak(values)
+
+    real_update, real_peak = schemes_mod.stochastic_update, grid_mod._peak
+    monkeypatch.setattr(schemes_mod, "stochastic_update", update)
+    monkeypatch.setattr(grid_mod, "_peak", peak)
+    traj = integrate(c0, 0.1, cfg_for("ab"), path, dt=0.01)
+    assert traj.n_steps == len(computed) == len(scans) == 10
+    for rec, values, scanned in zip(traj.records, computed, scans):
+        assert rec.state_after.values is values is scanned
+
+
+def test_fixed_step_increments_equal_increment_over_bitwise():
+    path = generate_path(25, 0.1, 0.001)
+    for m in (2, 4, 10, 20):
+        fixed = schemes_mod._FixedIncrements(path, 100, m, halves=True)
+        for k in range(0, 100, m):
+            mid = k + m // 2
+            assert fixed.full(k, m) == path.increment_over(k, k + m)
+            assert fixed.halves(k, m) == (path.increment_over(k, mid),
+                                          path.increment_over(mid, k + m))
