@@ -85,11 +85,8 @@ def _eo_step(values: np.ndarray, dt: float, flux: FluxFunction,
     when one of those calls would (the first such row names the admissible
     step).
     """
-    if values.ndim == 1:
-        _check_cfl(flux.max_speed(values), dt, dx)
-    else:
-        for speed in np.abs(flux.deriv(values)).max(axis=-1).ravel().tolist():
-            _check_cfl(speed, dt, dx)
+    for speed in np.abs(flux.deriv(values)).max(axis=-1).ravel().tolist():
+        _check_cfl(speed, dt, dx)
     with np.errstate(over="ignore", invalid="ignore"):
         padded = bc.pad(values)
         interface = engquist_osher_flux(padded[..., :-1], padded[..., 1:], flux)

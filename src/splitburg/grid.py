@@ -74,13 +74,6 @@ class BoundaryKind(Enum):
             raise ConfigError(f"unknown boundary kind {name!r}") from None
 
 
-def _frozen(values) -> bool:
-    """True for a read-only float64 array that owns its data: it has no
-    writable base, so a state may share it instead of copying it."""
-    return (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.flags.owndata and not values.flags.writeable)
-
-
 def _peak(values: np.ndarray) -> float:
     """Largest |value|; nan or inf when an entry is non-finite."""
     return float(np.abs(values).max())
@@ -90,8 +83,9 @@ def _peak(values: np.ndarray) -> float:
 class FieldState:
     """Cell-averaged solution values at one time level.
 
-    Values are stored read-only.  A writable or borrowed buffer is copied; a
-    read-only float64 array that owns its data is shared as is.  `peak` is
+    Values are stored read-only.  The constructor always copies them, so a
+    state never aliases a caller's buffer; only `successor` adopts an array,
+    one a step has just computed and nothing else holds.  `peak` is
     the largest |value|, from the one scan every state gets.  `blown_up`
     marks a diverged state; it is set automatically whenever a non-finite
     entry is present (non-finite `peak`), so finite-valued states are the
@@ -105,10 +99,13 @@ class FieldState:
     peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vals = self.values
-        if not _frozen(vals):
-            vals = np.array(vals, dtype=np.float64)  # copy: never alias caller buffers
-            vals.setflags(write=False)
+        vals = np.array(self.values, dtype=np.float64)  # copy: never alias caller buffers
+        vals.setflags(write=False)
+        self._settle(vals)
+
+    def _settle(self, vals: np.ndarray) -> None:
+        """Store the read-only `vals` and set `peak` and `blown_up` from one
+        scan of them."""
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"expected {self.grid.n_cells} cell values, got shape {vals.shape}"
@@ -139,7 +136,12 @@ class FieldState:
         if values.base is not None:
             values = values.copy()
         values.setflags(write=False)
-        return FieldState(self.grid, values, time)
+        state = object.__new__(FieldState)
+        object.__setattr__(state, "grid", self.grid)
+        object.__setattr__(state, "time", time)
+        object.__setattr__(state, "blown_up", False)
+        state._settle(values)
+        return state
 
 
 _IC_KINDS = ("sine_bump", "riemann_step", "constant", "table")

@@ -329,7 +329,7 @@ class _FixedIncrements:
         rows = path.increments[:n_total].reshape(-1, m)
         self._full = np.cumsum(rows, axis=1)[:, -1].tolist()
         if halves:
-            pairs = np.cumsum(rows.reshape(len(rows), 2, -1), axis=2)[:, :, -1]
+            pairs = np.cumsum(rows.reshape(len(rows), 2, m // 2), axis=2)[:, :, -1]
             self._halves = list(map(tuple, pairs.tolist()))
 
     def full(self, k: int, m: int) -> float:

@@ -75,10 +75,15 @@ def test_field_state_copies_and_freezes_values():
         state.values[0] = 0.0
 
 
-def test_field_state_shares_frozen_arrays_and_successor_adopts_fresh_ones():
+def test_field_state_copies_frozen_arrays_and_successor_adopts_fresh_ones():
     grid = SpatialGrid(0.0, 1.0, 3)
-    state = FieldState(grid, np.array([1.0, 2.0, 3.0]), time=0.1)
-    assert FieldState(grid, state.values).values is state.values
+    frozen = np.array([1.0, 2.0, 3.0])
+    frozen.setflags(write=False)
+    state = FieldState(grid, frozen, time=0.1)
+    assert state.values is not frozen
+    frozen.setflags(write=True)  # the caller still owns its array
+    frozen[2] = 99.0
+    assert state.values[2] == 3.0 and state.peak == 3.0
     fresh = np.array([4.0, 5.0, 6.0])
     after = state.successor(fresh, 0.2)
     assert after.values is fresh and not fresh.flags.writeable

@@ -377,10 +377,13 @@ def sine_state(n=50):
 def test_integrate_zero_horizon():
     c0 = sine_state()
     path = generate_path(1, 0.1, 0.001)
-    traj = integrate(c0, 0.0, cfg_for("ab"), path, dt=0.01)
-    assert traj.n_steps == 0
-    assert traj.final_state is c0
-    assert not traj.blown_up
+    # bab and half_steps also sum half-interval increments
+    for cfg in (cfg_for("ab"), cfg_for("bab"),
+                cfg_for("iter_before", iterations=2, inner_mode="half_steps")):
+        traj = integrate(c0, 0.0, cfg, path, dt=0.01)
+        assert traj.n_steps == 0
+        assert traj.final_state is c0
+        assert not traj.blown_up
 
 
 def test_integrate_requires_exactly_one_stepping_mode():
