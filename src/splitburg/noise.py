@@ -8,17 +8,21 @@ ladders meaningful).
 
 Sampling convention (fixed for bit-reproducibility across runs and workers):
 the Philox counter-based generator is keyed directly by the seed, uniforms are
-(k + 1/2) / 2^53 with k a 53-bit draw (open interval), normals come from the
-inverse CDF, and increment i is sqrt(dt_fine) * xi_i.  Aggregation of fine
-increments into coarse ones is strict left-to-right summation.
+(k + 1/2) / 2^53 with k a 53-bit draw, normals come from the inverse CDF,
+and increment i is sqrt(dt_fine) * xi_i.  Aggregation of fine increments into
+coarse ones is strict left-to-right summation.
+
+The inverse CDF is an in-package port of the Cephes `ndtri` that takes its
+logarithms from libm (`math.log`); it is bitwise equal to
+`scipy.special.ndtri`, so drawing a path loads no scipy module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ConfigError, ResourceLimit
 from .grid import FieldState
@@ -63,6 +67,90 @@ class NoiseAmplitude:
 
     def deriv(self, c):
         return _shaped_like(c, self.slope)
+
+
+# Cephes ndtri.  With y = min(u, 1 - u), the central region y > e^-2 uses
+# the rational function P0/Q0 of (y - 1/2)^2; the tails use P1/Q1 (x < 8) or
+# P2/Q2 (x >= 8) of z = 1/x, x = sqrt(-2 log y).  The Q tables leave out the
+# leading coefficient 1 (Cephes' p1evl).
+_S2PI = 2.50662827463100050242E0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # e^-2
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
+       -5.66762857469070293439E1, 1.39312609387279679503E1,
+       -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
+       8.63602421390890590575E1, -2.25462687854119370527E2,
+       2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
+       5.71628192246421288162E1, 4.40805073893200834700E1,
+       1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+       -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
+       4.13172038254672030440E1, 1.50425385692907503408E1,
+       2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
+       3.93881025292474443415E0, 1.33303460815807542389E0,
+       2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6,
+       6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
+       1.37702099489081330271E0, 2.16236993594496635890E-1,
+       1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+# _RATIONALS[k, j, r] is coefficient k of the numerator (j = 0) or denominator
+# (j = 1) of region r (0 central, 1 tail x < 8, 2 tail x >= 8), all written as
+# nine-term Horner polynomials so every element takes the same steps.  The
+# leading zeros before P0 and the explicit leading 1 of each Q leave Cephes'
+# values unchanged bit for bit: the Horner value stays exactly 0 until P0's
+# first coefficient is added, and 1 * t + Q[0] is exactly t + Q[0].
+_RATIONALS = np.array([
+    ((0.0,) * 4 + _P0, (1.0,) + _Q0),
+    (_P1, (1.0,) + _Q1),
+    (_P2, (1.0,) + _Q2),
+]).transpose(2, 1, 0).copy()
+
+
+def _libm_log(a: np.ndarray) -> np.ndarray:
+    # numpy's SIMD log differs from libm in the last bit for some tail inputs
+    return np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of the uniforms `u`, bitwise equal to
+    `scipy.special.ndtri`.
+
+    The domain is (0, 1] as `generate_path` draws it: the smallest uniform is
+    2^-54, and the largest draw k = 2^53 - 1 gives exactly 1 (k + 1/2 rounds
+    up to 2^53), which maps to +inf as in Cephes.  0 and NaN never occur.
+    """
+    n = u.size
+    top = u == 1.0
+    flip = u > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - u, u)
+    y[top] = 0.5  # keeps the tail's log off zero; the result is set below
+    tail = np.flatnonzero(y <= _EXP_M2)
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    yc = y - 0.5
+    t = yc * yc
+    t[tail] = 1.0 / x
+    region = np.zeros(n, np.intp)
+    region[tail] = 1 + (x >= 8.0)
+    # numerators in the first n entries, denominators in the last n
+    coef = _RATIONALS[:, :, region].reshape(len(_RATIONALS), 2 * n)
+    tt = np.concatenate((t, t))
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * tt + c
+    ratio = t * ans[:n] / ans[n:]
+    out = (yc + yc * ratio) * _S2PI
+    xt = x - _libm_log(x) / x - ratio[tail]
+    out[tail] = np.where(flip[tail], xt, -xt)
+    out[top] = np.inf
+    return out
 
 
 def whole_steps(value: float, base: float) -> int | None:
@@ -138,7 +226,7 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     draws = rng.integers(0, 2**53, size=n, dtype=np.uint64)
     uniforms = (draws.astype(np.float64) + 0.5) / 2**53
-    xi = ndtri(uniforms)
+    xi = _ndtri(uniforms)
     return NoisePath(int(seed), float(dt_fine), np.sqrt(dt_fine) * xi)
 
 

@@ -122,6 +122,23 @@ def _run_cell(task: tuple[RunConfig, str, int, float, int]) -> SeedOutcome:
     )
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _run_tasks(tasks) -> list[SeedOutcome | str]:
+    """Run tasks in order, each through `_run_cell`; a task that raises gives
+    its error text in place of an outcome.  Module-level, so a pool can run
+    a chunk of tasks per submission."""
+    results: list[SeedOutcome | str] = []
+    for task in tasks:
+        try:
+            results.append(_run_cell(task))
+        except Exception as exc:
+            results.append(_error_text(exc))
+    return results
+
+
 def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
     """Noise-free solution advanced to t_end with the same fixed dt and mesh.
 
@@ -159,31 +176,28 @@ def run_matrix(
         for seed in cfg.seeds
     ]
 
+    if jobs == 1:
+        results = _run_tasks(tasks)
+    else:
+        # contiguous chunks, about four per worker, as Pool.map chunks
+        size = -(-len(tasks) // (4 * jobs))
+        chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
+        results = []
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = [pool.submit(_run_tasks, chunk) for chunk in chunks]
+            for chunk, fut in zip(chunks, futures):
+                try:
+                    results.extend(fut.result())
+                except Exception as exc:  # e.g. the worker died mid-chunk
+                    results.extend([_error_text(exc)] * len(chunk))
+
     outcomes: dict[tuple[str, int, float, int], SeedOutcome] = {}
     failures: list[tuple[str, float, int, str]] = []
-
-    def record(task, outcome=None, error=None):
-        _, scheme, iterations, dt, seed = task
-        if error is not None:
-            failures.append((cell_label(scheme, iterations), dt, seed,
-                             f"{type(error).__name__}: {error}"))
+    for (_, scheme, iterations, dt, seed), result in zip(tasks, results):
+        if isinstance(result, str):
+            failures.append((cell_label(scheme, iterations), dt, seed, result))
         else:
-            outcomes[(scheme, iterations, dt, seed)] = outcome
-
-    if jobs == 1:
-        for task in tasks:
-            try:
-                record(task, outcome=_run_cell(task))
-            except Exception as exc:
-                record(task, error=exc)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_cell, task) for task in tasks]
-            for task, fut in zip(tasks, futures):
-                try:
-                    record(task, outcome=fut.result())
-                except Exception as exc:
-                    record(task, error=exc)
+            outcomes[(scheme, iterations, dt, seed)] = result
 
     rows: list[ResultRow] = []
     ordered: list[SeedOutcome] = []

@@ -156,3 +156,21 @@ def test_importing_the_cli_loads_no_scipy_stats():
                             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # the inverse normal CDF is in-package; scipy serves only fit_order
+    done = run_python("-c", """
+import sys
+import splitburg.cli
+from splitburg import generate_path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(scipy_modules())
+generate_path(1, 1.0, 1e-4)
+print(scipy_modules())
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]

@@ -1,7 +1,10 @@
 """Wiener path generation, coarsening and one-step stochastic maps."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from splitburg import (
     ConfigError,
@@ -15,7 +18,7 @@ from splitburg import (
     generate_path,
     milstein_step,
 )
-from splitburg.noise import stochastic_update, whole_steps
+from splitburg.noise import _ndtri, stochastic_update, whole_steps
 
 EXP_HALF = 1.6487212707001282  # e^{1/2}
 
@@ -77,6 +80,58 @@ def test_path_increments_have_the_right_moments():
     assert pooled.size == 50_000
     assert abs(pooled.mean()) < 4 * np.sqrt(1e-3 / pooled.size)
     assert 0.9e-3 < pooled.var() < 1.1e-3
+
+
+def uniforms_of(k):
+    """The generator's uniforms (k + 1/2) / 2^53 of 53-bit draws k."""
+    return (np.asarray(k, dtype=np.uint64).astype(np.float64) + 0.5) / 2**53
+
+
+def assert_bitwise_ndtri(u):
+    assert np.array_equal(_ndtri(u).view(np.int64), ndtri(u).view(np.int64))
+
+
+def test_ndtri_port_equals_scipy_on_drawn_uniforms():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=40))
+    def check(k):
+        assert_bitwise_ndtri(uniforms_of(k))
+
+    check()
+
+
+def test_ndtri_port_equals_scipy_at_every_branch_edge():
+    def both_sides(v):
+        return [np.nextafter(v, 0.0), v, np.nextafter(v, 1.0)]
+
+    exp_m2 = 0.13533528323661269189
+    u = np.array([
+        *both_sides(exp_m2),  # central / lower tail
+        *both_sides(1.0 - exp_m2),  # central / upper tail
+        *both_sides(math.exp(-32)),  # x crosses 8
+        *both_sides(1.0 - math.exp(-32)),
+        0.5 / 2**53,  # the smallest uniform, x about 8.7
+        1.0 - 0.5 / 2**53,  # rounds to 1: the largest draw, +inf
+        0.5,
+    ])
+    assert_bitwise_ndtri(u)
+    assert_bitwise_ndtri(uniforms_of([0, 2**53 - 2, 2**53 - 1]))
+    assert _ndtri(uniforms_of([2**53 - 1]))[0] == np.inf
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_generated_increments_are_scaled_scipy_normals(seed):
+    n, dt_fine = 1_000_000, 1e-6
+    draws = np.random.Generator(np.random.Philox(key=seed)).integers(
+        0, 2**53, size=n, dtype=np.uint64)
+    expected = np.sqrt(dt_fine) * ndtri(uniforms_of(draws))
+    got = generate_path(seed, 1.0, dt_fine).increments
+    assert got.size == n
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_path_argument_validation():

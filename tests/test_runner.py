@@ -92,7 +92,8 @@ def test_matrix_is_deterministic_across_runs_and_jobs():
     assert strip(first) == strip(second) == strip(parallel)
 
 
-def test_worker_failure_is_isolated_to_its_cell(monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_failure_is_isolated_to_its_cell(monkeypatch, jobs):
     real = runner_mod._run_cell
 
     def flaky(task):
@@ -100,12 +101,16 @@ def test_worker_failure_is_isolated_to_its_cell(monkeypatch):
             raise RuntimeError("synthetic worker crash")
         return real(task)
 
+    # the pool forks, so its workers see the patched _run_cell too; ten
+    # tasks make pool chunks of two at --jobs 2, so the failing task shares
+    # its chunk with a good one
     monkeypatch.setattr(runner_mod, "_run_cell", flaky)
-    rows, archive, stats = run_matrix(small_cfg())
+    cfg = parse_config(SMALL_DOC.replace("seeds: [1, 2, 3]", "seeds: [1, 2, 3, 4, 5]"))
+    rows, archive, stats = run_matrix(cfg, jobs=jobs)
     assert len(rows) == 2  # both cells still reported
     ab_row = rows[0]
-    assert ab_row.scheme == "ab" and ab_row.n_seeds_used == 2
-    assert rows[1].n_seeds_used == 3
+    assert ab_row.scheme == "ab" and ab_row.n_seeds_used == 4
+    assert rows[1].n_seeds_used == 5
     assert stats.failures == (("ab", 0.01, 2, "RuntimeError: synthetic worker crash"),)
     assert not stats.clean
 
