@@ -5,6 +5,9 @@ Every task is keyed by (scheme, iterations, dt, seed) and draws its noise from
 the seed alone, so the results are byte-identical regardless of the worker
 count or scheduling order.  A worker failure is recorded against its cell and
 never aborts the rest of the matrix.
+
+Each seed's residual trace is kept as one `(n, 4)` float64 array, not as
+Python tuples, and the process pool is imported only for `jobs > 1`.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from .analysis import EnsembleSample, summarize
 from .burgers import scl_step
-from .config import RunConfig
+from .config import RunConfig, _as_int
 from .errors import CflViolation, ConfigError
 from .grid import FieldState
 from .noise import generate_path
@@ -62,7 +64,12 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class SeedOutcome:
-    """What one worker produced for one seed of one cell."""
+    """What one worker produced for one seed of one cell.
+
+    `residuals` has one row (step, time, iteration, residual) per iterate
+    residual, the columns of the residual CSV; it is `(0, 4)` when the
+    scheme makes no residuals.  `_run_cell` returns it read-only; the copy a
+    pool unpickles is writable."""
 
     scheme: str
     iterations: int
@@ -71,7 +78,7 @@ class SeedOutcome:
     endpoint: np.ndarray | None
     final_time: float
     blowup_time: float | None
-    residuals: tuple[tuple[int, float, int, float], ...]
+    residuals: np.ndarray
     n_steps: int
     wall_time: float
 
@@ -110,14 +117,17 @@ def _run_cell(task: tuple[RunConfig, str, int, float, int]) -> SeedOutcome:
                          cfl=cfg.make_policy(dt_max=dt))
     else:
         traj = integrate(c0, cfg.t_end, scheme_cfg, path, dt=dt)
-    trace = []
-    for step_index, rec in enumerate(traj.records):
-        for offset, residual in enumerate(rec.iterate_residuals):
-            trace.append((step_index, rec.state_after.time, offset + 2, residual))
+    trace = np.array(
+        [(step, rec.state_after.time, sweep, residual)
+         for step, rec in enumerate(traj.records)
+         for sweep, residual in enumerate(rec.iterate_residuals, start=2)],
+        dtype=np.float64,
+    ).reshape(-1, 4)
+    trace.flags.writeable = False
     endpoint = None if traj.blown_up else traj.final_state.values
     return SeedOutcome(
         scheme, iterations, dt, seed, endpoint, traj.final_state.time,
-        traj.blowup_time, tuple(trace), traj.n_steps,
+        traj.blowup_time, trace, traj.n_steps,
         time.perf_counter() - start,
     )
 
@@ -163,7 +173,7 @@ def run_matrix(
     cfg: RunConfig, jobs: int = 1
 ) -> tuple[tuple[ResultRow, ...], RunArchive, RunStats]:
     """Execute every (scheme, I, dt, seed) task and reduce to summary rows."""
-    if jobs < 1 or int(jobs) != jobs:
+    if _as_int(jobs, "jobs") < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs}")
 
     grid = cfg.make_grid()
@@ -179,6 +189,8 @@ def run_matrix(
     if jobs == 1:
         results = _run_tasks(tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         # contiguous chunks, about four per worker, as Pool.map chunks
         size = -(-len(tasks) // (4 * jobs))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
@@ -191,25 +203,22 @@ def run_matrix(
                 except Exception as exc:  # e.g. the worker died mid-chunk
                     results.extend([_error_text(exc)] * len(chunk))
 
-    outcomes: dict[tuple[str, int, float, int], SeedOutcome] = {}
-    failures: list[tuple[str, float, int, str]] = []
-    for (_, scheme, iterations, dt, seed), result in zip(tasks, results):
-        if isinstance(result, str):
-            failures.append((cell_label(scheme, iterations), dt, seed, result))
-        else:
-            outcomes[(scheme, iterations, dt, seed)] = result
-
+    # results are in task order, so each (cell, dt) owns the next len(seeds);
+    # zip stops on the exhausted seeds before it takes another result
+    pending = iter(results)
     rows: list[ResultRow] = []
     ordered: list[SeedOutcome] = []
+    failures: list[tuple[str, float, int, str]] = []
     empty_cells: list[tuple[str, str]] = []
     for scheme, iterations in cfg.cells():
         for dt in cfg.dt_ladder:
             label = f"{cell_label(scheme, iterations)} dt={dt:g}"
-            cell = [
-                outcomes[(scheme, iterations, dt, seed)]
-                for seed in cfg.seeds
-                if (scheme, iterations, dt, seed) in outcomes
-            ]
+            cell = []
+            for seed, result in zip(cfg.seeds, pending):
+                if isinstance(result, str):
+                    failures.append((cell_label(scheme, iterations), dt, seed, result))
+                else:
+                    cell.append(result)
             ordered.extend(cell)
             if not cell:
                 empty_cells.append((label, "every worker task failed"))
@@ -253,6 +262,9 @@ def emit_csv(rows, archive: RunArchive, out_dir) -> Path:
     summary.csv carries one row per cell in the fixed column order; profiles
     hold the (x, c) endpoint of every non-blown-up seed; residual traces are
     written for iterative cells only.  Blown-up seeds leave no profile file.
+    The `*.csv` files already in profiles/ and residuals/, which this
+    function owns, are removed first, so a rerun leaves none of an earlier
+    run's files behind.
     """
     if not rows:
         raise ValueError("no result rows to write")
@@ -278,8 +290,10 @@ def emit_csv(rows, archive: RunArchive, out_dir) -> Path:
 
     profiles = out / "profiles"
     traces = out / "residuals"
-    profiles.mkdir(exist_ok=True)
-    traces.mkdir(exist_ok=True)
+    for sub in (profiles, traces):
+        sub.mkdir(exist_ok=True)
+        for stale in sub.glob("*.csv"):
+            stale.unlink()
     # tolist() gives builtin floats, whose repr is _fmt's
     x_column = [repr(x) for x in archive.x_centers.tolist()]
     for o in archive.outcomes:
@@ -291,8 +305,8 @@ def emit_csv(rows, archive: RunArchive, out_dir) -> Path:
         if o.iterations > 0:
             body = ["step,time,iteration,residual"]
             body.extend(
-                f"{step},{_fmt(t)},{sweep},{_fmt(res)}"
-                for step, t, sweep, res in o.residuals
+                f"{int(step)},{t!r},{int(sweep)},{res!r}"
+                for step, t, sweep, res in o.residuals.tolist()
             )
             (traces / stem).write_text("\n".join(body) + "\n", encoding="utf-8")
     return out / "summary.csv"

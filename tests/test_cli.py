@@ -174,3 +174,24 @@ print(scipy_modules())
 """)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_a_jobs_1_run_loads_no_process_pool():
+    # the pool serves only --jobs > 1, so it is imported there
+    done = run_python("-c", """
+import sys
+import splitburg.cli
+from splitburg import parse_config, run_matrix
+
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m == "concurrent.futures.process"
+                  or m.split(".")[0] == "multiprocessing")
+
+print(pool_modules())
+run_matrix(parse_config("{schemes: [ab], dt_ladder: [0.01], dt_fine: 0.005,"
+                        " t_end: 0.05, seeds: [1, 2], grid: {n_cells: 20}}"), jobs=1)
+print(pool_modules())
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]

@@ -1,5 +1,6 @@
 """Ensemble matrix execution, reduction, and CSV emission."""
 
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -129,6 +130,41 @@ def test_run_matrix_validates_jobs():
         run_matrix(small_cfg(), jobs=0)
 
 
+@pytest.mark.parametrize("jobs", [1.5, 2.0, True])
+def test_run_matrix_rejects_non_integer_jobs(jobs):
+    with pytest.raises(ConfigError, match="jobs"):
+        run_matrix(small_cfg(), jobs=jobs)
+
+
+@pytest.mark.parametrize("scheme,iterations", [
+    ("iter_after", 4), ("iter_before", 2), ("iter_before_trapezoid", 2),
+    ("iter_before", 1), ("ab", 0),
+])
+def test_run_cell_keeps_the_residual_trace_as_one_array(scheme, iterations):
+    cfg = small_cfg()
+    outcome = runner_mod._run_cell((cfg, scheme, iterations, 0.01, 2))
+    traj = integrate(cfg.make_state(), cfg.t_end, cfg.make_scheme(scheme, iterations),
+                     runner_mod.generate_path(2, cfg.t_end, cfg.dt_fine), dt=0.01)
+    expected = [
+        (step, rec.state_after.time, sweep, residual)
+        for step, rec in enumerate(traj.records)
+        for sweep, residual in enumerate(rec.iterate_residuals, start=2)
+    ]
+    trace = outcome.residuals
+    assert trace.dtype == np.float64 and not trace.flags.writeable
+    assert trace.shape == (len(expected), 4)
+    if iterations < 2:
+        assert trace.shape == (0, 4)
+    else:
+        assert len(expected) == traj.n_steps * (iterations - 1)
+    want = np.array(expected, dtype=np.float64).reshape(-1, 4)
+    assert np.array_equal(trace.view(np.int64), want.view(np.int64))
+    # a pool returns outcomes pickled
+    thawed = pickle.loads(pickle.dumps(outcome)).residuals
+    assert thawed.dtype == np.float64 and thawed.shape == trace.shape
+    assert np.array_equal(thawed.view(np.int64), trace.view(np.int64))
+
+
 def test_emit_csv_layout(tmp_path):
     rows, archive, stats = run_matrix(small_cfg())
     out = tmp_path / "results"
@@ -167,6 +203,23 @@ def test_emit_csv_layout(tmp_path):
     step, t, sweep, res = trace[1].split(",")
     assert (step, sweep) == ("0", "2")
     assert float(res) > 0.0
+
+
+def test_emit_csv_rerun_leaves_no_stale_files(tmp_path):
+    emit_csv(*run_matrix(small_cfg())[:2], tmp_path)
+    one_seed = parse_config(SMALL_DOC.replace("seeds: [1, 2, 3]", "seeds: [1]"))
+    rows, archive, _ = run_matrix(one_seed)
+    keep = tmp_path / "profiles" / "notes.txt"
+    keep.write_text("not a csv")
+    emit_csv(rows, archive, tmp_path)
+    assert rows[0].n_seeds_used == 1
+    assert sorted(p.name for p in (tmp_path / "profiles").iterdir()) == [
+        "ab_0.01_1.csv", "iter_after2_0.01_1.csv", "notes.txt",
+    ]
+    assert sorted(p.name for p in (tmp_path / "residuals").iterdir()) == [
+        "iter_after2_0.01_1.csv",
+    ]
+    assert keep.read_text() == "not a csv"
 
 
 def test_emit_csv_skips_profiles_of_blown_seeds(tmp_path):
