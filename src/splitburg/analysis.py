@@ -15,6 +15,7 @@ reported; silent exclusion is not an option.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -110,10 +111,36 @@ def ensemble_variance(
     return per_cell, float(per_cell.mean())
 
 
+#: two-sided 95% Student t quantiles t(0.975, df) for df = 1 .. 30
+_T975 = (
+    12.7062047361747, 4.30265272974946, 3.18244630528371, 2.77644510519779,
+    2.57058183563631, 2.44691185114498, 2.36462425159278, 2.30600413520417,
+    2.2621571627982, 2.22813885198627, 2.20098516009164, 2.17881282966723,
+    2.16036865646279, 2.1447866879178, 2.13144954555978, 2.11990529922125,
+    2.10981557783332, 2.10092204024104, 2.09302405440831, 2.08596344726586,
+    2.07961384472768, 2.07387306790403, 2.06865761041905, 2.06389856162802,
+    2.0595385527533, 2.05552943864287, 2.05183051648028, 2.04840714179525,
+    2.0452296421327, 2.04227245630124,
+)
+
+
+def _t975(df: int) -> float:
+    """t(0.975, df): the table up to 30, then the Cornish-Fisher expansion
+    in 1/df (Abramowitz & Stegun 26.7.5), within 2e-8 relative there."""
+    if df <= len(_T975):
+        return _T975[df - 1]
+    z = 1.959963984540054  # the normal quantile, the limit as df grows
+    g = ((z**3 + z) / 4,
+         (5 * z**5 + 16 * z**3 + 3 * z) / 96,
+         (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384,
+         (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160)
+    return z + sum(gk / df ** (k + 1) for k, gk in enumerate(g))
+
+
 @dataclass(frozen=True)
 class FitResult:
-    """Log-log least-squares slope with an approximate 95% half-width from
-    the residual standard error of the slope."""
+    """Log-log least-squares slope with its 95% half-width: the Student t
+    quantile t(0.975, n_used - 2) times the standard error of the slope."""
 
     slope: float
     half_width: float
@@ -142,12 +169,16 @@ def fit_order(pairs: Sequence[tuple[float, float]]) -> FitResult:
             f"order fit failed: only {int(keep.sum())} usable points after "
             f"excluding non-positive errors at indices {excluded}"
         )
-    from scipy.stats import linregress  # deferred: scipy.stats doubles start-up
-
-    fit = linregress(np.log(dts[keep]), np.log(errs[keep]))
-    return FitResult(
-        float(fit.slope), 1.96 * float(fit.stderr), int(keep.sum()), excluded
-    )
+    x = np.log(dts[keep])
+    y = np.log(errs[keep])
+    n = x.size
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(dx @ dx)
+    slope = float(dx @ dy) / sxx
+    resid = dy - slope * dx
+    stderr = math.sqrt(float(resid @ resid) / (n - 2) / sxx)
+    return FitResult(slope, _t975(n - 2) * stderr, n, excluded)
 
 
 @dataclass(frozen=True)

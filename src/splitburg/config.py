@@ -24,7 +24,7 @@ from .grid import (
     SpatialGrid,
     make_initial_state,
 )
-from .noise import NoiseAmplitude, whole_steps
+from .noise import SEED_LIMIT, NoiseAmplitude, whole_steps
 from .schemes import SchemeConfig, scheme_traits
 
 DEFAULT_SEED_BASE = 1
@@ -128,8 +128,10 @@ class RunConfig:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for s in self.seeds:
-            if int(s) != s or s < 0:
-                raise ConfigError(f"seeds must be non-negative integers, got {s}")
+            if int(s) != s or s < 0 or s >= SEED_LIMIT:
+                raise ConfigError(
+                    f"seeds must be non-negative integers below 2**128, got {s}"
+                )
         if len(set(self.seeds)) != len(self.seeds):
             dupes = sorted({s for s in self.seeds if list(self.seeds).count(s) > 1})
             raise ConfigError(f"duplicate seeds {dupes}")

@@ -7,14 +7,21 @@ seed see the same underlying path (the coupling that makes strong-error
 ladders meaningful).
 
 Sampling convention (fixed for bit-reproducibility across runs and workers):
-the Philox counter-based generator is keyed directly by the seed, uniforms are
-(k + 1/2) / 2^53 with k a 53-bit draw, normals come from the inverse CDF,
+the Philox4x64-10 counter-based generator is keyed directly by the seed
+(key words seed mod 2^64 and seed >> 64, so seeds lie in [0, 2^128)) and run
+on counters 1, 2, ...; k is the top 53 bits of each 64-bit output word, taken
+in order, uniforms are (k + 1/2) / 2^53, normals come from the inverse CDF,
 and increment i is sqrt(dt_fine) * xi_i.  Aggregation of fine increments into
 coarse ones is strict left-to-right summation.
 
-The inverse CDF is an in-package port of the Cephes `ndtri` that takes its
-logarithms from libm (`math.log`); it is bitwise equal to
-`scipy.special.ndtri`, so drawing a path loads no scipy module.
+Both the generator and the inverse CDF are in-package.  `_philox_draws` is
+Philox4x64-10 (Salmon et al., SC 2011) on uint64 arrays; its k are bitwise
+those of `numpy.random.Generator(numpy.random.Philox(key=seed)).integers(0,
+2**53, dtype=numpy.uint64)`, whose Lemire reduction never rejects for a range
+of exactly 2^53 and keeps the top 53 bits.  The inverse CDF is a port of the
+Cephes `ndtri` that takes its logarithms from libm (`math.log`); it is
+bitwise equal to `scipy.special.ndtri`.  Drawing a path therefore loads
+neither `numpy.random` nor any scipy module.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ _NOISE_KINDS = ("linear", "constant")
 
 #: default ceiling on fine increments per path (~80 MB of float64)
 MAX_PATH_STEPS = 10_000_000
+
+#: seeds key Philox4x64's two 64-bit key words, so they lie below 2^128
+SEED_LIMIT = 2**128
 
 
 def _shaped_like(c, value: float):
@@ -153,6 +163,46 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     return out
 
 
+# Philox4x64-10: round multipliers, Weyl key bumps, and the (2, 1) columns
+# that apply them to counter words 0 and 2 at once
+_MASK64 = 2**64 - 1
+_PHILOX_BUMPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _U32
+
+
+def _mulhi(a: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products of `a` with the round multipliers,
+    built from 32-bit halves so that no partial sum passes 2^64."""
+    a_lo, a_hi = a & _LO32, a >> _U32
+    t = a_lo * _M_LO
+    u = a_hi * _M_LO + (t >> _U32)
+    v = a_lo * _M_HI + (u & _LO32)
+    return a_hi * _M_HI + (u >> _U32) + (v >> _U32)
+
+
+def _philox_draws(seed: int, n: int) -> np.ndarray:
+    """The first `n` 53-bit draws (uint64) of the Philox4x64-10 stream keyed
+    by `seed`, 0 <= seed < 2^128: block b (counter b + 1) gives draws
+    4b .. 4b + 3, each the top 53 bits of one output word."""
+    blocks = -(-n // 4)
+    keys = np.array(
+        [[[(seed + r * _PHILOX_BUMPS[0]) & _MASK64],
+          [((seed >> 64) + r * _PHILOX_BUMPS[1]) & _MASK64]] for r in range(10)],
+        np.uint64,
+    )
+    # rows: counter words 0 and 2 (multiplied), words 1 and 3 (xored in)
+    mul = np.zeros((2, blocks), np.uint64)
+    mul[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    xor = np.zeros((2, blocks), np.uint64)
+    for key in keys:
+        mul, xor = _mulhi(mul)[::-1] ^ xor ^ key, (mul * _PHILOX_M)[::-1]
+    words = np.stack((mul[0], xor[0], mul[1], xor[1]), axis=1).reshape(-1)
+    return words[:n] >> np.uint64(11)
+
+
 def whole_steps(value: float, base: float) -> int | None:
     """How many whole steps of size `base` make up `value`; None when `value`
     is not an integer multiple of `base` up to rounding."""
@@ -208,8 +258,10 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
     enters.  Distinct seeds key distinct Philox streams, so there is no
     cross-stream reuse between workers.
     """
-    if seed < 0 or int(seed) != seed:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    if seed < 0 or int(seed) != seed or seed >= SEED_LIMIT:
+        raise ConfigError(
+            f"seed must be a non-negative integer below 2**128, got {seed}"
+        )
     if dt_fine <= 0.0:
         raise ConfigError(f"dt_fine must be positive, got {dt_fine}")
     if t_end < 0.0:
@@ -223,8 +275,7 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
         raise ResourceLimit(
             f"path of {n} increments exceeds the cap of {max_steps}"
         )
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    draws = rng.integers(0, 2**53, size=n, dtype=np.uint64)
+    draws = _philox_draws(int(seed), n)
     uniforms = (draws.astype(np.float64) + 0.5) / 2**53
     xi = _ndtri(uniforms)
     return NoisePath(int(seed), float(dt_fine), np.sqrt(dt_fine) * xi)

@@ -6,6 +6,13 @@ the seed alone, so the results are byte-identical regardless of the worker
 count or scheduling order.  A worker failure is recorded against its cell and
 never aborts the rest of the matrix.
 
+Tasks run seed-major (for each seed, every cell and dt), so consecutive tasks
+share a Wiener path: `_run_cell` keeps the path of the task before and draws
+a new one only when (seed, t_end, dt_fine) changes.  That is one
+`generate_path` call per seed per chunk of tasks, at most one path held at a
+time, and none once `_run_tasks` returns.  The reduction and the archive are
+in cell-major order, as the outputs are.
+
 Each seed's residual trace is kept as one `(n, 4)` float64 array, not as
 Python tuples, and the process pool is imported only for `jobs > 1`.
 """
@@ -25,7 +32,7 @@ from .burgers import scl_step
 from .config import RunConfig, _as_int
 from .errors import CflViolation, ConfigError
 from .grid import FieldState
-from .noise import generate_path
+from .noise import NoisePath, generate_path
 from .schemes import integrate
 
 CSV_COLUMNS = (
@@ -104,13 +111,25 @@ class RunStats:
         return not self.failures and not self.empty_cells
 
 
+#: ((seed, t_end, dt_fine), path) of the last path `_run_cell` drew.  It is
+#: module state because `_run_cell(task)` is the unit that the pool and the
+#: benchmark's tracer call; `_run_tasks` clears it on entry and on exit.
+_held_path: tuple[tuple[int, float, float], NoisePath] | None = None
+
+
 def _run_cell(task: tuple[RunConfig, str, int, float, int]) -> SeedOutcome:
     """Integrate one seed of one cell; module-level so worker processes can
-    unpickle it."""
+    unpickle it.  The path of the task before is reused when its (seed,
+    t_end, dt_fine) match, so a seed's first task also times its path."""
+    global _held_path
     cfg, scheme, iterations, dt, seed = task
     start = time.perf_counter()
     scheme_cfg = cfg.make_scheme(scheme, iterations)
-    path = generate_path(seed, cfg.t_end, cfg.dt_fine)
+    key = (seed, cfg.t_end, cfg.dt_fine)
+    if _held_path is None or _held_path[0] != key:
+        _held_path = None  # never hold two paths
+        _held_path = (key, generate_path(seed, cfg.t_end, cfg.dt_fine))
+    path = _held_path[1]
     c0 = cfg.make_state()
     if cfg.adaptive_dt:
         traj = integrate(c0, cfg.t_end, scheme_cfg, path,
@@ -139,13 +158,18 @@ def _error_text(exc: Exception) -> str:
 def _run_tasks(tasks) -> list[SeedOutcome | str]:
     """Run tasks in order, each through `_run_cell`; a task that raises gives
     its error text in place of an outcome.  Module-level, so a pool can run
-    a chunk of tasks per submission."""
+    a chunk of tasks per submission.  No path is held before or after."""
+    global _held_path
     results: list[SeedOutcome | str] = []
-    for task in tasks:
-        try:
-            results.append(_run_cell(task))
-        except Exception as exc:
-            results.append(_error_text(exc))
+    _held_path = None
+    try:
+        for task in tasks:
+            try:
+                results.append(_run_cell(task))
+            except Exception as exc:
+                results.append(_error_text(exc))
+    finally:
+        _held_path = None
     return results
 
 
@@ -179,12 +203,11 @@ def run_matrix(
     grid = cfg.make_grid()
     references = {dt: reference_endpoint(cfg, dt) for dt in cfg.dt_ladder}
 
-    tasks = [
-        (cfg, scheme, iterations, dt, seed)
-        for scheme, iterations in cfg.cells()
-        for dt in cfg.dt_ladder
-        for seed in cfg.seeds
-    ]
+    cell_dts = [(scheme, iterations, dt)
+                for scheme, iterations in cfg.cells() for dt in cfg.dt_ladder]
+    # seed-major, so that consecutive tasks share their seed's path
+    tasks = [(cfg, scheme, iterations, dt, seed)
+             for seed in cfg.seeds for scheme, iterations, dt in cell_dts]
 
     if jobs == 1:
         results = _run_tasks(tasks)
@@ -203,45 +226,43 @@ def run_matrix(
                 except Exception as exc:  # e.g. the worker died mid-chunk
                     results.extend([_error_text(exc)] * len(chunk))
 
-    # results are in task order, so each (cell, dt) owns the next len(seeds);
-    # zip stops on the exhausted seeds before it takes another result
-    pending = iter(results)
+    # results are in task order, so (cell, dt) number j has every
+    # len(cell_dts)-th result from j on, one per seed in seed order
     rows: list[ResultRow] = []
     ordered: list[SeedOutcome] = []
     failures: list[tuple[str, float, int, str]] = []
     empty_cells: list[tuple[str, str]] = []
-    for scheme, iterations in cfg.cells():
-        for dt in cfg.dt_ladder:
-            label = f"{cell_label(scheme, iterations)} dt={dt:g}"
-            cell = []
-            for seed, result in zip(cfg.seeds, pending):
-                if isinstance(result, str):
-                    failures.append((cell_label(scheme, iterations), dt, seed, result))
-                else:
-                    cell.append(result)
-            ordered.extend(cell)
-            if not cell:
-                empty_cells.append((label, "every worker task failed"))
-                continue
-            samples = [
-                EnsembleSample(
-                    o.seed, scheme, iterations, dt,
-                    endpoint=(None if o.endpoint is None
-                              else FieldState(grid, o.endpoint, time=o.final_time)),
-                    blowup_time=o.blowup_time,
-                )
-                for o in cell
-            ]
-            try:
-                report = summarize(samples, references[dt])
-                rows.append(ResultRow(
-                    scheme, iterations, dt, grid.dx, cfg.lam,
-                    report.n_seeds_used, report.blowup_count,
-                    report.weak, report.strong, report.variance_mean,
-                    sum(o.wall_time for o in cell),
-                ))
-            except ValueError as exc:
-                empty_cells.append((label, str(exc)))
+    for j, (scheme, iterations, dt) in enumerate(cell_dts):
+        label = f"{cell_label(scheme, iterations)} dt={dt:g}"
+        cell = []
+        for seed, result in zip(cfg.seeds, results[j::len(cell_dts)]):
+            if isinstance(result, str):
+                failures.append((cell_label(scheme, iterations), dt, seed, result))
+            else:
+                cell.append(result)
+        ordered.extend(cell)
+        if not cell:
+            empty_cells.append((label, "every worker task failed"))
+            continue
+        samples = [
+            EnsembleSample(
+                o.seed, scheme, iterations, dt,
+                endpoint=(None if o.endpoint is None
+                          else FieldState(grid, o.endpoint, time=o.final_time)),
+                blowup_time=o.blowup_time,
+            )
+            for o in cell
+        ]
+        try:
+            report = summarize(samples, references[dt])
+            rows.append(ResultRow(
+                scheme, iterations, dt, grid.dx, cfg.lam,
+                report.n_seeds_used, report.blowup_count,
+                report.weak, report.strong, report.variance_mean,
+                sum(o.wall_time for o in cell),
+            ))
+        except ValueError as exc:
+            empty_cells.append((label, str(exc)))
 
     stats = RunStats(
         total_steps=sum(o.n_steps for o in ordered),

@@ -155,6 +155,23 @@ def test_fit_order_recovers_exact_power_laws():
     assert half.slope == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 31, 32, 33, 40])
+def test_fit_order_matches_linregress_with_a_student_t_half_width(n):
+    stats = pytest.importorskip("scipy.stats")
+    dts = 0.1 / 2.0 ** np.arange(n)
+    noise = np.random.default_rng(n).normal(0.0, 0.2, n)
+    errs = 2.0 * dts**0.8 * np.exp(noise)
+    fit = fit_order(list(zip(dts.tolist(), errs.tolist())))
+    ref = stats.linregress(np.log(dts), np.log(errs))
+    assert fit.n_used == n
+    assert fit.slope == pytest.approx(ref.slope, abs=1e-12)
+    # 3 points give df 1 and t 12.71, not the normal 1.96; past df 30 the
+    # quantile comes from an expansion
+    t = stats.t.ppf(0.975, n - 2)
+    assert fit.half_width == pytest.approx(t * ref.stderr,
+                                           rel=1e-10 if n <= 32 else 1e-7)
+
+
 def test_fit_order_input_validation():
     with pytest.raises(ValueError):
         fit_order([(0.1, 1.0), (0.05, 0.5)])

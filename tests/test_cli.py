@@ -158,22 +158,57 @@ def test_importing_the_cli_loads_no_scipy_stats():
     assert done.stdout.strip() == "[]"
 
 
-def test_importing_the_cli_loads_no_scipy():
-    # the inverse normal CDF is in-package; scipy serves only fit_order
-    done = run_python("-c", """
+def test_importing_the_cli_loads_no_scipy(config_file, tmp_path):
+    # the inverse normal CDF and the Philox generator are in-package, so
+    # neither scipy nor numpy.random is loaded, not even by a run
+    done = run_python("-c", f"""
 import sys
 import splitburg.cli
-from splitburg import generate_path
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                  or m == "numpy.random" or m.startswith("numpy.random."))
 
-print(scipy_modules())
-generate_path(1, 1.0, 1e-4)
-print(scipy_modules())
+print(loaded())
+code = splitburg.cli.main(["run", {config_file!r}, "--jobs", "1", "--quiet",
+                           "--out", {str(tmp_path / "out")!r}])
+print(code, loaded())
 """)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert done.stdout.splitlines() == ["[]", "0 []"]
+
+
+def test_a_run_needs_only_numpy_and_pyyaml(config_file, tmp_path):
+    # the declared runtime dependencies: a finder that refuses scipy and
+    # numpy.random stands in for an environment that lacks them
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    done = run_python("-c", f"""
+import sys
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if (name.split(".")[0] == "scipy" or name == "numpy.random"
+                or name.startswith("numpy.random.")):
+            raise ImportError(f"{{name}} is not available")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+from splitburg import emit_csv, parse_config_file, run_matrix
+
+rows, archive, stats = run_matrix(parse_config_file({config_file!r}), jobs=1)
+assert stats.clean, stats
+print(emit_csv(rows, archive, {str(blocked)!r}).name)
+""")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "summary.csv"
+    assert main(["run", config_file, "--quiet", "--out", str(free)]) == 0
+    for sub in ("profiles", "residuals"):
+        names = sorted(f.name for f in (free / sub).iterdir())
+        assert sorted(f.name for f in (blocked / sub).iterdir()) == names
+        for name in names:
+            assert (blocked / sub / name).read_bytes() == (free / sub / name).read_bytes()
+    assert (read_summary_minus_wall(blocked / "summary.csv")
+            == read_summary_minus_wall(free / "summary.csv"))
 
 
 def test_a_jobs_1_run_loads_no_process_pool():

@@ -156,6 +156,19 @@ def test_seed_validation():
         parse_config("seeds: []")
 
 
+def test_seeds_must_fit_the_philox_key():
+    # a seed is the 128-bit Philox key: 2**128 - 1 is the largest one
+    top = 2**128 - 1
+    assert parse_config(f"seeds: [1, {top}]").seeds == (1, top)
+    assert RunConfig(seeds=(top,)).seeds == (top,)
+    with pytest.raises(ConfigError, match="below 2\\*\\*128"):
+        parse_config(f"seeds: [1, {top + 1}]")
+    with pytest.raises(ConfigError, match="below 2\\*\\*128"):
+        parse_config(f"seeds: {{base: {top}, count: 2}}")
+    with pytest.raises(ConfigError, match="below 2\\*\\*128"):
+        RunConfig(seeds=(top + 1,))
+
+
 def test_scheme_entries():
     cfg = parse_config("schemes: [{name: iter_after}]")
     assert cfg.schemes[0].iterations == (2,)  # iterative default

@@ -18,7 +18,13 @@ from splitburg import (
     generate_path,
     milstein_step,
 )
-from splitburg.noise import _ndtri, stochastic_update, whole_steps
+from splitburg.noise import (
+    SEED_LIMIT,
+    _ndtri,
+    _philox_draws,
+    stochastic_update,
+    whole_steps,
+)
 
 EXP_HALF = 1.6487212707001282  # e^{1/2}
 
@@ -123,20 +129,46 @@ def test_ndtri_port_equals_scipy_at_every_branch_edge():
     assert _ndtri(uniforms_of([2**53 - 1]))[0] == np.inf
 
 
+def numpy_draws(seed, n):
+    """numpy's 53-bit Philox draws, the reference for the in-package port."""
+    return np.random.Generator(np.random.Philox(key=seed)).integers(
+        0, 2**53, size=n, dtype=np.uint64)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2024])
 def test_generated_increments_are_scaled_scipy_normals(seed):
     n, dt_fine = 1_000_000, 1e-6
-    draws = np.random.Generator(np.random.Philox(key=seed)).integers(
-        0, 2**53, size=n, dtype=np.uint64)
-    expected = np.sqrt(dt_fine) * ndtri(uniforms_of(draws))
+    expected = np.sqrt(dt_fine) * ndtri(uniforms_of(numpy_draws(seed, n)))
     got = generate_path(seed, 1.0, dt_fine).increments
     assert got.size == n
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+def test_philox_port_equals_numpy():
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, SEED_LIMIT - 1), st.integers(0, 600))
+    @example(0, 0)
+    @example(2**64 - 1, 5)  # the low key word at its top
+    @example(2**64, 6)  # the first seed that sets the high key word
+    @example(SEED_LIMIT - 1, 7)
+    def check(seed, n):
+        got = _philox_draws(seed, n)
+        assert got.dtype == np.uint64 and got.shape == (n,)
+        assert np.array_equal(got, numpy_draws(seed, n))
+
+    check()
+
+
 def test_path_argument_validation():
     with pytest.raises(ConfigError):
         generate_path(-1, 1.0, 1e-3)
+    with pytest.raises(ConfigError, match="below 2\\*\\*128"):
+        generate_path(SEED_LIMIT, 1.0, 1e-3)
+    assert generate_path(SEED_LIMIT - 1, 1.0, 1e-3).n_steps == 1000
     with pytest.raises(ConfigError):
         generate_path(1, 1.0, 0.0)
     with pytest.raises(ConfigError):

@@ -266,9 +266,42 @@ def test_run_matrix_looks_up_its_layer_hooks_at_call_time(monkeypatch):
             return _real(*args, **kwargs)
         monkeypatch.setattr(runner_mod, name, counting)
     run_matrix(small_cfg(), jobs=1)
-    # 1 dt level, 2 cells x 3 seeds
-    assert calls == {"reference_endpoint": 1, "generate_path": 6, "integrate": 6,
+    # 1 dt level, 2 cells x 3 seeds; a seed's tasks share one path
+    assert calls == {"reference_endpoint": 1, "generate_path": 3, "integrate": 6,
                      "summarize": 2, "_run_cell": 6}
+
+
+def test_run_matrix_draws_each_path_once_and_holds_none_after(monkeypatch):
+    drawn = []
+
+    def counting(seed, t_end, dt_fine, _real=runner_mod.generate_path):
+        drawn.append(seed)
+        return _real(seed, t_end, dt_fine)
+
+    monkeypatch.setattr(runner_mod, "generate_path", counting)
+    cfg = parse_config(SMALL_DOC.replace("dt_ladder: [0.01]", "dt_ladder: [0.01, 0.005]"))
+    rows, archive, stats = run_matrix(cfg, jobs=1)
+    assert drawn == list(cfg.seeds)  # not once per (cell, dt, seed) task
+    assert runner_mod._held_path is None
+    assert stats.clean and len(archive.outcomes) == 12
+    # the archive stays cell-major: each (cell, dt) lists its seeds in order
+    assert [(o.scheme, o.dt, o.seed) for o in archive.outcomes] == [
+        (scheme, dt, seed) for scheme in ("ab", "iter_after")
+        for dt in (0.01, 0.005) for seed in (1, 2, 3)]
+
+
+def test_run_tasks_drops_a_path_held_from_before(monkeypatch):
+    # a path left by a direct _run_cell call is never reused by a later run
+    cfg = small_cfg()
+    runner_mod._run_cell((cfg, "ab", 0, 0.01, 1))
+    assert runner_mod._held_path is not None
+    drawn = []
+    monkeypatch.setattr(runner_mod, "generate_path",
+                        lambda *args, _real=runner_mod.generate_path:
+                        drawn.append(args) or _real(*args))
+    runner_mod._run_tasks([(cfg, "ab", 0, 0.01, 1)])
+    assert drawn == [(1, cfg.t_end, cfg.dt_fine)]
+    assert runner_mod._held_path is None
 
 
 def test_trajectory_exposes_what_the_benchmark_reads():
