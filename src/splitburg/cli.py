@@ -16,7 +16,7 @@ import sys
 
 from .config import parse_config_file
 from .errors import ConfigError
-from .runner import emit_csv, run_matrix
+from .runner import CsvWriter, run_matrix
 
 OUT_ENV_VAR = "SPLITBURG_OUT"
 
@@ -65,8 +65,10 @@ def main(argv=None) -> int:
 
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or cfg.output_dir
     try:
-        rows, archive, stats = run_matrix(cfg, jobs=args.jobs)
-        summary_path = emit_csv(rows, archive, out_dir)
+        # only this process writes: the pool's outcomes come back to it
+        writer = CsvWriter(out_dir, cfg.make_grid().centers)
+        rows, _, stats = run_matrix(cfg, jobs=args.jobs, on_outcome=writer.write)
+        summary_path = writer.finish(rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

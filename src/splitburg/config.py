@@ -370,4 +370,10 @@ def parse_config_file(path) -> RunConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file {p} does not exist")
-    return parse_config(p.read_text())
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from None
+    return parse_config(text)

@@ -15,6 +15,16 @@ in cell-major order, as the outputs are.
 
 Each seed's residual trace is kept as one `(n, 4)` float64 array, not as
 Python tuples, and the process pool is imported only for `jobs > 1`.
+
+Outputs stream.  `run_matrix` hands each outcome to an `on_outcome` callback
+in the calling process as soon as its chunk of tasks is back: at `jobs == 1`
+once every task has run, at `jobs > 1` per pool chunk in completion order,
+so the parent creates files while the workers compute.  `CsvWriter` owns the
+layout (summary.csv, profiles/, residuals/), writes each file a block of
+lines at a time and summary.csv last.  Only the parent writes: creating
+files in one directory from several threads made each create cost more in
+system time, not less.  `emit_csv` runs the same writer over a finished
+`RunArchive`.
 """
 
 from __future__ import annotations
@@ -22,6 +32,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -194,9 +205,16 @@ def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
 
 
 def run_matrix(
-    cfg: RunConfig, jobs: int = 1
+    cfg: RunConfig, jobs: int = 1,
+    on_outcome: Callable[[SeedOutcome], None] | None = None,
 ) -> tuple[tuple[ResultRow, ...], RunArchive, RunStats]:
-    """Execute every (scheme, I, dt, seed) task and reduce to summary rows."""
+    """Execute every (scheme, I, dt, seed) task and reduce to summary rows.
+
+    `on_outcome(outcome)`, if given, is called in this process with each
+    `SeedOutcome` as soon as its chunk of tasks is back: at `jobs == 1` once
+    every task has run, at `jobs > 1` per pool chunk in completion order.
+    An exception it raises ends the run and cancels the chunks not started.
+    """
     if _as_int(jobs, "jobs") < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs}")
 
@@ -209,22 +227,37 @@ def run_matrix(
     tasks = [(cfg, scheme, iterations, dt, seed)
              for seed in cfg.seeds for scheme, iterations, dt in cell_dts]
 
+    def deliver(chunk_results):
+        if on_outcome is not None:
+            for result in chunk_results:
+                if not isinstance(result, str):
+                    on_outcome(result)
+
     if jobs == 1:
         results = _run_tasks(tasks)
+        deliver(results)
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
         # contiguous chunks, about four per worker, as Pool.map chunks
         size = -(-len(tasks) // (4 * jobs))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
-        results = []
+        done: list[list[SeedOutcome | str]] = [[] for _ in chunks]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_tasks, chunk) for chunk in chunks]
-            for chunk, fut in zip(chunks, futures):
-                try:
-                    results.extend(fut.result())
-                except Exception as exc:  # e.g. the worker died mid-chunk
-                    results.extend([_error_text(exc)] * len(chunk))
+            futures = {pool.submit(_run_tasks, chunk): k
+                       for k, chunk in enumerate(chunks)}
+            try:
+                for fut in as_completed(futures):
+                    k = futures[fut]
+                    try:
+                        done[k] = fut.result()
+                    except Exception as exc:  # e.g. the worker died mid-chunk
+                        done[k] = [_error_text(exc)] * len(chunks[k])
+                    deliver(done[k])
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+        results = [result for chunk_results in done for result in chunk_results]
 
     # results are in task order, so (cell, dt) number j has every
     # len(cell_dts)-th result from j on, one per seed in seed order
@@ -277,57 +310,109 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def emit_csv(rows, archive: RunArchive, out_dir) -> Path:
-    """Write summary.csv (atomically), endpoint profiles, and residual traces.
+#: Lines per write of a profile or residual file, so that no file's lines
+#: are held all at once while each write still amortizes its call.
+_BLOCK_LINES = 1024
 
-    summary.csv carries one row per cell in the fixed column order; profiles
-    hold the (x, c) endpoint of every non-blown-up seed; residual traces are
-    written for iterative cells only.  Blown-up seeds leave no profile file.
-    The `*.csv` files already in profiles/ and residuals/, which this
-    function owns, are removed first, so a rerun leaves none of an earlier
-    run's files behind.
+
+class CsvWriter:
+    """The output layout under one directory: summary.csv, and one file per
+    seed in profiles/ and residuals/.
+
+    Nothing touches the disk before the first `write` or `finish`.  That call
+    creates the directories and removes the `*.csv` files in profiles/ and
+    residuals/ and any summary.csv, so a rerun leaves none of an earlier
+    run's files behind.  `write(outcome)` writes that seed's (x, c) endpoint
+    profile, unless it blew up, and its residual trace if the scheme is
+    iterative.  `finish(rows)` writes summary.csv atomically, last, so a
+    summary never sits beside another run's per-seed files, and a run that
+    fails after its first write leaves no summary at all.  Files are written
+    a block of `_BLOCK_LINES` lines at a time, by the one process that
+    holds the writer.
     """
-    if not rows:
-        raise ValueError("no result rows to write")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
-    lines = [",".join(CSV_COLUMNS)]
-    for r in rows:
-        lines.append(",".join((
-            r.scheme, str(r.iterations), _fmt(r.dt), _fmt(r.dx), _fmt(r.lam),
-            str(r.n_seeds_used), str(r.blowup_count), _fmt(r.weak_error),
-            _fmt(r.strong_error), _fmt(r.mean_variance), _fmt(r.wall_time),
-        )))
-    fd, tmp = tempfile.mkstemp(dir=out, prefix=".summary-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, out / "summary.csv")
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    def __init__(self, out_dir, x_centers: np.ndarray) -> None:
+        self.out = Path(out_dir)
+        # str paths: a pathlib join costs about 3 us, paid twice per seed
+        self._profiles = os.path.join(self.out, "profiles")
+        self._residuals = os.path.join(self.out, "residuals")
+        self._x_centers = x_centers
+        self._templates: list[str] | None = None
+        self._started = False
 
-    profiles = out / "profiles"
-    traces = out / "residuals"
-    for sub in (profiles, traces):
-        sub.mkdir(exist_ok=True)
-        for stale in sub.glob("*.csv"):
-            stale.unlink()
-    # tolist() gives builtin floats, whose repr is _fmt's
-    x_column = [repr(x) for x in archive.x_centers.tolist()]
-    for o in archive.outcomes:
+    def _start(self) -> None:
+        if self._started:
+            return
+        self.out.mkdir(parents=True, exist_ok=True)
+        (self.out / "summary.csv").unlink(missing_ok=True)
+        for sub in (self._profiles, self._residuals):
+            os.makedirs(sub, exist_ok=True)
+            for stale in Path(sub).glob("*.csv"):
+                stale.unlink()
+        self._started = True
+
+    def _profile_templates(self) -> list[str]:
+        """One "x,%r" line per cell, joined a block at a time: the x column
+        is formatted once per writer, as a few strings, not one per line."""
+        if self._templates is None:
+            # tolist() gives builtin floats, whose repr is _fmt's
+            xs = self._x_centers.tolist()
+            self._templates = [
+                "".join([f"{x!r},%r\n" for x in xs[i:i + _BLOCK_LINES]])
+                for i in range(0, len(xs), _BLOCK_LINES)]
+        return self._templates
+
+    def write(self, o: SeedOutcome) -> None:
+        """Write one seed's profile and residual trace."""
+        self._start()
         stem = f"{cell_label(o.scheme, o.iterations)}_{_fmt(o.dt)}_{o.seed}.csv"
         if o.endpoint is not None:
-            body = ["x,c"]
-            body.extend(f"{x},{c!r}" for x, c in zip(x_column, o.endpoint.tolist()))
-            (profiles / stem).write_text("\n".join(body) + "\n", encoding="utf-8")
+            with open(os.path.join(self._profiles, stem), "w",
+                      encoding="utf-8") as fh:
+                fh.write("x,c\n")
+                for k, template in enumerate(self._profile_templates()):
+                    i = k * _BLOCK_LINES
+                    fh.write(template % tuple(o.endpoint[i:i + _BLOCK_LINES].tolist()))
         if o.iterations > 0:
-            body = ["step,time,iteration,residual"]
-            body.extend(
-                f"{int(step)},{t!r},{int(sweep)},{res!r}"
-                for step, t, sweep, res in o.residuals.tolist()
-            )
-            (traces / stem).write_text("\n".join(body) + "\n", encoding="utf-8")
-    return out / "summary.csv"
+            with open(os.path.join(self._residuals, stem), "w",
+                      encoding="utf-8") as fh:
+                fh.write("step,time,iteration,residual\n")
+                for i in range(0, len(o.residuals), _BLOCK_LINES):
+                    fh.write("".join([
+                        f"{int(step)},{t!r},{int(sweep)},{res!r}\n"
+                        for step, t, sweep, res
+                        in o.residuals[i:i + _BLOCK_LINES].tolist()]))
+
+    def finish(self, rows) -> Path:
+        """Write summary.csv, one row per cell in the fixed column order."""
+        if not rows:
+            raise ValueError("no result rows to write")
+        self._start()
+        lines = [",".join(CSV_COLUMNS)]
+        for r in rows:
+            lines.append(",".join((
+                r.scheme, str(r.iterations), _fmt(r.dt), _fmt(r.dx), _fmt(r.lam),
+                str(r.n_seeds_used), str(r.blowup_count), _fmt(r.weak_error),
+                _fmt(r.strong_error), _fmt(r.mean_variance), _fmt(r.wall_time),
+            )))
+        fd, tmp = tempfile.mkstemp(dir=self.out, prefix=".summary-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, self.out / "summary.csv")
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+        return self.out / "summary.csv"
+
+
+def emit_csv(rows, archive: RunArchive, out_dir) -> Path:
+    """Write every outcome of `archive` and then summary.csv through one
+    `CsvWriter`; empty rows are refused before anything touches the disk."""
+    if not rows:
+        raise ValueError("no result rows to write")
+    writer = CsvWriter(out_dir, archive.x_centers)
+    for outcome in archive.outcomes:
+        writer.write(outcome)
+    return writer.finish(rows)

@@ -1,5 +1,8 @@
 """Ensemble error estimators, variance, and order fitting."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +197,24 @@ def test_fit_order_excludes_non_positive_errors():
     bad = [(dts[0], 1.0), (dts[1], 0.0), (dts[2], -1.0), (dts[3], 0.0), (dts[4], 1.0)]
     with pytest.raises(ValueError):
         fit_order(bad)
+
+
+def test_fit_order_excludes_non_finite_errors():
+    pairs = [(0.04, 1.0), (0.02, 0.5), (0.01, math.inf), (0.005, 0.125), (0.0025, math.nan)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_order(pairs)
+    assert fit.excluded == (2, 4)
+    assert fit.n_used == 3
+    assert fit.slope == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("index, bad_dt", [(2, math.nan), (0, math.inf)])
+def test_fit_order_rejects_non_finite_dt(index, bad_dt):
+    pairs = [(0.04, 1.0), (0.02, 0.5), (0.01, 0.3), (0.005, 0.12)]
+    pairs[index] = (bad_dt, pairs[index][1])
+    with pytest.raises(ValueError, match="finite"):
+        fit_order(pairs)
 
 
 def test_summarize_populates_the_report():

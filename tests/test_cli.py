@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import splitburg
+import splitburg.cli as cli_mod
 import splitburg.runner as runner_mod
 from splitburg.cli import OUT_ENV_VAR, main
 
@@ -52,6 +53,15 @@ def test_validate_rejects_a_bad_config(tmp_path, capsys):
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.yaml"
+    bad.write_bytes(QUICK_DOC.encode() + b"# caf\xe9 \xff\n")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {bad} is not UTF-8 text")
+    assert "Traceback" not in err
 
 
 def test_run_writes_outputs_and_reports(config_file, tmp_path, capsys):
@@ -108,6 +118,78 @@ def test_unstable_dt_is_reported_as_config_error(tmp_path, capsys):
     cfg.write_text("{dt_ladder: [0.02], dt_fine: 0.01, t_end: 0.1}\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "noise-free baseline" in capsys.readouterr().err
+
+
+def snapshot(out):
+    return {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_rerun_into_the_same_out_leaves_no_stale_csvs(config_file, tmp_path, jobs):
+    out = tmp_path / "out"
+    assert main(["run", config_file, "--quiet", "--out", str(out)]) == 0
+    one_seed = tmp_path / "one_seed.yaml"
+    one_seed.write_text(QUICK_DOC.replace("seeds: [1, 2]", "seeds: [1]"))
+    assert main(["run", str(one_seed), "--quiet", "--out", str(out),
+                 "--jobs", jobs]) == 0
+    assert sorted(str(p) for p in snapshot(out)) == [
+        "profiles/ab_0.01_1.csv", "profiles/iter_after2_0.01_1.csv",
+        "residuals/iter_after2_0.01_1.csv", "summary.csv",
+    ]
+
+
+def test_a_run_that_fails_before_its_first_outcome_leaves_out_untouched(
+        config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", config_file, "--quiet", "--out", str(out)]) == 0
+    before = snapshot(out)
+    unstable = tmp_path / "fast.yaml"
+    unstable.write_text("{dt_ladder: [0.02], dt_fine: 0.01, t_end: 0.1}\n")
+    assert main(["run", str(unstable), "--out", str(out)]) == 1
+    assert "noise-free baseline" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_summary_comes_last_and_never_beside_another_runs_files(
+        config_file, tmp_path, monkeypatch, capsys, jobs):
+    out = tmp_path / "out"
+    assert main(["run", config_file, "--quiet", "--out", str(out)]) == 0
+    real = cli_mod.run_matrix
+    summary_after_write = []
+
+    def watched(cfg, jobs=1, on_outcome=None):
+        def check(outcome):
+            on_outcome(outcome)
+            summary_after_write.append((out / "summary.csv").exists())
+        return real(cfg, jobs=jobs, on_outcome=check)
+
+    monkeypatch.setattr(cli_mod, "run_matrix", watched)
+    assert main(["run", config_file, "--quiet", "--out", str(out),
+                 "--jobs", jobs]) == 0
+    assert summary_after_write == [False] * 4
+    summary_ns = (out / "summary.csv").stat().st_mtime_ns
+    assert all(p.stat().st_mtime_ns <= summary_ns
+               for p in out.rglob("*.csv") if p.name != "summary.csv")
+
+    def fails_after_one_outcome(cfg, jobs=1, on_outcome=None):
+        written = []
+
+        def once(outcome):
+            if written:
+                raise RuntimeError("interrupted")
+            written.append(outcome)
+            on_outcome(outcome)
+        return real(cfg, jobs=jobs, on_outcome=once)
+
+    monkeypatch.setattr(cli_mod, "run_matrix", fails_after_one_outcome)
+    capsys.readouterr()
+    assert main(["run", config_file, "--quiet", "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert "run failed: RuntimeError: interrupted" in capsys.readouterr().err
+    # one seed's files were written; none of the earlier run's remain
+    assert 1 <= len(snapshot(out)) <= 2
+    assert not (out / "summary.csv").exists()
 
 
 def test_summary_is_byte_identical_across_jobs(config_file, tmp_path, capsys):

@@ -1,21 +1,24 @@
 """Golden outputs: tiny studies whose written files must not change by a bit.
 
-Each study goes through `run_matrix` + `emit_csv` at --jobs 1 and at --jobs 2,
-and the sha256 digests of summary.csv (without wall_time), profiles/ and
-residuals/ are compared with the same pinned values.  Together the studies run all six schemes, both
-stochastic substeps, both inner modes, fixed and adaptive steps, both
-boundary kinds and both noise kinds.
+Each study goes through `run_matrix` + `emit_csv`, and through the CLI,
+which streams each outcome to its files as it arrives, at --jobs 1 and at
+--jobs 2; the sha256 digests of summary.csv (without wall_time), profiles/
+and residuals/ are compared with the same pinned values.  Together the
+studies run all six schemes, both stochastic substeps, both inner modes,
+fixed and adaptive steps, both boundary kinds and both noise kinds.
 
-The last bits of the outputs depend on the numpy and scipy builds and on the
-SIMD targets numpy dispatches to, so the pins hold only under the numerics
-they were made with.  Re-pin (only for a change meant to alter the outputs)
+The last bits of the outputs depend on the numpy build and on the SIMD
+targets numpy dispatches to (the generator and the inverse normal CDF are
+the package's own), so the pins hold only under the numerics they were made
+with.  Re-pin (only for a change meant to alter the outputs)
 with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
 import hashlib
-import importlib.metadata
+import io
 import tempfile
 from pathlib import Path
 
@@ -23,6 +26,7 @@ import numpy as np
 import pytest
 
 from splitburg import emit_csv, parse_config, run_matrix
+from splitburg.cli import main
 
 ALL_SCHEMES = """
 schemes:
@@ -80,7 +84,7 @@ seeds: [8, 9]
 """,
 }
 
-NUMERICS = "numpy 2.4.6, scipy 1.17.1, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+NUMERICS = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 GOLDEN = {
     "adaptive_em_whole_step_periodic": {
@@ -107,12 +111,11 @@ GOLDEN = {
 
 
 def numerics() -> str:
-    """numpy and scipy versions and the SIMD targets numpy dispatches to."""
+    """The numpy version and the SIMD targets numpy dispatches to."""
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
     simd = " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
-    return (f"numpy {np.__version__}, "
-            f"scipy {importlib.metadata.version('scipy')}, SIMD {simd}")
+    return f"numpy {np.__version__}, SIMD {simd}"
 
 
 def output_digests(out: Path) -> dict:
@@ -136,14 +139,34 @@ def study_digests(doc: str, out: Path, jobs: int = 1) -> dict:
     return output_digests(out)
 
 
-@pytest.mark.parametrize("name, jobs", [
-    pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
-    for jobs in (1, 2) for name in sorted(STUDIES)
+def cli_digests(doc: str, out: Path, jobs: int = 1) -> dict:
+    config = out.parent / f"{out.name}.yaml"
+    config.write_text(doc)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = main(["run", str(config), "--quiet", "--out", str(out),
+                     "--jobs", str(jobs)])
+    # a study with a fully blown cell (iter_before2 under half_steps) exits 2
+    lines = stderr.getvalue().splitlines()
+    assert code == (2 if lines else 0)
+    assert all(line.startswith("cell without usable samples: ") for line in lines)
+    return output_digests(out)
+
+
+def _test_id(name: str, via: str, jobs: int) -> str:
+    return "-".join([name] + (["cli"] if via == "cli" else [])
+                    + ([f"jobs{jobs}"] if jobs > 1 else []))
+
+
+@pytest.mark.parametrize("name, via, jobs", [
+    pytest.param(name, via, jobs, id=_test_id(name, via, jobs))
+    for via in ("emit_csv", "cli") for jobs in (1, 2) for name in sorted(STUDIES)
 ])
-def test_outputs_match_the_golden_digests(name, jobs, tmp_path):
+def test_outputs_match_the_golden_digests(name, via, jobs, tmp_path):
     if numerics() != NUMERICS:
         pytest.skip(f"digests pinned under {NUMERICS}, running {numerics()}")
-    assert study_digests(STUDIES[name], tmp_path, jobs) == GOLDEN[name]
+    digests = study_digests if via == "emit_csv" else cli_digests
+    assert digests(STUDIES[name], tmp_path / "out", jobs) == GOLDEN[name]
 
 
 if __name__ == "__main__":

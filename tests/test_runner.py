@@ -1,7 +1,11 @@
 """Ensemble matrix execution, reduction, and CSV emission."""
 
+import importlib.util
+import os
 import pickle
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,57 @@ def test_worker_failure_is_isolated_to_its_cell(monkeypatch, jobs):
     assert rows[1].n_seeds_used == 5
     assert stats.failures == (("ab", 0.01, 2, "RuntimeError: synthetic worker crash"),)
     assert not stats.clean
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_on_outcome_gets_each_outcome_once_in_this_process(monkeypatch, jobs):
+    real = runner_mod._run_cell
+
+    def flaky(task):
+        if task[4] == 2 and task[1] == "ab":
+            raise RuntimeError("synthetic worker crash")
+        return real(task)
+
+    monkeypatch.setattr(runner_mod, "_run_cell", flaky)
+    seen = []
+    rows, archive, stats = run_matrix(
+        small_cfg(), jobs=jobs,
+        on_outcome=lambda o: seen.append((os.getpid(), o.scheme, o.dt, o.seed)))
+    # a failed task gives no outcome; the others arrive once each, here
+    assert len(stats.failures) == 1
+    assert sorted(seen) == sorted((os.getpid(), o.scheme, o.dt, o.seed)
+                                  for o in archive.outcomes)
+    assert len(seen) == 5
+
+
+def test_on_outcome_runs_while_the_pool_still_computes(monkeypatch, tmp_path):
+    # the last task waits for a file that only a delivered outcome creates,
+    # so it completes only if outcomes are handed over before the pool ends
+    delivered = tmp_path / "delivered"
+    real = runner_mod._run_cell
+
+    def last_waits(task):
+        if task[4] == 3 and task[1] == "iter_after":
+            deadline = time.monotonic() + 30.0
+            while not delivered.exists():
+                if time.monotonic() > deadline:
+                    raise RuntimeError("no outcome was delivered during the run")
+                time.sleep(0.01)
+        return real(task)
+
+    monkeypatch.setattr(runner_mod, "_run_cell", last_waits)
+    rows, archive, stats = run_matrix(small_cfg(), jobs=2,
+                                      on_outcome=lambda o: delivered.touch())
+    assert stats.clean and len(archive.outcomes) == 6
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_on_outcome_error_ends_the_run(jobs):
+    def refuse(outcome):
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        run_matrix(small_cfg(), jobs=jobs, on_outcome=refuse)
 
 
 def test_fully_blown_cell_is_reported_not_rowed():
@@ -269,6 +324,28 @@ def test_run_matrix_looks_up_its_layer_hooks_at_call_time(monkeypatch):
     # 1 dt level, 2 cells x 3 seeds; a seed's tasks share one path
     assert calls == {"reference_endpoint": 1, "generate_path": 3, "integrate": 6,
                      "summarize": 2, "_run_cell": 6}
+
+
+def test_the_benchmark_tracer_runs_a_study(tmp_path):
+    # perfbench/layers.py wraps run_matrix's layer hooks; run it as it is
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    config = tmp_path / "study.yaml"
+    config.write_text(
+        "grid: {n_cells: 20}\n"
+        "schemes: [ab, aba, bab, iter_after, iter_before, iter_before_trapezoid]\n"
+        "dt_ladder: [0.01]\ndt_fine: 0.005\nt_end: 0.05\nseeds: [1, 2]\n")
+    out_dirs = iter(tmp_path / f"out{k}" for k in range(100))
+    result = layers.trace_study(config, 0.0, lambda: next(out_dirs))
+    metrics = result["metrics"]
+    assert result["rows_equal"] and result["repetitions"] == 1
+    assert result["probed"] == []
+    assert metrics["runner.tasks"] == 12
+    assert metrics["noise.generate_path_calls"] == 2
+    assert metrics["schemes.trajectory_peak_bytes"] > 0
+    assert (result["out_dirs"][0] / "summary.csv").exists()
 
 
 def test_run_matrix_draws_each_path_once_and_holds_none_after(monkeypatch):
