@@ -194,7 +194,6 @@ class EnsembleReport:
     variance_mean: float
     n_seeds_used: int
     blowup_count: int
-    fitted_order: FitResult | None = None
 
 
 def summarize(

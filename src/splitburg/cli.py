@@ -36,7 +36,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None,
                      help=f"output directory (overrides {OUT_ENV_VAR} and the config)")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes; 1 runs in-process (default)")
+                     help="worker processes, at most one per usable CPU; "
+                          "1 runs in-process (default)")
     run.add_argument("--quiet", action="store_true",
                      help="suppress the summary report on stdout")
 

@@ -13,8 +13,10 @@ a new one only when (seed, t_end, dt_fine) changes.  That is one
 time, and none once `_run_tasks` returns.  The reduction and the archive are
 in cell-major order, as the outputs are.
 
-Each seed's residual trace is kept as one `(n, 4)` float64 array, not as
-Python tuples, and the process pool is imported only for `jobs > 1`.
+Each seed's residual trace is the `(n, 4)` float64 array that `integrate`
+builds as it streams, and the process pool is imported only for `jobs > 1`.
+It starts at most as many workers as there are chunks of tasks and usable
+CPUs, however large `jobs` is.
 
 Outputs stream.  `run_matrix` hands each outcome to an `on_outcome` callback
 in the calling process as soon as its chunk of tasks is back: at `jobs == 1`
@@ -147,17 +149,10 @@ def _run_cell(task: tuple[RunConfig, str, int, float, int]) -> SeedOutcome:
                          cfl=cfg.make_policy(dt_max=dt))
     else:
         traj = integrate(c0, cfg.t_end, scheme_cfg, path, dt=dt)
-    trace = np.array(
-        [(step, rec.state_after.time, sweep, residual)
-         for step, rec in enumerate(traj.records)
-         for sweep, residual in enumerate(rec.iterate_residuals, start=2)],
-        dtype=np.float64,
-    ).reshape(-1, 4)
-    trace.flags.writeable = False
     endpoint = None if traj.blown_up else traj.final_state.values
     return SeedOutcome(
         scheme, iterations, dt, seed, endpoint, traj.final_state.time,
-        traj.blowup_time, trace, traj.n_steps,
+        traj.blowup_time, traj.residuals, traj.n_steps,
         time.perf_counter() - start,
     )
 
@@ -182,6 +177,14 @@ def _run_tasks(tasks) -> list[SeedOutcome | str]:
     finally:
         _held_path = None
     return results
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, which can be fewer than the machine has."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
@@ -214,6 +217,7 @@ def run_matrix(
     `SeedOutcome` as soon as its chunk of tasks is back: at `jobs == 1` once
     every task has run, at `jobs > 1` per pool chunk in completion order.
     An exception it raises ends the run and cancels the chunks not started.
+    `jobs > 1` starts min(jobs, usable CPUs, chunks) worker processes.
     """
     if _as_int(jobs, "jobs") < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs}")
@@ -239,11 +243,14 @@ def run_matrix(
     else:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
-        # contiguous chunks, about four per worker, as Pool.map chunks
-        size = -(-len(tasks) // (4 * jobs))
+        # a pool forks all its workers at the first submit, so start no more
+        # than can be busy; contiguous chunks, about four per worker, as
+        # Pool.map chunks
+        workers = min(jobs, _usable_cpus())
+        size = -(-len(tasks) // (4 * workers))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         done: list[list[SeedOutcome | str]] = [[] for _ in chunks]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             futures = {pool.submit(_run_tasks, chunk): k
                        for k, chunk in enumerate(chunks)}
             try:

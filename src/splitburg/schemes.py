@@ -24,7 +24,12 @@ Iterative one-step maps:
                            iterate and the start state
 
 `integrate` drives any of these along a reproducible noise path, with either a
-fixed step size or a stability-bound-governed one, truncating on blow-up.
+fixed step size or a stability-bound-governed one, truncating on blow-up.  It
+streams: a trajectory holds its current state, the aba companion state where
+the scheme carries one, a step counter and the rows of its residual trace, and
+drops each step's record once the next step is taken.  Memory per trajectory
+is O(cells), not O(steps x cells).  The state after step k of a fixed-dt
+trajectory is the endpoint of integrating over k steps on the same path.
 """
 
 from __future__ import annotations
@@ -284,24 +289,38 @@ def detect_blowup(state: FieldState,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered step records of one integration; truncated on blow-up."""
+    """Outcome of one integration, truncated on blow-up.
+
+    `last_record` is the last step's record (None when no step was taken),
+    `n_steps` the number of steps taken, and `residuals` the read-only
+    `(n, 4)` float64 trace with one row (step, time, iteration, residual)
+    per iterate residual, steps counted from 0 and iterations from 2; it is
+    `(0, 4)` for a trajectory without residuals.  The states of earlier
+    steps are not kept.
+    """
 
     initial_state: FieldState
-    records: tuple[StepRecord, ...]
+    last_record: StepRecord | None
+    n_steps: int
+    residuals: np.ndarray
     blowup_time: float | None = None
     blowup_reason: str | None = None
 
     @property
     def final_state(self) -> FieldState:
-        return self.records[-1].state_after if self.records else self.initial_state
+        rec = self.last_record
+        return self.initial_state if rec is None else rec.state_after
 
     @property
     def blown_up(self) -> bool:
         return self.blowup_time is not None
 
     @property
-    def n_steps(self) -> int:
-        return len(self.records)
+    def records(self) -> tuple[StepRecord, ...]:
+        """The records the trajectory still holds: the last step's, or none.
+        Kept for the benchmark's tracer, which sums their state sizes; it
+        goes away with benchmark contract v2."""
+        return () if self.last_record is None else (self.last_record,)
 
 
 class _PathIncrements:
@@ -413,7 +432,8 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     down to the path resolution) selects the stepping mode.  Blow-up (by
     threshold, non-finite values, a rejected explicit step, or an admissible
     step below the path resolution) truncates the trajectory and is flagged
-    with its time and reason.
+    with its time and reason.  Only the current state (and companion) is
+    held; each step appends its iterate residuals to the trace.
     """
     if (dt is None) == (cfl is None):
         raise ConfigError("provide exactly one of dt (fixed) or cfl (governed)")
@@ -444,7 +464,9 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             else _FixedIncrements(path, n_total, m_fixed, quantum == 2))
     state = c0
     companion = c0 if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
-    records: list[StepRecord] = []
+    rec: StepRecord | None = None
+    n_steps = 0
+    rows: list[tuple[int, float, int, float]] = []
     blowup_time: float | None = None
     blowup_reason: str | None = None
     k = 0
@@ -470,11 +492,15 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             blowup_time = state.time
             blowup_reason = "cfl_rejected"
             break
-        records.append(rec)
         state = rec.state_after
+        rows.extend((n_steps, state.time, sweep, residual)
+                    for sweep, residual in enumerate(rec.iterate_residuals, start=2))
+        n_steps += 1
         k += m
         blowup_reason = _blowup_reason(state, cfg.blowup_threshold)
         if blowup_reason is not None:
             blowup_time = state.time
             break
-    return Trajectory(c0, tuple(records), blowup_time, blowup_reason)
+    residuals = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    residuals.flags.writeable = False
+    return Trajectory(c0, rec, n_steps, residuals, blowup_time, blowup_reason)

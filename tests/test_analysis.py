@@ -225,7 +225,6 @@ def test_summarize_populates_the_report():
     assert report.variance_mean == 1.0
     assert report.n_seeds_used == 2
     assert report.blowup_count == 1
-    assert report.fitted_order is None
 
 
 def test_variance_scales_quadratically_with_noise_level():

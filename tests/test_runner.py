@@ -1,5 +1,7 @@
 """Ensemble matrix execution, reduction, and CSV emission."""
 
+import concurrent.futures
+import dataclasses
 import importlib.util
 import os
 import pickle
@@ -34,6 +36,10 @@ seeds: [1, 2, 3]
 
 def small_cfg():
     return parse_config(SMALL_DOC)
+
+
+def without_wall_time(rows):
+    return [dataclasses.replace(r, wall_time=0.0) for r in rows]
 
 
 def test_cell_label_embeds_the_iteration_count():
@@ -171,6 +177,47 @@ def test_an_on_outcome_error_ends_the_run(jobs):
         run_matrix(small_cfg(), jobs=jobs, on_outcome=refuse)
 
 
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 6)])
+def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch, cpus, workers):
+    # 6 tasks in chunks of ceil(6 / (4 workers)): one task each at 2 CPUs,
+    # and at 64 CPUs 6 one-task chunks, so no more than 6 workers
+    started = []
+
+    class InThreadPool:
+        """Records `max_workers` and runs each submission at once in this
+        thread, so no process is started."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InThreadPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    rows, archive, stats = run_matrix(small_cfg(), jobs=10_000)
+    assert started == [workers]
+    assert stats.clean
+    assert without_wall_time(rows) == without_wall_time(run_matrix(small_cfg())[0])
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert runner_mod._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert runner_mod._usable_cpus() == 1
+
+
 def test_fully_blown_cell_is_reported_not_rowed():
     cfg = parse_config(SMALL_DOC + "blowup_threshold: 0.5\n")
     rows, archive, stats = run_matrix(cfg)
@@ -198,13 +245,19 @@ def test_run_matrix_rejects_non_integer_jobs(jobs):
 def test_run_cell_keeps_the_residual_trace_as_one_array(scheme, iterations):
     cfg = small_cfg()
     outcome = runner_mod._run_cell((cfg, scheme, iterations, 0.01, 2))
-    traj = integrate(cfg.make_state(), cfg.t_end, cfg.make_scheme(scheme, iterations),
-                     runner_mod.generate_path(2, cfg.t_end, cfg.dt_fine), dt=0.01)
-    expected = [
-        (step, rec.state_after.time, sweep, residual)
-        for step, rec in enumerate(traj.records)
-        for sweep, residual in enumerate(rec.iterate_residuals, start=2)
-    ]
+    scheme_cfg = cfg.make_scheme(scheme, iterations)
+    path = runner_mod.generate_path(2, cfg.t_end, cfg.dt_fine)
+    # step k's residuals are those of the last record of a (k + 1)-step run
+    expected = []
+    for step in range(5):
+        rec = integrate(cfg.make_state(), 0.01 * (step + 1), scheme_cfg, path,
+                        dt=0.01).last_record
+        expected.extend((step, rec.state_after.time, sweep, residual)
+                        for sweep, residual in enumerate(rec.iterate_residuals, start=2))
+    traj = integrate(cfg.make_state(), cfg.t_end, scheme_cfg, path, dt=0.01)
+    assert traj.n_steps == 5
+    assert np.array_equal(traj.residuals.view(np.int64),
+                          outcome.residuals.view(np.int64))
     trace = outcome.residuals
     assert trace.dtype == np.float64 and not trace.flags.writeable
     assert trace.shape == (len(expected), 4)
@@ -344,7 +397,7 @@ def test_the_benchmark_tracer_runs_a_study(tmp_path):
     assert result["probed"] == []
     assert metrics["runner.tasks"] == 12
     assert metrics["noise.generate_path_calls"] == 2
-    assert metrics["schemes.trajectory_peak_bytes"] > 0
+    assert metrics["schemes.trajectory_peak_bytes"] == 8 * 20  # one state
     assert (result["out_dirs"][0] / "summary.csv").exists()
 
 
@@ -389,9 +442,11 @@ def test_trajectory_exposes_what_the_benchmark_reads():
     traj = integrate(cfg.make_state(), cfg.t_end, scheme_cfg,
                      generate_path(1, cfg.t_end, cfg.dt_fine), dt=0.01)
     assert scheme_cfg.scheme == "iter_after"
-    assert traj.n_steps == len(traj.records) == 5
+    assert traj.n_steps == 5
     assert traj.blown_up is False
-    assert all(rec.state_after.values.nbytes == 8 * 40 for rec in traj.records)
+    # a streamed trajectory holds its last record only
+    assert len(traj.records) == 1
+    assert traj.records[0].state_after.values.nbytes == 8 * 40
     state, sigma = cfg.make_state(), cfg.make_sigma()
     assert noise.milstein_step(state.values, sigma, 0.1, 0.01).shape == (40,)
     assert burgers.cfl_dt(state, sigma, cfg.make_policy(dt_max=0.01),

@@ -1,5 +1,6 @@
 """Splitting one-step maps, fixpoint iterates and the trajectory driver."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -374,6 +375,13 @@ def sine_state(n=50):
     return make_initial_state(SpatialGrid(0.0, 1.0, n), InitialCondition.sine_bump())
 
 
+def step_ends(c0, cfg, path, dt, n_steps):
+    """The trajectory over k fixed steps for each k = 1..n_steps: a
+    trajectory keeps only its last step, and the state after step k of a
+    longer one is the endpoint over k steps on the same path."""
+    return [integrate(c0, k * dt, cfg, path, dt=dt) for k in range(1, n_steps + 1)]
+
+
 def test_integrate_zero_horizon():
     c0 = sine_state()
     path = generate_path(1, 0.1, 0.001)
@@ -416,11 +424,14 @@ def test_integrate_fixed_dt_consumes_the_coarsened_path():
     cfg = cfg_for("ab")
     traj = integrate(c0, 0.1, cfg, path, dt=0.01)
     assert traj.n_steps == 10
+    ends = step_ends(c0, cfg, path, 0.01, 10)
     manual = c0
-    for i, (rec, dw) in enumerate(zip(traj.records, coarsen(path, 10))):
-        assert rec.dt_used == pytest.approx(0.01)
-        assert rec.state_after.time == pytest.approx(0.01 * (i + 1))
+    for i, (end, dw) in enumerate(zip(ends, coarsen(path, 10))):
+        assert end.n_steps == i + 1
+        assert end.last_record.dt_used == pytest.approx(0.01)
+        assert end.final_state.time == pytest.approx(0.01 * (i + 1))
         manual = ab_step(manual, 0.01, dw, cfg).state_after
+        assert np.array_equal(end.final_state.values, manual.values)
     assert np.array_equal(traj.final_state.values, manual.values)
 
 
@@ -428,12 +439,13 @@ def test_integrate_is_reproducible():
     c0 = sine_state()
     path = generate_path(5, 0.1, 0.001)
     cfg = cfg_for("iter_after", iterations=3)
-    a = integrate(c0, 0.1, cfg, path, dt=0.01)
-    b = integrate(c0, 0.1, cfg, path, dt=0.01)
-    assert a.n_steps == b.n_steps
-    for ra, rb in zip(a.records, b.records):
-        assert np.array_equal(ra.state_after.values, rb.state_after.values)
-        assert ra.iterate_residuals == rb.iterate_residuals
+    a = step_ends(c0, cfg, path, 0.01, 10)
+    b = step_ends(c0, cfg, path, 0.01, 10)
+    assert a[-1].n_steps == b[-1].n_steps == 10
+    assert a[-1].residuals.shape == (20, 4)
+    assert a[-1].residuals.tobytes() == b[-1].residuals.tobytes()
+    for ta, tb in zip(a, b):
+        assert ta.final_state.values.tobytes() == tb.final_state.values.tobytes()
 
 
 def test_integrate_noise_off_matches_the_scl_loop():
@@ -468,18 +480,28 @@ def test_integrate_truncates_on_cfl_rejection():
     assert traj.n_steps == 0
 
 
-def test_integrate_adaptive_reaches_the_horizon():
+def test_integrate_adaptive_reaches_the_horizon(monkeypatch):
     c0 = sine_state()
     path = generate_path(13, 0.1, 0.001)
     cfg = cfg_for("ab", lam=0.0)
     policy = CflPolicy(CflMode.DETERMINISTIC_ONLY, safety=0.9, dt_max=0.05)
+    step_dts = []
+
+    def update(values, lin, sigma, dw, dt, substep):
+        # ab makes one noise substep per step, over the whole step
+        step_dts.append(dt)
+        return real_update(values, lin, sigma, dw, dt, substep)
+
+    real_update = schemes_mod.stochastic_update
+    monkeypatch.setattr(schemes_mod, "stochastic_update", update)
     traj = integrate(c0, 0.1, cfg, path, cfl=policy)
     assert not traj.blown_up
     assert traj.final_state.time == pytest.approx(0.1)
-    total = sum(rec.dt_used for rec in traj.records)
-    assert total == pytest.approx(0.1)
-    for rec in traj.records:
-        steps = rec.dt_used / 0.001
+    assert len(step_dts) == traj.n_steps > 1
+    assert traj.last_record.dt_used == step_dts[-1]
+    assert sum(step_dts) == pytest.approx(0.1)
+    for step_dt in step_dts:
+        steps = step_dt / 0.001
         assert abs(steps - round(steps)) < 1e-9
 
 
@@ -498,8 +520,8 @@ def test_integrate_carries_the_aba_companion_across_steps():
     c0 = sine_state(32)
     path = generate_path(17, 0.02, 0.001)
     cfg = cfg_for("iter_before", iterations=2)
-    traj = integrate(c0, 0.02, cfg, path, dt=0.01)
-    assert traj.n_steps == 2
+    ends = step_ends(c0, cfg, path, 0.01, 2)
+    assert [t.n_steps for t in ends] == [1, 2]
 
     dw1 = path.increment_over(0, 10)
     dw2 = path.increment_over(10, 20)
@@ -507,10 +529,8 @@ def test_integrate_carries_the_aba_companion_across_steps():
     companion = aba_step(c0, 0.01, dw1, cfg).state_after
     step2 = iter_before_step(step1.state_after, 0.01, StepNoise(dw2), cfg,
                              aba_state=companion)
-    assert np.array_equal(traj.records[0].state_after.values,
-                          step1.state_after.values)
-    assert np.array_equal(traj.records[1].state_after.values,
-                          step2.state_after.values)
+    assert np.array_equal(ends[0].final_state.values, step1.state_after.values)
+    assert np.array_equal(ends[1].final_state.values, step2.state_after.values)
 
 
 def test_only_ab_aba_bab_and_aba_companions_follow_the_em_substep():
@@ -530,14 +550,14 @@ def test_only_ab_aba_bab_and_aba_companions_follow_the_em_substep():
         ("iter_before_trapezoid", 3, "whole_step"): None,
     }
     for (scheme, iterations, inner_mode), first_diff in cases.items():
-        trajs = [
-            integrate(c0, 0.02, cfg_for(scheme, iterations=iterations,
-                                        inner_mode=inner_mode,
-                                        stochastic_substep=substep), path, dt=0.01)
+        ends = [
+            step_ends(c0, cfg_for(scheme, iterations=iterations,
+                                  inner_mode=inner_mode,
+                                  stochastic_substep=substep), path, 0.01, 2)
             for substep in ("em", "milstein")
         ]
-        equal = [np.array_equal(a.state_after.values, b.state_after.values)
-                 for a, b in zip(*(t.records for t in trajs))]
+        equal = [np.array_equal(a.final_state.values, b.final_state.values)
+                 for a, b in zip(*ends)]
         expected = [first_diff is None or i < first_diff for i in range(2)]
         assert equal == expected, (scheme, iterations, inner_mode)
 
@@ -557,7 +577,7 @@ def test_integrate_ends_non_finite_at_the_overflowing_step(last_dw, bad):
                   stochastic_substep="em", blowup_threshold=1e305)
     traj = integrate(c0, 0.03, cfg, given_path([1.0, last_dw, 1.0]), dt=0.01)
     assert traj.blowup_reason == "non_finite"
-    assert traj.blowup_time == traj.records[-1].state_after.time == pytest.approx(0.02)
+    assert traj.blowup_time == traj.final_state.time == pytest.approx(0.02)
     assert traj.n_steps == 2
     assert np.array_equal(traj.final_state.values, np.full(4, bad), equal_nan=True)
 
@@ -587,7 +607,7 @@ def test_iterative_steps_batch_their_independent_transports(
     c0 = sine_state(32)
     path = generate_path(21, 0.02, 0.001)
     cfg = cfg_for(scheme, iterations=iterations, inner_mode=inner_mode)
-    expected = integrate(c0, 0.02, cfg, path, dt=0.01)
+    expected = step_ends(c0, cfg, path, 0.01, 2)
     count = []
 
     def counting(*args):
@@ -596,10 +616,11 @@ def test_iterative_steps_batch_their_independent_transports(
 
     real = schemes_mod._eo_step
     monkeypatch.setattr(schemes_mod, "_eo_step", counting)
-    traj = integrate(c0, 0.02, cfg, path, dt=0.01)
-    assert len(count) == 2 * calls
-    for got, want in zip(traj.records, expected.records):
-        assert np.array_equal(got.state_after.values, want.state_after.values)
+    ends = step_ends(c0, cfg, path, 0.01, 2)
+    assert len(count) == (1 + 2) * calls  # one step, then two
+    assert [t.n_steps for t in ends] == [1, 2]
+    for got, want in zip(ends, expected):
+        assert np.array_equal(got.final_state.values, want.final_state.values)
 
 
 def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
@@ -618,10 +639,30 @@ def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
     real_update, real_peak = schemes_mod.stochastic_update, grid_mod._peak
     monkeypatch.setattr(schemes_mod, "stochastic_update", update)
     monkeypatch.setattr(grid_mod, "_peak", peak)
-    traj = integrate(c0, 0.1, cfg_for("ab"), path, dt=0.01)
-    assert traj.n_steps == len(computed) == len(scans) == 10
-    for rec, values, scanned in zip(traj.records, computed, scans):
-        assert rec.state_after.values is values is scanned
+    # step k is the last step of a k-step trajectory, the one it keeps
+    for k in range(1, 11):
+        computed.clear()
+        scans.clear()
+        traj = integrate(c0, 0.01 * k, cfg_for("ab"), path, dt=0.01)
+        assert traj.n_steps == len(computed) == len(scans) == k
+        assert traj.final_state.values is computed[-1] is scans[-1]
+
+
+def test_a_trajectory_holds_one_state_not_one_per_step():
+    # 400 steps of 80 KB states: keeping each step's state would peak at
+    # 32 MB; streaming holds a few states at a time
+    c0 = make_initial_state(SpatialGrid(0.0, 1.0, 10_000), InitialCondition.sine_bump())
+    path = generate_path(1, 0.01, 2.5e-5)
+    cfg = cfg_for("iter_after", iterations=2)
+    tracemalloc.start()
+    try:
+        traj = integrate(c0, 0.01, cfg, path, dt=2.5e-5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps == 400 and not traj.blown_up
+    assert traj.residuals.shape == (400, 4)
+    assert peak < 16 * c0.values.nbytes
 
 
 def test_fixed_step_increments_equal_increment_over_bitwise():
