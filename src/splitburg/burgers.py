@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
 from .errors import CflViolation, ConfigError
 from .grid import BoundaryKind, FieldState
+from .noise import NoiseAmplitude
 
 #: cells with |u| at or below this are excluded from state-dependent bounds;
 #: dt_max governs when every cell is excluded
@@ -58,6 +60,15 @@ class FluxFunction:
         d = np.abs(self.deriv(u))
         return float(d.max()) if d.size else 0.0
 
+    def peak_speed(self, peak: float) -> float:
+        """Largest |f'(u)| over values whose largest |u| is `peak`; exact,
+        since |f'(u)| is |u|, 2|u| or 0."""
+        if self.kind == "burgers_half":
+            return peak
+        if self.kind == "burgers_square":
+            return 2.0 * peak
+        return 0.0
+
 
 def engquist_osher_flux(u_left, u_right, flux: FluxFunction = FluxFunction()):
     """Interface flux F(a, b) = f(max(a, 0)) + f(min(b, 0)).
@@ -75,22 +86,38 @@ def _check_cfl(speed: float, dt: float, dx: float) -> None:
             raise CflViolation(dt, admissible)
 
 
-def _eo_step(values: np.ndarray, dt: float, flux: FluxFunction,
-             bc: BoundaryKind, dx: float) -> np.ndarray:
+def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
+             dx: float, speed: float | None = None) -> np.ndarray:
     """One conservative update of raw cell values; asserts the wave-speed bound.
 
     `values` is one field of n_cells values or a stack of independent
-    fields along leading axes, such as (k, n_cells).  A stack is updated row
-    by row, bitwise as one call per row would be, and raises CflViolation
-    when one of those calls would (the first such row names the admissible
-    step).
+    fields along leading axes, such as (k, n_cells).  `dt` is one step size,
+    or for a stack one per field (shape `values.shape[:-1]`).  A stack is
+    updated row by row, bitwise as one call per row with its own dt would
+    be, and raises CflViolation when one of those calls would (the first
+    such row names the admissible step).  `speed`, for one field, is its
+    max|f'(u)| when the caller already knows it.  Overflow and invalid
+    values are the caller's to silence: it reports them as a blow-up.
     """
-    for speed in np.abs(flux.deriv(values)).max(axis=-1).ravel().tolist():
+    if values.ndim == 1:
+        if speed is None:
+            speed = flux.peak_speed(float(np.abs(values).max()))
         _check_cfl(speed, dt, dx)
-    with np.errstate(over="ignore", invalid="ignore"):
-        padded = bc.pad(values)
-        interface = engquist_osher_flux(padded[..., :-1], padded[..., 1:], flux)
-        return values - (dt / dx) * (interface[..., 1:] - interface[..., :-1])
+        ratio = dt / dx
+    else:
+        speeds = np.abs(flux.deriv(values)).max(axis=-1).ravel().tolist()
+        dts = np.asarray(dt, dtype=np.float64)
+        if dts.ndim:
+            ratio = (dts / dx)[..., None]
+            dts = dts.ravel().tolist()
+        else:
+            ratio = dt / dx
+            dts = repeat(dt)
+        for s, d in zip(speeds, dts):
+            _check_cfl(s, d, dx)
+    padded = bc.pad(values)
+    interface = engquist_osher_flux(padded[..., :-1], padded[..., 1:], flux)
+    return values - ratio * (interface[..., 1:] - interface[..., :-1])
 
 
 def scl_step(state: FieldState, dt: float, flux: FluxFunction,
@@ -102,7 +129,9 @@ def scl_step(state: FieldState, dt: float, flux: FluxFunction,
     """
     if dt <= 0.0:
         raise ConfigError(f"dt must be positive, got {dt}")
-    new = _eo_step(state.values, dt, flux, bc, state.grid.dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        new = _eo_step(state.values, dt, flux, bc, state.grid.dx,
+                       flux.peak_speed(state.peak))
     return state.successor(new, state.time + dt)
 
 
@@ -142,7 +171,7 @@ class CflPolicy:
             raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
 
 
-def cfl_dt(state: FieldState, sigma, policy: CflPolicy,
+def cfl_dt(state: FieldState, sigma: NoiseAmplitude, policy: CflPolicy,
            flux: FluxFunction | None = None,
            t_remaining: float | None = None) -> float:
     """Recommended step size for the policy's stability bound.
@@ -156,29 +185,38 @@ def cfl_dt(state: FieldState, sigma, policy: CflPolicy,
     velocity floor are excluded; when nothing survives, dt_max is returned
     unscaled.  The result never exceeds dt_max or t_remaining.
     """
-    u = state.values
-    dx = state.grid.dx
-    absu = np.abs(u)
-    mask = absu > VELOCITY_FLOOR
+    peak = state.peak
+    speed = peak if flux is None else flux.peak_speed(peak)
+    return _governed_dt(np.abs(state.values), peak, speed, state.grid.dx, sigma,
+                        policy, t_remaining)
+
+
+def _governed_dt(absu: np.ndarray, peak: float, speed: float, dx: float,
+                 sigma: NoiseAmplitude, policy: CflPolicy,
+                 t_remaining: float | None) -> float:
+    """`cfl_dt` from one scan of the values u: `absu` is |u|, `peak` its
+    largest entry and `speed` the deterministic speed max|f'(u)|."""
     xi = policy.xi_bound
     bound = math.inf
 
     if policy.mode is CflMode.DETERMINISTIC_ONLY:
-        speed = flux.max_speed(u) if flux is not None else float(absu.max())
         if speed > VELOCITY_FLOOR:
             bound = dx / speed
-    elif policy.mode is CflMode.STOCHASTIC_ONLY:
-        if mask.any():
-            amp = np.abs(np.asarray(sigma(u[mask]), dtype=np.float64))
-            with np.errstate(divide="ignore"):
-                cell = np.where(amp > 0.0, (absu[mask] / (amp * xi)) ** 2, math.inf)
-            bound = float(cell.min())
-    else:
-        if mask.any():
-            au = absu[mask]
-            amp = np.abs(np.asarray(sigma(u[mask]), dtype=np.float64))
-            cell = (1.0 / (au / dx + amp * xi / au)) ** 2
-            bound = float(cell.min())
+    elif not peak <= VELOCITY_FLOOR:
+        # some cell is above the floor; with a NaN peak perhaps none is, and
+        # the min over no cells leaves the bound infinite
+        au = absu[absu > VELOCITY_FLOOR]
+        # |sigma(u)| is sigma(|u|) bit for bit: sigma is lam * u or lam, lam >= 0
+        amp = sigma(au)
+        if policy.mode is CflMode.STOCHASTIC_ONLY:
+            cell = np.divide(au, amp * xi, out=np.full_like(au, math.inf),
+                             where=amp > 0.0) ** 2
+            bound = float(cell.min(initial=math.inf))
+        elif au.size:
+            # min_j (1 / x_j)^2 is (1 / max_j x_j)^2: both steps are monotone,
+            # and stay so when rounded
+            inverse = 1.0 / (au / dx + amp * xi / au).max()
+            bound = float(inverse * inverse)
 
     if math.isinf(bound):
         if policy.dt_max is None:

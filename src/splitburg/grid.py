@@ -62,8 +62,10 @@ class BoundaryKind(Enum):
         """Return values extended by one ghost cell on each side of the last
         axis, so a (k, n_cells) stack is padded row by row."""
         if self is BoundaryKind.ZERO_DIRICHLET:
-            edge = np.zeros(values.shape[:-1] + (1,))
-            return np.concatenate((edge, values, edge), axis=-1)
+            padded = np.empty(values.shape[:-1] + (values.shape[-1] + 2,))
+            padded[..., 0] = padded[..., -1] = 0.0
+            padded[..., 1:-1] = values
+            return padded
         return np.concatenate((values[..., -1:], values, values[..., :1]), axis=-1)
 
     @classmethod
@@ -74,9 +76,12 @@ class BoundaryKind(Enum):
             raise ConfigError(f"unknown boundary kind {name!r}") from None
 
 
-def _peak(values: np.ndarray) -> float:
-    """Largest |value|; nan or inf when an entry is non-finite."""
-    return float(np.abs(values).max())
+def _scan(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """|values| and its largest entry, nan or inf when an entry is non-finite:
+    the one scan a state gets, whose results also serve the stability checks
+    of the step that starts from it."""
+    absu = np.abs(values)
+    return absu, float(absu.max())
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,8 @@ class FieldState:
     Values are stored read-only.  The constructor always copies them, so a
     state never aliases a caller's buffer; only `successor` adopts an array,
     one a step has just computed and nothing else holds.  `peak` is
-    the largest |value|, from the one scan every state gets.  `blown_up`
+    the largest |value|, from the one scan every state gets (`successor` takes
+    it from a caller that has just scanned the array).  `blown_up`
     marks a diverged state; it is set automatically whenever a non-finite
     entry is present (non-finite `peak`), so finite-valued states are the
     invariant everywhere else.
@@ -103,15 +109,16 @@ class FieldState:
         vals.setflags(write=False)
         self._settle(vals)
 
-    def _settle(self, vals: np.ndarray) -> None:
+    def _settle(self, vals: np.ndarray, peak: float | None = None) -> None:
         """Store the read-only `vals` and set `peak` and `blown_up` from one
-        scan of them."""
+        scan of them, or from `peak` when it is that scan's."""
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"expected {self.grid.n_cells} cell values, got shape {vals.shape}"
             )
         object.__setattr__(self, "values", vals)
-        peak = _peak(vals)
+        if peak is None:
+            peak = _scan(vals)[1]
         object.__setattr__(self, "peak", peak)
         if not math.isfinite(peak):
             object.__setattr__(self, "blown_up", True)
@@ -129,10 +136,13 @@ class FieldState:
             self.grid, values, self.time if time is None else time, blown_up
         )
 
-    def successor(self, values: np.ndarray, time: float) -> "FieldState":
+    def successor(self, values: np.ndarray, time: float,
+                  peak: float | None = None) -> "FieldState":
         """The state at `time` holding `values`, an array the caller has just
         computed and hands over: it is frozen in place instead of copied
-        (a view is copied, since its base may still be written)."""
+        (a view is copied, since its base may still be written).  `peak`, the
+        largest |value| from the caller's own scan of `values`, spares the
+        state its scan."""
         if values.base is not None:
             values = values.copy()
         values.setflags(write=False)
@@ -140,7 +150,7 @@ class FieldState:
         object.__setattr__(state, "grid", self.grid)
         object.__setattr__(state, "time", time)
         object.__setattr__(state, "blown_up", False)
-        state._settle(values)
+        state._settle(values, peak)
         return state
 
 

@@ -213,8 +213,8 @@ def whole_steps(value: float, base: float) -> int | None:
 
 
 def _left_to_right_sum(a: np.ndarray) -> float:
-    # cumsum accumulates sequentially; the documented aggregation order
-    return float(np.cumsum(a)[-1]) if a.size else 0.0
+    # accumulation is sequential (np.cumsum's), the documented aggregation order
+    return float(np.add.accumulate(a)[-1]) if a.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -23,26 +23,31 @@ Iterative one-step maps:
                            sigma evaluated at the midpoint of the previous
                            iterate and the start state
 
-`integrate` drives any of these along a reproducible noise path, with either a
-fixed step size or a stability-bound-governed one, truncating on blow-up.  It
-streams: a trajectory holds its current state, the aba companion state where
-the scheme carries one, a step counter and the rows of its residual trace, and
-drops each step's record once the next step is taken.  Memory per trajectory
-is O(cells), not O(steps x cells).  The state after step k of a fixed-dt
+Each scheme's step is a kernel on raw float64 cell values (the `SCHEMES`
+table); the public `*_step` functions wrap the same kernels in states and
+records.  `integrate` drives a kernel along a reproducible noise path, with
+either a fixed step size or a stability-bound-governed one, truncating on
+blow-up.  It streams and builds no per-step records at all: a trajectory
+holds its current values, the aba companion's values where the scheme
+carries one, a step counter and the rows of its residual trace, and only
+the last step's record is built, for `Trajectory`.  Memory per trajectory is
+O(cells), not O(steps x cells).  The state after step k of a fixed-dt
 trajectory is the endpoint of integrating over k steps on the same path.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .burgers import CflPolicy, FluxFunction, _eo_step, cfl_dt
+from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt
 from .errors import CflViolation, ConfigError
-from .grid import BoundaryKind, FieldState
+from .grid import BoundaryKind, FieldState, _scan
 from .noise import NoiseAmplitude, NoisePath, stochastic_update, whole_steps
 
 _SUBSTEPS = ("em", "milstein")
@@ -116,73 +121,50 @@ def _mean_abs(diff: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(diff))) / diff.size
 
 
-def _check_contraction(residuals: list[float]) -> None:
+def _check_contraction(residuals, stacklevel: int = 3) -> None:
+    """Warn, from `stacklevel` frames up, when the residuals stop decreasing."""
     for a, b in zip(residuals, residuals[1:]):
         if b >= a and b > 0.0:
             warnings.warn(
                 "iterate residuals are not decreasing; the step size likely "
                 "exceeds the contraction range",
                 ContractionWarning,
-                stacklevel=3,
+                stacklevel=stacklevel,
             )
             return
 
 
-def ab_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
-    """Transport over dt, then the configured noise substep with increment dw."""
-    v = _eo_step(state.values, dt, cfg.flux, cfg.bc, state.grid.dx)
-    v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
-    return StepRecord(state.successor(v, state.time + dt), dt)
+def _ab(u, dt, dw, halves, companion, cfg, dx, speed):
+    v = _eo_step(u, dt, cfg.flux, cfg.bc, dx, speed)
+    return stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep), (), companion
 
 
-def _aba(values: np.ndarray, dt: float, dw: float, cfg: SchemeConfig,
-         dx: float) -> np.ndarray:
+def _aba(u, dt, dw, halves, companion, cfg, dx, speed):
     h = 0.5 * dt
-    v = _eo_step(values, h, cfg.flux, cfg.bc, dx)
+    v = _eo_step(u, h, cfg.flux, cfg.bc, dx, speed)
     v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
-    return _eo_step(v, h, cfg.flux, cfg.bc, dx)
+    return _eo_step(v, h, cfg.flux, cfg.bc, dx), (), companion
 
 
-def aba_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
-    """Symmetrized transport around a single noise substep consuming the
-    full-interval increment."""
-    v = _aba(state.values, dt, dw, cfg, state.grid.dx)
-    return StepRecord(state.successor(v, state.time + dt), dt)
-
-
-def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
-             cfg: SchemeConfig) -> StepRecord:
-    """Symmetrized noise around a full transport step; the two noise substeps
-    consume the genuine increments of the two half intervals."""
+def _bab(u, dt, dw, halves, companion, cfg, dx, speed):
     h = 0.5 * dt
-    dx = state.grid.dx
-    v = state.values
-    v = stochastic_update(v, v, cfg.sigma, dw_first, h, cfg.stochastic_substep)
+    dw_first, dw_second = halves
+    v = stochastic_update(u, u, cfg.sigma, dw_first, h, cfg.stochastic_substep)
     v = _eo_step(v, dt, cfg.flux, cfg.bc, dx)
     v = stochastic_update(v, v, cfg.sigma, dw_second, h, cfg.stochastic_substep)
-    return StepRecord(state.successor(v, state.time + dt), dt)
+    return v, (), companion
 
 
-def iter_after_step(state: FieldState, dt: float, dw: float,
-                    cfg: SchemeConfig) -> StepRecord:
-    """Fixed-point sweeps of the Milstein update around the transported state.
-
-    Sweep i:  c_i = T(dt) c  +  sigma(c_{i-1}) dW
-                           +  (1/2) sigma(c_{i-1}) sigma'(c_{i-1}) (dW^2 - dt)
-    with c_0 = c, so one sweep is exactly the one-shot Milstein-composed step.
-    The transported state is computed once; only the noise linearization is
-    refreshed, which is what contracts (or fails to, above the admissible dt).
-    """
-    base = _eo_step(state.values, dt, cfg.flux, cfg.bc, state.grid.dx)
-    lin = state.values
+def _iter_after(u, dt, dw, halves, companion, cfg, dx, speed):
+    base = _eo_step(u, dt, cfg.flux, cfg.bc, dx, speed)
+    lin = u
     residuals: list[float] = []
     for sweep in range(1, cfg.iterations + 1):
         nxt = stochastic_update(base, lin, cfg.sigma, dw, dt, "milstein")
         if sweep >= 2:
             residuals.append(_mean_abs(nxt - lin))
         lin = nxt
-    _check_contraction(residuals)
-    return StepRecord(state.successor(lin, state.time + dt), dt, tuple(residuals))
+    return lin, residuals, companion
 
 
 def _voc_terms(fields: np.ndarray, dt: float, cfg: SchemeConfig,
@@ -204,6 +186,106 @@ def _voc_milstein(terms: tuple[np.ndarray, ...], dw: float, dt: float) -> np.nda
     return field + amp * dw + 0.5 * corr * (dw * dw - dt)
 
 
+def _iter_before_whole(u, companion, dt, dw, cfg, dx, carry):
+    """Iterates 1 and 2 of whole-step iter_before, linearized at u and at the
+    companion, and with `carry` the companion's own aba step over dt (else
+    the companion itself).  The companion's two half transports ride in the
+    two transport calls of the iterates, with their own dt."""
+    fields = np.array((u, companion))
+    amp = np.asarray(cfg.sigma(fields), dtype=np.float64)
+    corr = amp * cfg.sigma.slope
+    h = 0.5 * dt
+    if carry:
+        # rows u, companion, amp x2, companion's first half transport, corr x2
+        moved = _eo_step(np.concatenate((fields, amp, companion[None], corr)),
+                         (dt, dt, dt, dt, h, dt, dt), cfg.flux, cfg.bc, dx)
+        mid = moved[4]
+        moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt, cfg.stochastic_substep)
+        # rows: the companion's second half transport, corr x2
+        twice = _eo_step(moved[4:7], (h, dt, dt), cfg.flux, cfg.bc, dx)
+        companion, corr_t = twice[0], twice[1:3]
+    else:
+        moved = _eo_step(np.concatenate((fields, amp, corr)), dt, cfg.flux, cfg.bc, dx)
+        corr_t = _eo_step(moved[4:6], dt, cfg.flux, cfg.bc, dx)
+    c1, c2 = _voc_milstein((moved[0:2], moved[2:4], corr_t), dw, dt)
+    return c2, (_mean_abs(c2 - c1),), companion
+
+
+def _iter_before(u, dt, dw, halves, companion, cfg, dx, speed, carry=True):
+    if cfg.iterations == 2 and cfg.inner_mode == "whole_step":
+        return _iter_before_whole(u, companion, dt, dw, cfg, dx, carry)
+    c1 = _voc_milstein(_voc_terms(u, dt, cfg, dx), dw, dt)
+    if cfg.iterations == 1:
+        return c1, (), companion
+    h = 0.5 * dt
+    dw1, dw2 = halves
+    mid, _, _ = _aba(u, h, dw1, None, None, cfg, dx, speed)
+    (field_u, field_m), (amp_u, amp_m), (corr_u, corr_m) = _voc_terms(
+        np.array((u, mid)), h, cfg, dx)
+    c2 = (
+        field_u + field_m
+        + amp_u * dw1 + amp_m * dw2
+        + 0.5 * corr_u * (dw1 * dw1 - h)
+        + 0.5 * corr_m * (dw2 * dw2 - h)
+    )
+    return c2, (_mean_abs(c2 - c1),), companion
+
+
+def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
+    terms = _voc_terms(u, dt, cfg, dx)
+    base, c1 = terms[0], _voc_milstein(terms, dw, dt)
+    quad = 0.5 * np.asarray(cfg.sigma(c1), dtype=np.float64) ** 2 * dt
+
+    prev = c1
+    residuals: list[float] = []
+    for _ in range(2, cfg.iterations + 1):
+        nxt = base - quad + cfg.sigma(0.5 * (prev + u)) * dw
+        residuals.append(_mean_abs(nxt - prev))
+        prev = nxt
+    return prev, residuals, companion
+
+
+def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw=None,
+            halves=None, companion=None) -> StepRecord:
+    """The record of one step of `kernel` from `state`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, residuals, _ = kernel(state.values, dt, dw, halves, companion, cfg,
+                                      state.grid.dx, None)
+    _check_contraction(residuals, stacklevel=4)  # the public step's caller
+    return StepRecord(state.successor(values, state.time + dt), dt, tuple(residuals))
+
+
+def ab_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
+    """Transport over dt, then the configured noise substep with increment dw."""
+    return _record(_ab, state, dt, cfg, dw)
+
+
+def aba_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
+    """Symmetrized transport around a single noise substep consuming the
+    full-interval increment."""
+    return _record(_aba, state, dt, cfg, dw)
+
+
+def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
+             cfg: SchemeConfig) -> StepRecord:
+    """Symmetrized noise around a full transport step; the two noise substeps
+    consume the genuine increments of the two half intervals."""
+    return _record(_bab, state, dt, cfg, halves=(dw_first, dw_second))
+
+
+def iter_after_step(state: FieldState, dt: float, dw: float,
+                    cfg: SchemeConfig) -> StepRecord:
+    """Fixed-point sweeps of the Milstein update around the transported state.
+
+    Sweep i:  c_i = T(dt) c  +  sigma(c_{i-1}) dW
+                           +  (1/2) sigma(c_{i-1}) sigma'(c_{i-1}) (dW^2 - dt)
+    with c_0 = c, so one sweep is exactly the one-shot Milstein-composed step.
+    The transported state is computed once; only the noise linearization is
+    refreshed, which is what contracts (or fails to, above the admissible dt).
+    """
+    return _record(_iter_after, state, dt, cfg, dw)
+
+
 def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
                      cfg: SchemeConfig, aba_state: FieldState | None = None) -> StepRecord:
     """One or two variation-of-constants iterates.
@@ -216,32 +298,14 @@ def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
         state with the first half increment and an aba half-step solution with
         the second.
     """
-    u = state.values
-    dx = state.grid.dx
-    time = state.time + dt
-    if cfg.iterations == 2 and cfg.inner_mode == "whole_step":
-        companion = state if aba_state is None else aba_state
-        terms = _voc_terms(np.array((u, companion.values)), dt, cfg, dx)
-        c1, c2 = _voc_milstein(terms, noise.full, dt)
-        return StepRecord(state.successor(c2, time), dt, (_mean_abs(c2 - c1),))
-
-    c1 = _voc_milstein(_voc_terms(u, dt, cfg, dx), noise.full, dt)
-    if cfg.iterations == 1:
-        return StepRecord(state.successor(c1, time), dt)
-    if noise.first_half is None or noise.second_half is None:
-        raise ConfigError("half_steps mode needs both half-interval increments")
-    h = 0.5 * dt
-    dw1, dw2 = noise.first_half, noise.second_half
-    mid = _aba(u, h, dw1, cfg, dx)
-    (field_u, field_m), (amp_u, amp_m), (corr_u, corr_m) = _voc_terms(
-        np.array((u, mid)), h, cfg, dx)
-    c2 = (
-        field_u + field_m
-        + amp_u * dw1 + amp_m * dw2
-        + 0.5 * corr_u * (dw1 * dw1 - h)
-        + 0.5 * corr_m * (dw2 * dw2 - h)
-    )
-    return StepRecord(state.successor(c2, time), dt, (_mean_abs(c2 - c1),))
+    halves = None
+    if cfg.iterations == 2 and cfg.inner_mode == "half_steps":
+        if noise.first_half is None or noise.second_half is None:
+            raise ConfigError("half_steps mode needs both half-interval increments")
+        halves = (noise.first_half, noise.second_half)
+    companion = state if aba_state is None else aba_state
+    return _record(partial(_iter_before, carry=False), state, dt, cfg, noise.full,
+                   halves, companion.values)
 
 
 def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
@@ -252,30 +316,15 @@ def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
         c_i = T(dt) c  -  (1/2) sigma(c_1)^2 dt  +  sigma((c_{i-1} + c) / 2) dW
     with the quadratic term frozen at the first pass c_1.
     """
-    u = state.values
-    terms = _voc_terms(u, dt, cfg, state.grid.dx)
-    base, c1 = terms[0], _voc_milstein(terms, dw, dt)
-    quad = 0.5 * np.asarray(cfg.sigma(c1), dtype=np.float64) ** 2 * dt
-
-    prev = c1
-    residuals: list[float] = []
-    for _ in range(2, cfg.iterations + 1):
-        nxt = base - quad + cfg.sigma(0.5 * (prev + u)) * dw
-        residuals.append(_mean_abs(nxt - prev))
-        prev = nxt
-    _check_contraction(residuals)
-    return StepRecord(state.successor(prev, state.time + dt), dt, tuple(residuals))
+    return _record(_iter_before_trapezoid, state, dt, cfg, dw)
 
 
-def _blowup_reason(state: FieldState, threshold: float) -> str | None:
-    """"non_finite" for a flagged state (every non-finite one is), "threshold"
-    when its peak |value| exceeds the threshold strictly, else None; reads
-    the state's one scan."""
-    if state.blown_up:
-        return "non_finite"
-    if state.peak > threshold:
-        return "threshold"
-    return None
+def _blowup_reason(peak: float, threshold: float) -> str | None:
+    """"non_finite" for a non-finite peak |value|, "threshold" for one above
+    the threshold (strictly), else None."""
+    if peak <= threshold:
+        return None
+    return "threshold" if math.isfinite(peak) else "non_finite"
 
 
 def detect_blowup(state: FieldState,
@@ -284,7 +333,7 @@ def detect_blowup(state: FieldState,
     threshold (strictly)."""
     if threshold <= 0.0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
-    return _blowup_reason(state, threshold) is not None
+    return state.blown_up or _blowup_reason(state.peak, threshold) is not None
 
 
 @dataclass(frozen=True)
@@ -358,33 +407,21 @@ class _FixedIncrements:
         return self._halves[k // m]
 
 
-def _advance_full(step):
-    """`advance` for a step function (state, dt, dw, cfg)."""
-    def advance(state, dt, draw, k, m, cfg, companion):
-        return step(state, dt, draw.full(k, m), cfg), companion
-    return advance
-
-
-def _advance_bab(state, dt, draw, k, m, cfg, companion):
-    return bab_step(state, dt, *draw.halves(k, m), cfg), companion
-
-
-def _advance_iter_before(state, dt, draw, k, m, cfg, companion):
-    dw = draw.full(k, m)
-    halves = draw.halves(k, m) if cfg.iterations > 1 and cfg.quantum == 2 else ()
-    rec = iter_before_step(state, dt, StepNoise(dw, *halves), cfg, aba_state=companion)
-    if companion is not None:
-        companion = aba_step(companion, dt, dw, cfg).state_after
-    return rec, companion
-
-
 @dataclass(frozen=True)
 class SchemeTraits:
     """One row of the scheme table, the one place each scheme fact lives.
 
-    `advance(state, dt, draw, k, m, cfg, companion) -> (record, companion)`
-    draws the increments over fine steps [k, k + m) that the scheme uses
-    (`draw.full(k, m)`, `draw.halves(k, m)`) and calls its step function.
+    `kernel(u, dt, dw, halves, companion, cfg, dx, speed)
+    -> (values, residuals, companion)` is the scheme's step on raw float64
+    cell values u, which it never writes: `dw` is the full-interval
+    increment, `halves` the two half-interval ones, `companion` the aba
+    companion's values (None where the scheme carries none), and `speed`
+    max|f'(u)| where the caller knows it (else None).  It returns the new
+    values, the iterate residuals (one per sweep beyond the first) and the
+    companion after its own aba step.  Floating-point warnings are the
+    caller's to silence.
+    `full_increment` says whether a step consumes the full-interval
+    increment (bab consumes only the halves).
     `iterations` are the counts it takes (empty: not iterative).
     `half_increments` are the inner modes in which a step consumes its two
     half-interval increments, so dt spans an even number of fine steps;
@@ -396,23 +433,23 @@ class SchemeTraits:
     iterative updates themselves are always Milstein.
     """
 
-    advance: Callable
+    kernel: Callable
+    full_increment: bool = True
     iterations: range = range(0)
     half_increments: tuple[str, ...] = ()
     companion: tuple[str, ...] = ()
 
 
 SCHEMES = {
-    "ab": SchemeTraits(_advance_full(ab_step)),
-    "aba": SchemeTraits(_advance_full(aba_step)),
-    "bab": SchemeTraits(_advance_bab, half_increments=_INNER_MODES),
-    "iter_after": SchemeTraits(_advance_full(iter_after_step),
-                               range(1, MAX_ITERATIONS + 1)),
-    "iter_before": SchemeTraits(_advance_iter_before, range(1, 3),
+    "ab": SchemeTraits(_ab),
+    "aba": SchemeTraits(_aba),
+    "bab": SchemeTraits(_bab, full_increment=False, half_increments=_INNER_MODES),
+    "iter_after": SchemeTraits(_iter_after, iterations=range(1, MAX_ITERATIONS + 1)),
+    "iter_before": SchemeTraits(_iter_before, iterations=range(1, 3),
                                 half_increments=("half_steps",),
                                 companion=("whole_step",)),
-    "iter_before_trapezoid": SchemeTraits(_advance_full(iter_before_trapezoid_step),
-                                          range(2, MAX_ITERATIONS + 1)),
+    "iter_before_trapezoid": SchemeTraits(_iter_before_trapezoid,
+                                          iterations=range(2, MAX_ITERATIONS + 1)),
 }
 
 
@@ -432,8 +469,14 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     down to the path resolution) selects the stepping mode.  Blow-up (by
     threshold, non-finite values, a rejected explicit step, or an admissible
     step below the path resolution) truncates the trajectory and is flagged
-    with its time and reason.  Only the current state (and companion) is
-    held; each step appends its iterate residuals to the trace.
+    with its time and reason; numpy's overflow and invalid-value warnings
+    are silenced for the whole trajectory.
+
+    Each step calls the scheme's kernel on the current values (and the
+    companion's) and scans its result once: the peak |value| decides
+    blow-up, gives the next step's first wave speed, and with |u| feeds the
+    governed step size.  Only the last step's record is built; each step
+    appends its iterate residuals to the trace.
     """
     if (dt is None) == (cfl is None):
         raise ConfigError("provide exactly one of dt (fixed) or cfl (governed)")
@@ -460,47 +503,58 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             raise ConfigError(f"t_end {t_end} is not a multiple of dt {dt}")
 
     traits = SCHEMES[cfg.scheme]
+    kernel, flux, sigma, dx = traits.kernel, cfg.flux, cfg.sigma, c0.grid.dx
+    threshold = cfg.blowup_threshold
     draw = (_PathIncrements(path) if m_fixed is None
             else _FixedIncrements(path, n_total, m_fixed, quantum == 2))
-    state = c0
-    companion = c0 if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
-    rec: StepRecord | None = None
+    full = draw.full if traits.full_increment else None
+    halves = draw.halves if quantum == 2 else None
+    u, time, peak = c0.values, c0.time, c0.peak
+    absu = np.abs(u)
+    companion = u if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
+    residuals: tuple[float, ...] | list[float] = ()
     n_steps = 0
     rows: list[tuple[int, float, int, float]] = []
     blowup_time: float | None = None
     blowup_reason: str | None = None
+    m = m_fixed
     k = 0
-    while k < n_total:
-        if m_fixed is not None:
-            m = m_fixed
-        else:
-            bound = cfl_dt(
-                state, cfg.sigma, cfl, flux=cfg.flux,
-                t_remaining=(n_total - k) * fine,
-            )
-            m = int(bound / fine * (1.0 + 1e-12))
-            m -= m % quantum
-            m = min(m, n_total - k)
-            if m <= 0:
-                blowup_time = state.time
-                blowup_reason = "dt_underflow"
+    with np.errstate(over="ignore", invalid="ignore"):
+        while k < n_total:
+            speed = flux.peak_speed(peak)
+            if m_fixed is None:
+                bound = _governed_dt(absu, peak, speed, dx, sigma, cfl,
+                                     (n_total - k) * fine)
+                m = int(bound / fine * (1.0 + 1e-12))
+                m -= m % quantum
+                m = min(m, n_total - k)
+                if m <= 0:
+                    blowup_time, blowup_reason = time, "dt_underflow"
+                    break
+            step_dt = m * fine
+            try:
+                u, residuals, companion = kernel(
+                    u, step_dt, full(k, m) if full else None,
+                    halves(k, m) if halves else None, companion, cfg, dx, speed)
+            except CflViolation:
+                blowup_time, blowup_reason = time, "cfl_rejected"
                 break
-        step_dt = m * fine
-        try:
-            rec, companion = traits.advance(state, step_dt, draw, k, m, cfg, companion)
-        except CflViolation:
-            blowup_time = state.time
-            blowup_reason = "cfl_rejected"
-            break
-        state = rec.state_after
-        rows.extend((n_steps, state.time, sweep, residual)
-                    for sweep, residual in enumerate(rec.iterate_residuals, start=2))
-        n_steps += 1
-        k += m
-        blowup_reason = _blowup_reason(state, cfg.blowup_threshold)
-        if blowup_reason is not None:
-            blowup_time = state.time
-            break
-    residuals = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    residuals.flags.writeable = False
-    return Trajectory(c0, rec, n_steps, residuals, blowup_time, blowup_reason)
+            dt_used = step_dt
+            time += step_dt
+            if residuals:
+                _check_contraction(residuals)
+                rows.extend((n_steps, time, sweep, residual)
+                            for sweep, residual in enumerate(residuals, start=2))
+            n_steps += 1
+            k += m
+            absu, peak = _scan(u)
+            blowup_reason = _blowup_reason(peak, threshold)
+            if blowup_reason is not None:
+                blowup_time = time
+                break
+    last = None
+    if n_steps:
+        last = StepRecord(c0.successor(u, time, peak), dt_used, tuple(residuals))
+    trace = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    trace.flags.writeable = False
+    return Trajectory(c0, last, n_steps, trace, blowup_time, blowup_reason)

@@ -29,13 +29,17 @@ def _one_row(row, dt, flux, bc, dx):
 @given(
     stack=st.tuples(st.integers(1, 5), st.integers(2, 12)).flatmap(
         lambda shape: arrays(np.float64, shape, elements=CELL_VALUES)),
-    dt=st.floats(1e-4, 0.5),
+    dts=st.lists(st.floats(1e-4, 0.5), min_size=5, max_size=5),
+    per_row=st.booleans(),
     flux=st.sampled_from(["burgers_half", "burgers_square", "zero"]),
     bc=st.sampled_from(list(BoundaryKind)),
 )
-def test_eo_step_on_a_stack_equals_one_call_per_row(stack, dt, flux, bc):
+def test_eo_step_on_a_stack_equals_one_call_per_row(stack, dts, per_row, flux, bc):
+    # one dt per row, or the first for every row
     flux, dx = FluxFunction(flux), 1.0 / stack.shape[1]
-    rows = [_one_row(row, dt, flux, bc, dx) for row in stack]
+    dts = dts[:len(stack)] if per_row else [dts[0]] * len(stack)
+    dt = np.array(dts) if per_row else dts[0]
+    rows = [_one_row(row, row_dt, flux, bc, dx) for row, row_dt in zip(stack, dts)]
     if any(r is None for r in rows):
         with pytest.raises(CflViolation):
             _eo_step(stack, dt, flux, bc, dx)
@@ -47,43 +51,82 @@ def test_eo_step_on_a_stack_equals_one_call_per_row(stack, dt, flux, bc):
 # --- the streamed integrator equals stepping by hand -----------------------
 
 from splitburg import (  # noqa: E402
+    CflMode,
+    CflPolicy,
     InitialCondition,
     NoiseAmplitude,
     SchemeConfig,
     SpatialGrid,
+    StepNoise,
+    ab_step,
+    aba_step,
+    bab_step,
+    cfl_dt,
     generate_path,
     integrate,
+    iter_after_step,
+    iter_before_step,
+    iter_before_trapezoid_step,
     make_initial_state,
 )
-from splitburg.schemes import SCHEMES, _PathIncrements  # noqa: E402
+from splitburg.schemes import SCHEMES  # noqa: E402
 
 _FINE = 0.01
 _GRID = SpatialGrid(0.0, 1.0, 12)
 
 
-def _step_by_hand(c0, cfg, path, m, n_steps):
-    """Fixed steps of m fine steps through `SCHEMES[...].advance`, with the
-    increments summed from the path as each step asks: (final state, steps
-    taken, (blow-up time, reason), residual rows)."""
+def _public_step(state, path, k, m, cfg, companion):
+    """One step over fine steps [k, k + m) through the public step function
+    of `cfg.scheme`, with its increments summed from the path; the aba
+    companion, where the scheme carries one, takes its own aba step."""
+    dt, mid = m * path.dt_fine, k + m // 2
+    dw = path.increment_over(k, k + m)
+    halves = (path.increment_over(k, mid), path.increment_over(mid, k + m))
+    if cfg.scheme == "bab":
+        return bab_step(state, dt, *halves, cfg), companion
+    if cfg.scheme == "iter_before":
+        noise = StepNoise(dw, *halves) if cfg.quantum == 2 else StepNoise(dw)
+        rec = iter_before_step(state, dt, noise, cfg, aba_state=companion)
+        if companion is not None:
+            companion = aba_step(companion, dt, dw, cfg).state_after
+        return rec, companion
+    step = {"ab": ab_step, "aba": aba_step, "iter_after": iter_after_step,
+            "iter_before_trapezoid": iter_before_trapezoid_step}[cfg.scheme]
+    return step(state, dt, dw, cfg), companion
+
+
+def _step_by_hand(c0, cfg, path, n_total, policy=None, m_fixed=None):
+    """Steps through `_public_step` until fine step n_total: m_fixed fine
+    steps each, or as many as the public `cfl_dt` admits under `policy`,
+    snapped down to the path resolution and the scheme's quantum.
+    Returns (final state, steps taken, (blow-up time, reason), residual
+    rows)."""
     traits = SCHEMES[cfg.scheme]
-    draw = _PathIncrements(path)
     companion = c0 if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
-    state, rows = c0, []
-    for step in range(n_steps):
+    state, rows, step, k = c0, [], 0, 0
+    while k < n_total:
+        m = m_fixed
+        if policy is not None:
+            bound = cfl_dt(state, cfg.sigma, policy, flux=cfg.flux,
+                           t_remaining=(n_total - k) * path.dt_fine)
+            m = int(bound / path.dt_fine * (1.0 + 1e-12))
+            m = min(m - m % cfg.quantum, n_total - k)
+            if m <= 0:
+                return state, step, (state.time, "dt_underflow"), rows
         try:
-            rec, companion = traits.advance(state, m * path.dt_fine, draw, step * m, m,
-                                            cfg, companion)
+            rec, companion = _public_step(state, path, k, m, cfg, companion)
         except CflViolation:
             return state, step, (state.time, "cfl_rejected"), rows
         state = rec.state_after
         rows += [(step, state.time, sweep, residual)
                  for sweep, residual in enumerate(rec.iterate_residuals, start=2)]
+        step, k = step + 1, k + m
         peak = float(np.max(np.abs(state.values)))
         if not np.isfinite(peak):
-            return state, step + 1, (state.time, "non_finite"), rows
+            return state, step, (state.time, "non_finite"), rows
         if peak > cfg.blowup_threshold:
-            return state, step + 1, (state.time, "threshold"), rows
-    return state, n_steps, (None, None), rows
+            return state, step, (state.time, "threshold"), rows
+    return state, step, (None, None), rows
 
 
 @st.composite
@@ -91,7 +134,13 @@ def _scheme_cfgs(draw):
     scheme = draw(st.sampled_from(sorted(SCHEMES)))
     return SchemeConfig(
         scheme,
-        sigma=NoiseAmplitude("linear", draw(st.floats(0.0, 2.0))),
+        # the first transport's CFL speed is read off the peak |value|, as
+        # |u|, 2|u| or 0 by flux kind
+        flux=FluxFunction(draw(st.sampled_from(["burgers_half", "burgers_square",
+                                                "zero"]))),
+        sigma=NoiseAmplitude(draw(st.sampled_from(["linear", "constant"])),
+                             draw(st.floats(0.0, 2.0))),
+        bc=draw(st.sampled_from(list(BoundaryKind))),
         iterations=draw(st.sampled_from(SCHEMES[scheme].iterations or range(1, 2))),
         stochastic_substep=draw(st.sampled_from(["em", "milstein"])),
         inner_mode=draw(st.sampled_from(["whole_step", "half_steps"])),
@@ -99,6 +148,25 @@ def _scheme_cfgs(draw):
         # on its own
         blowup_threshold=draw(st.one_of(st.floats(0.3, 5.0), st.just(1e6))),
     )
+
+
+def _start(amplitude):
+    c0 = make_initial_state(_GRID, InitialCondition.sine_bump())
+    return c0.with_values(amplitude * c0.values)
+
+
+def _assert_same(traj, by_hand):
+    state, steps, (blowup_time, reason), rows = by_hand
+    assert traj.final_state.values.tobytes() == state.values.tobytes()
+    assert traj.final_state.time == state.time
+    assert traj.n_steps == steps
+    assert (traj.blowup_time, traj.blowup_reason) == (blowup_time, reason)
+    want = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    assert traj.residuals.shape == want.shape
+    assert traj.residuals.tobytes() == want.tobytes()
+    if steps:
+        assert traj.last_record.iterate_residuals == tuple(r[3] for r in rows
+                                                           if r[0] == steps - 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -113,17 +181,35 @@ def _scheme_cfgs(draw):
 )
 def test_integrate_equals_stepping_by_hand(cfg, seed, amplitude, m, n_steps):
     m *= cfg.quantum
-    c0 = make_initial_state(_GRID, InitialCondition.sine_bump())
-    c0 = c0.with_values(amplitude * c0.values)
-    t_end = n_steps * m * _FINE
-    path = generate_path(seed, t_end, _FINE)
-    traj = integrate(c0, t_end, cfg, path, dt=m * _FINE)
+    c0 = _start(amplitude)
+    path = generate_path(seed, n_steps * m * _FINE, _FINE)
+    traj = integrate(c0, n_steps * m * _FINE, cfg, path, dt=m * _FINE)
     event(f"ends: {traj.blowup_reason or 'at t_end'}")
-    state, steps, (blowup_time, reason), rows = _step_by_hand(c0, cfg, path, m, n_steps)
-    assert traj.final_state.values.tobytes() == state.values.tobytes()
-    assert traj.final_state.time == state.time
-    assert traj.n_steps == steps
-    assert (traj.blowup_time, traj.blowup_reason) == (blowup_time, reason)
-    want = np.array(rows, dtype=np.float64).reshape(-1, 4)
-    assert traj.residuals.shape == want.shape
-    assert traj.residuals.tobytes() == want.tobytes()
+    _assert_same(traj, _step_by_hand(c0, cfg, path, n_steps * m, m_fixed=m))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    cfg=_scheme_cfgs(),
+    seed=st.integers(0, 2**63),
+    amplitude=st.floats(-4.0, 4.0),
+    mode=st.sampled_from(list(CflMode)),
+    safety=st.floats(0.1, 1.0),
+    xi_bound=st.floats(0.5, 4.0),
+    # below one fine step (two for half-interval schemes) trips "dt_underflow";
+    # 0.02 lets stochastic_only, blind to the wave speed, trip "cfl_rejected"
+    dt_max=st.sampled_from([0.0005, 0.001, 0.003, 0.008, 0.02]),
+    n_total=st.integers(1, 12),
+)
+def test_governed_integrate_equals_stepping_by_hand(cfg, seed, amplitude, mode, safety,
+                                                    xi_bound, dt_max, n_total):
+    # integrate reads the stability bound off its one scan of each step's
+    # result; the hand loop calls the public cfl_dt on each state
+    fine, n_total = 0.001, n_total * cfg.quantum
+    policy = CflPolicy(mode, safety=safety, xi_bound=xi_bound, dt_max=dt_max)
+    c0 = _start(amplitude)
+    path = generate_path(seed, n_total * fine, fine)
+    traj = integrate(c0, n_total * fine, cfg, path, cfl=policy)
+    event(f"{mode.value} ends: {traj.blowup_reason or 'at t_end'}")
+    _assert_same(traj, _step_by_hand(c0, cfg, path, n_total, policy=policy))

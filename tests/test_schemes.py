@@ -597,7 +597,8 @@ def test_integrate_threshold_is_strict():
 
 
 @pytest.mark.parametrize("scheme, iterations, inner_mode, calls", [
-    ("iter_before", 2, "whole_step", 4),  # start state and companion stacked, + aba
+    # start state and companion stacked, the companion's aba halves riding along
+    ("iter_before", 2, "whole_step", 2),
     ("iter_before", 1, "whole_step", 2),
     ("iter_before", 2, "half_steps", 6),
     ("iter_before_trapezoid", 3, "whole_step", 2),
@@ -632,13 +633,16 @@ def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
         computed.append(real_update(*args))
         return computed[-1]
 
-    def peak(values):
+    def scan(values):
         scans.append(values)
-        return real_peak(values)
+        return real_scan(values)
 
-    real_update, real_peak = schemes_mod.stochastic_update, grid_mod._peak
+    real_update, real_scan = schemes_mod.stochastic_update, grid_mod._scan
     monkeypatch.setattr(schemes_mod, "stochastic_update", update)
-    monkeypatch.setattr(grid_mod, "_peak", peak)
+    # the loop's scan and any a state makes of its own
+    monkeypatch.setattr(schemes_mod, "_scan", scan)
+    monkeypatch.setattr(grid_mod, "_scan", scan)
+    policy = CflPolicy(CflMode.COMBINED, dt_max=0.01)
     # step k is the last step of a k-step trajectory, the one it keeps
     for k in range(1, 11):
         computed.clear()
@@ -646,6 +650,50 @@ def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
         traj = integrate(c0, 0.01 * k, cfg_for("ab"), path, dt=0.01)
         assert traj.n_steps == len(computed) == len(scans) == k
         assert traj.final_state.values is computed[-1] is scans[-1]
+        assert traj.final_state.peak == float(np.max(np.abs(computed[-1])))
+    # governed steps read their bound off the same one scan
+    computed.clear()
+    scans.clear()
+    traj = integrate(c0, 0.1, cfg_for("ab"), generate_path(23, 0.1, 1e-4), cfl=policy)
+    assert traj.n_steps == len(computed) == len(scans) > 10
+    assert traj.final_state.values is computed[-1] is scans[-1]
+
+
+@pytest.mark.parametrize("scheme, iterations, inner_mode", [
+    ("ab", 1, "whole_step"),
+    ("bab", 1, "whole_step"),
+    ("iter_after", 3, "whole_step"),
+    ("iter_before", 2, "whole_step"),
+    ("iter_before", 2, "half_steps"),
+    ("iter_before_trapezoid", 2, "whole_step"),
+])
+def test_integrate_builds_one_state_per_trajectory(monkeypatch, scheme, iterations,
+                                                   inner_mode):
+    # the steps run on raw arrays; only the last step's state is built
+    c0 = sine_state(32)
+    path, fine_path = generate_path(27, 0.1, 0.001), generate_path(27, 0.1, 1e-4)
+    cfg = cfg_for(scheme, iterations=iterations, inner_mode=inner_mode)
+    built = []
+
+    def successor(self, *args):
+        built.append(1)
+        return real(self, *args)
+
+    def post_init(self):
+        built.append(1)
+        real_init(self)
+
+    real, real_init = FieldState.successor, FieldState.__post_init__
+    monkeypatch.setattr(FieldState, "successor", successor)
+    monkeypatch.setattr(FieldState, "__post_init__", post_init)
+    governed = CflPolicy(CflMode.COMBINED, dt_max=0.01)
+    for path_, kw in ((path, {"dt": 0.01}), (fine_path, {"cfl": governed})):
+        built.clear()
+        assert integrate(c0, 0.1, cfg, path_, **kw).n_steps > 1
+        assert len(built) == 1
+    built.clear()
+    assert integrate(c0, 0.1, cfg, path, dt=0.1).n_steps == 0  # cfl_rejected
+    assert not built
 
 
 def test_a_trajectory_holds_one_state_not_one_per_step():
