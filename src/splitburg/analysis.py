@@ -196,9 +196,7 @@ class EnsembleReport:
     blowup_count: int
 
 
-def summarize(
-    samples: Sequence[EnsembleSample], reference: FieldState, ddof: int = 0
-) -> EnsembleReport:
+def summarize(samples: Sequence[EnsembleSample], reference: FieldState) -> EnsembleReport:
     """Evaluate all estimators of a cell and verify the weak <= strong bound."""
     good = _usable(samples)
     weak = weak_error(samples, reference)

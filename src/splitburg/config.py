@@ -10,6 +10,7 @@ study.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -133,7 +134,7 @@ class RunConfig:
                     f"seeds must be non-negative integers below 2**128, got {s}"
                 )
         if len(set(self.seeds)) != len(self.seeds):
-            dupes = sorted({s for s in self.seeds if list(self.seeds).count(s) > 1})
+            dupes = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
             raise ConfigError(f"duplicate seeds {dupes}")
 
     def cells(self) -> tuple[tuple[str, int], ...]:

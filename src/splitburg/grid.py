@@ -84,6 +84,12 @@ def _scan(values: np.ndarray) -> tuple[np.ndarray, float]:
     return absu, float(absu.max())
 
 
+def _mean_abs(diff: np.ndarray) -> float:
+    """Mean of |diff|: np.mean's own sum and division, without its per-call
+    dispatch, so it equals np.mean(np.abs(diff)) bit for bit."""
+    return float(np.add.reduce(np.abs(diff))) / diff.size
+
+
 @dataclass(frozen=True)
 class FieldState:
     """Cell-averaged solution values at one time level.
@@ -221,4 +227,4 @@ def l1_distance(a: FieldState, b: FieldState) -> float:
     """Mean of |a_j - b_j| over cells (the spatial part of the seed-averaged errors)."""
     if not a.grid.compatible_with(b.grid):
         raise ValueError("states live on different grids")
-    return float(np.mean(np.abs(a.values - b.values)))
+    return _mean_abs(a.values - b.values)

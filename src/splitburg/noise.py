@@ -12,7 +12,9 @@ the Philox4x64-10 counter-based generator is keyed directly by the seed
 on counters 1, 2, ...; k is the top 53 bits of each 64-bit output word, taken
 in order, uniforms are (k + 1/2) / 2^53, normals come from the inverse CDF,
 and increment i is sqrt(dt_fine) * xi_i.  Aggregation of fine increments into
-coarse ones is strict left-to-right summation.
+coarse ones is strict left-to-right summation, and `NoisePath.block_sums` is
+the one place that sums them: `increment_over`, `total`, `coarsen` and every
+step of `schemes.integrate` read their increments from it.
 
 Both the generator and the inverse CDF are in-package.  `_philox_draws` is
 Philox4x64-10 (Salmon et al., SC 2011) on uint64 arrays; its k are bitwise
@@ -212,9 +214,9 @@ def whole_steps(value: float, base: float) -> int | None:
     return k
 
 
-def _left_to_right_sum(a: np.ndarray) -> float:
-    # accumulation is sequential (np.cumsum's), the documented aggregation order
-    return float(np.add.accumulate(a)[-1]) if a.size else 0.0
+def _check_dt_fine(dt_fine: float) -> None:
+    if not (0.0 < dt_fine < math.inf):
+        raise ConfigError(f"dt_fine must be positive, got {dt_fine}")
 
 
 @dataclass(frozen=True)
@@ -226,6 +228,7 @@ class NoisePath:
     increments: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_dt_fine(self.dt_fine)
         inc = np.array(self.increments, dtype=np.float64)
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
@@ -238,11 +241,22 @@ class NoisePath:
     def t_end(self) -> float:
         return self.n_steps * self.dt_fine
 
+    def block_sums(self, start: int, width: int, count: int) -> np.ndarray:
+        """Sums of `count` consecutive blocks of `width` fine increments from
+        fine step `start`, each summed left to right: the one aggregation
+        order of every coarse increment.  An empty block sums to 0.0."""
+        stop = start + width * count
+        if width < 0 or count < 0 or not (0 <= start <= stop <= self.n_steps):
+            raise ValueError(f"fine-step range [{start}, {stop}) outside the path")
+        if not width:
+            return np.zeros(count)
+        blocks = self.increments[start:stop].reshape(count, width)
+        # accumulate is sequential, unlike the pairwise np.add.reduce
+        return np.add.accumulate(blocks, axis=1)[:, -1]
+
     def increment_over(self, k_start: int, k_stop: int) -> float:
         """Increment over fine steps [k_start, k_stop), summed left to right."""
-        if not (0 <= k_start <= k_stop <= self.n_steps):
-            raise ValueError(f"fine-step range [{k_start}, {k_stop}) outside the path")
-        return _left_to_right_sum(self.increments[k_start:k_stop])
+        return float(self.block_sums(k_start, k_stop - k_start, 1)[0])
 
     @property
     def total(self) -> float:
@@ -262,8 +276,7 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
         raise ConfigError(
             f"seed must be a non-negative integer below 2**128, got {seed}"
         )
-    if dt_fine <= 0.0:
-        raise ConfigError(f"dt_fine must be positive, got {dt_fine}")
+    _check_dt_fine(dt_fine)
     if t_end < 0.0:
         raise ConfigError(f"t_end must be non-negative, got {t_end}")
     n = whole_steps(t_end, dt_fine)
@@ -289,10 +302,7 @@ def coarsen(path: NoisePath, factor: int) -> np.ndarray:
     n = path.n_steps
     if n % factor != 0:
         raise ConfigError(f"factor {factor} does not divide path length {n}")
-    if factor == 1:
-        return path.increments.copy()
-    blocks = path.increments.reshape(n // factor, factor)
-    return np.cumsum(blocks, axis=1)[:, -1]
+    return path.block_sums(0, factor, n // factor)
 
 
 def stochastic_update(base, lin, sigma: NoiseAmplitude, dw: float, dt: float,

@@ -47,7 +47,7 @@ import numpy as np
 
 from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt
 from .errors import CflViolation, ConfigError
-from .grid import BoundaryKind, FieldState, _scan
+from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, stochastic_update, whole_steps
 
 _SUBSTEPS = ("em", "milstein")
@@ -114,11 +114,6 @@ class StepNoise:
     full: float
     first_half: float | None = None
     second_half: float | None = None
-
-
-def _mean_abs(diff: np.ndarray) -> float:
-    # np.mean's own sum and division, without its per-call dispatch
-    return float(np.add.reduce(np.abs(diff))) / diff.size
 
 
 def _check_contraction(residuals, stacklevel: int = 3) -> None:
@@ -248,6 +243,8 @@ def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
 def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw=None,
             halves=None, companion=None) -> StepRecord:
     """The record of one step of `kernel` from `state`."""
+    if not dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}")
     with np.errstate(over="ignore", invalid="ignore"):
         values, residuals, _ = kernel(state.values, dt, dw, halves, companion, cfg,
                                       state.grid.dx, None)
@@ -372,41 +369,6 @@ class Trajectory:
         return () if self.last_record is None else (self.last_record,)
 
 
-class _PathIncrements:
-    """Increments over fine steps [k, k + m), summed from the path as each
-    step asks for them (governed steps, whose m varies)."""
-
-    def __init__(self, path: NoisePath) -> None:
-        self._path = path
-
-    def full(self, k: int, m: int) -> float:
-        return self._path.increment_over(k, k + m)
-
-    def halves(self, k: int, m: int) -> tuple[float, float]:
-        mid = k + m // 2
-        return self._path.increment_over(k, mid), self._path.increment_over(mid, k + m)
-
-
-class _FixedIncrements:
-    """Increments of fixed steps of m fine steps each, summed once per
-    trajectory: one left-to-right cumsum over every step's row of fine
-    increments (and, with `halves`, one over each half row), the order
-    `increment_over` sums in."""
-
-    def __init__(self, path: NoisePath, n_total: int, m: int, halves: bool) -> None:
-        rows = path.increments[:n_total].reshape(-1, m)
-        self._full = np.cumsum(rows, axis=1)[:, -1].tolist()
-        if halves:
-            pairs = np.cumsum(rows.reshape(len(rows), 2, m // 2), axis=2)[:, :, -1]
-            self._halves = list(map(tuple, pairs.tolist()))
-
-    def full(self, k: int, m: int) -> float:
-        return self._full[k // m]
-
-    def halves(self, k: int, m: int) -> tuple[float, float]:
-        return self._halves[k // m]
-
-
 @dataclass(frozen=True)
 class SchemeTraits:
     """One row of the scheme table, the one place each scheme fact lives.
@@ -460,6 +422,17 @@ def scheme_traits(name: str) -> SchemeTraits:
     return SCHEMES[name]
 
 
+def _step_increments(path: NoisePath, k: int, m: int, steps: int, full: bool,
+                     halves: bool) -> tuple[list, list]:
+    """The full-interval increments and the half-interval pairs of `steps`
+    steps of m fine steps each from fine step k, one list entry per step
+    (None where the scheme reads none)."""
+    dws = path.block_sums(k, m, steps).tolist() if full else [None] * steps
+    pairs = (path.block_sums(k, m // 2, 2 * steps).reshape(steps, 2).tolist() if halves
+             else [None] * steps)
+    return dws, pairs
+
+
 def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
               dt: float | None = None, cfl: CflPolicy | None = None) -> Trajectory:
     """Drive one trajectory from c0 to t_end along the given noise path.
@@ -505,10 +478,9 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     traits = SCHEMES[cfg.scheme]
     kernel, flux, sigma, dx = traits.kernel, cfg.flux, cfg.sigma, c0.grid.dx
     threshold = cfg.blowup_threshold
-    draw = (_PathIncrements(path) if m_fixed is None
-            else _FixedIncrements(path, n_total, m_fixed, quantum == 2))
-    full = draw.full if traits.full_increment else None
-    halves = draw.halves if quantum == 2 else None
+    full, halves = traits.full_increment, quantum == 2
+    if m_fixed is not None:
+        dws, pairs = _step_increments(path, 0, m_fixed, n_total // m_fixed, full, halves)
     u, time, peak = c0.values, c0.time, c0.peak
     absu = np.abs(u)
     companion = u if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
@@ -531,11 +503,12 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
                 if m <= 0:
                     blowup_time, blowup_reason = time, "dt_underflow"
                     break
+                dws, pairs = _step_increments(path, k, m, 1, full, halves)
+            j = 0 if m_fixed is None else n_steps
             step_dt = m * fine
             try:
-                u, residuals, companion = kernel(
-                    u, step_dt, full(k, m) if full else None,
-                    halves(k, m) if halves else None, companion, cfg, dx, speed)
+                u, residuals, companion = kernel(u, step_dt, dws[j], pairs[j], companion,
+                                                 cfg, dx, speed)
             except CflViolation:
                 blowup_time, blowup_reason = time, "cfl_rejected"
                 break

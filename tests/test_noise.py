@@ -1,6 +1,8 @@
 """Wiener path generation, coarsening and one-step stochastic maps."""
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from splitburg import (
     ConfigError,
     FieldState,
     NoiseAmplitude,
+    NoisePath,
     ResourceLimit,
     SpatialGrid,
     coarsen,
@@ -175,6 +178,11 @@ def test_path_argument_validation():
         generate_path(1, 0.0105, 1e-2)
     with pytest.raises(ResourceLimit):
         generate_path(1, 1.0, 1e-3, max_steps=100)
+    for dt_fine in (0.0, -0.5, math.nan):
+        with pytest.raises(ConfigError, match="dt_fine must be positive"):
+            NoisePath(1, dt_fine, [0.1, 0.2])
+        with pytest.raises(ConfigError, match="dt_fine must be positive"):
+            generate_path(1, 1.0, dt_fine)
 
 
 def test_increment_over_matches_slice_sum():
@@ -186,6 +194,35 @@ def test_increment_over_matches_slice_sum():
         path.increment_over(0, path.n_steps + 1)
     with pytest.raises(ValueError):
         path.increment_over(-1, 2)
+
+
+def test_block_sums_are_left_to_right_reductions_bitwise():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**64), st.integers(0, 120), st.data())
+    def check(seed, n, data):
+        path = generate_path(seed, n * 1e-3, 1e-3)
+        increments = path.increments.tolist()
+        start = data.draw(st.integers(-2, path.n_steps + 1))
+        width = data.draw(st.integers(-2, 40))
+        # at most one block past the end, so most requests fit the path
+        fits = (path.n_steps - start) // width if width > 0 and start >= 0 else 3
+        count = data.draw(st.integers(-2, max(fits, 0) + 1))
+        if min(start, width, count) < 0 or start + width * count > path.n_steps:
+            with pytest.raises(ValueError, match="outside the path"):
+                path.block_sums(start, width, count)
+            return
+        sums = path.block_sums(start, width, count)
+        blocks = [increments[start + i * width:start + (i + 1) * width]
+                  for i in range(count)]
+        expected = [functools.reduce(operator.add, b) if b else 0.0 for b in blocks]
+        assert sums.shape == (count,)
+        assert sums.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    check()
 
 
 def test_coarsen_agrees_with_increment_over_bitwise():

@@ -713,12 +713,19 @@ def test_a_trajectory_holds_one_state_not_one_per_step():
     assert peak < 16 * c0.values.nbytes
 
 
-def test_fixed_step_increments_equal_increment_over_bitwise():
-    path = generate_path(25, 0.1, 0.001)
-    for m in (2, 4, 10, 20):
-        fixed = schemes_mod._FixedIncrements(path, 100, m, halves=True)
-        for k in range(0, 100, m):
-            mid = k + m // 2
-            assert fixed.full(k, m) == path.increment_over(k, k + m)
-            assert fixed.halves(k, m) == (path.increment_over(k, mid),
-                                          path.increment_over(mid, k + m))
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+def test_step_functions_reject_non_positive_dt(dt):
+    state = sine_state()
+    steps = (
+        lambda: ab_step(state, dt, 0.1, cfg_for("ab")),
+        lambda: aba_step(state, dt, 0.1, cfg_for("aba")),
+        lambda: bab_step(state, dt, 0.05, 0.05, cfg_for("bab")),
+        lambda: iter_after_step(state, dt, 0.1, cfg_for("iter_after")),
+        lambda: iter_before_step(state, dt, StepNoise(0.1), cfg_for("iter_before")),
+        lambda: iter_before_trapezoid_step(state, dt, 0.1,
+                                           cfg_for("iter_before_trapezoid")),
+    )
+    for step in steps:
+        with pytest.raises(ConfigError, match="dt must be positive"):
+            step()
