@@ -165,9 +165,9 @@ class CflPolicy:
     def __post_init__(self) -> None:
         if not (0.0 < self.safety <= 1.0):
             raise ConfigError(f"safety must lie in (0, 1], got {self.safety}")
-        if self.xi_bound <= 0.0:
+        if not self.xi_bound > 0.0:
             raise ConfigError(f"xi_bound must be positive, got {self.xi_bound}")
-        if self.dt_max is not None and self.dt_max <= 0.0:
+        if self.dt_max is not None and not self.dt_max > 0.0:
             raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
 
 

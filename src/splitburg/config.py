@@ -1,15 +1,17 @@
 """Run configuration: a strict, picklable description of an ensemble study.
 
 The document is YAML (JSON-style flow syntax also parses).  Unknown keys are
-rejected by name at every level, numeric fields must parse as numbers (plain
-scientific notation like `1e6` is fine even though YAML 1.1 tokenizes it as a
-string), and the dt ladder, path resolution, seeds and horizon are
-cross-checked here so every downstream step can assume an aligned, well-formed
-study.
+rejected by name at every level, numeric fields must parse as finite numbers
+(plain scientific notation like `1e6` is fine even though YAML 1.1 tokenizes
+it as a string), and the dt ladder, path resolution, seeds and horizon are
+cross-checked here (each dt ladder entry's path alignment by
+`noise.step_counts`) so every downstream step can assume an aligned,
+well-formed study.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +27,7 @@ from .grid import (
     SpatialGrid,
     make_initial_state,
 )
-from .noise import SEED_LIMIT, NoiseAmplitude, whole_steps
+from .noise import SEED_LIMIT, NoiseAmplitude, step_counts
 from .schemes import SchemeConfig, scheme_traits
 
 DEFAULT_SEED_BASE = 1
@@ -80,7 +82,6 @@ class RunConfig:
     cfl_mode: str = "combined"
     safety: float = 0.9
     xi_bound: float = 3.0
-    dt_max: float | None = None
     adaptive_dt: bool = False
     blowup_threshold: float = 1e6
     stochastic_substep: str = "milstein"
@@ -99,32 +100,19 @@ class RunConfig:
         if not self.dt_ladder:
             raise ConfigError("dt ladder must not be empty")
         for dt in self.dt_ladder:
-            if dt <= 0.0:
+            if not dt > 0.0:
                 raise ConfigError(f"dt ladder entries must be positive, got {dt}")
         if any(b >= a for a, b in zip(self.dt_ladder, self.dt_ladder[1:])):
             raise ConfigError("dt ladder must be strictly decreasing")
-        finest = self.dt_ladder[-1]
-        for dt in self.dt_ladder:
-            if not whole_steps(dt, finest):
-                raise ConfigError(
-                    f"dt ladder entry {dt} is not an integer multiple of the finest {finest}"
-                )
-        if self.dt_fine <= 0.0:
-            raise ConfigError(f"dt_fine must be positive, got {self.dt_fine}")
-        for dt in self.dt_ladder:
-            if not whole_steps(dt, quantum * self.dt_fine):
-                raise ConfigError(
-                    f"dt ladder entry {dt} is not path-aligned: it must be an "
-                    f"integer multiple of {quantum * self.dt_fine:g} "
-                    f"({'2 * ' if quantum == 2 else ''}dt_fine)"
-                )
-        if self.t_end <= 0.0:
+        if not self.t_end > 0.0:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        for dt in self.dt_ladder:
-            if not whole_steps(self.t_end, dt):
-                raise ConfigError(
-                    f"t_end {self.t_end} is not an integer multiple of dt {dt}"
-                )
+        # the dt ladder entries in fine steps; step_counts checks each fits
+        ms = [step_counts(self.t_end, self.dt_fine, dt, quantum)[1]
+              for dt in self.dt_ladder]
+        for dt, m in zip(self.dt_ladder, ms):
+            if m % ms[-1]:
+                raise ConfigError(f"dt ladder entry {dt} is not an integer "
+                                  f"multiple of the finest {self.dt_ladder[-1]}")
 
         if not self.seeds:
             raise ConfigError("at least one seed is required")
@@ -159,9 +147,10 @@ class RunConfig:
         return BoundaryKind.from_name(self.boundary)
 
     def make_policy(self, dt_max: float | None = None) -> CflPolicy:
-        cap = dt_max if dt_max is not None else self.dt_max
+        """The stability policy; a run caps each governed step at its dt
+        ladder entry, passed as `dt_max`."""
         return CflPolicy(
-            CflMode.from_name(self.cfl_mode), self.safety, self.xi_bound, cap
+            CflMode.from_name(self.cfl_mode), self.safety, self.xi_bound, dt_max
         )
 
     def make_scheme(self, name: str, iterations: int) -> SchemeConfig:
@@ -185,14 +174,15 @@ def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
 
 def _as_float(value, name: str) -> float:
     # YAML 1.1 reads unsigned exponents ("1e6") as strings; coerce those
-    if isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _as_int(value, name: str) -> int:
@@ -313,7 +303,6 @@ _SCALARS = {
     "cfl.mode": ("cfl_mode", _as_str),
     "cfl.safety": ("safety", _as_float),
     "cfl.xi_bound": ("xi_bound", _as_float),
-    "cfl.dt_max": ("dt_max", _as_float),
     "adaptive_dt": ("adaptive_dt", _as_bool),
     "blowup_threshold": ("blowup_threshold", _as_float),
     "stochastic_substep": ("stochastic_substep", _as_str),

@@ -98,16 +98,13 @@ class FieldState:
     state never aliases a caller's buffer; only `successor` adopts an array,
     one a step has just computed and nothing else holds.  `peak` is
     the largest |value|, from the one scan every state gets (`successor` takes
-    it from a caller that has just scanned the array).  `blown_up`
-    marks a diverged state; it is set automatically whenever a non-finite
-    entry is present (non-finite `peak`), so finite-valued states are the
-    invariant everywhere else.
+    it from a caller that has just scanned the array).  `blown_up` marks a
+    diverged state: one with a non-finite entry (non-finite `peak`).
     """
 
     grid: SpatialGrid
     values: np.ndarray
     time: float = 0.0
-    blown_up: bool = False
     peak: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -116,8 +113,8 @@ class FieldState:
         self._settle(vals)
 
     def _settle(self, vals: np.ndarray, peak: float | None = None) -> None:
-        """Store the read-only `vals` and set `peak` and `blown_up` from one
-        scan of them, or from `peak` when it is that scan's."""
+        """Store the read-only `vals` and set `peak` from one scan of them,
+        or from `peak` when it is that scan's."""
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"expected {self.grid.n_cells} cell values, got shape {vals.shape}"
@@ -126,8 +123,10 @@ class FieldState:
         if peak is None:
             peak = _scan(vals)[1]
         object.__setattr__(self, "peak", peak)
-        if not math.isfinite(peak):
-            object.__setattr__(self, "blown_up", True)
+
+    @property
+    def blown_up(self) -> bool:
+        return not math.isfinite(self.peak)
 
     def __setstate__(self, state: dict) -> None:
         # unpickled arrays come back writable; `peak` holds only while the
@@ -135,12 +134,8 @@ class FieldState:
         self.__dict__.update(state)
         self.values.setflags(write=False)
 
-    def with_values(
-        self, values, time: float | None = None, blown_up: bool = False
-    ) -> "FieldState":
-        return FieldState(
-            self.grid, values, self.time if time is None else time, blown_up
-        )
+    def with_values(self, values, time: float | None = None) -> "FieldState":
+        return FieldState(self.grid, values, self.time if time is None else time)
 
     def successor(self, values: np.ndarray, time: float,
                   peak: float | None = None) -> "FieldState":
@@ -155,7 +150,6 @@ class FieldState:
         state = object.__new__(FieldState)
         object.__setattr__(state, "grid", self.grid)
         object.__setattr__(state, "time", time)
-        object.__setattr__(state, "blown_up", False)
         state._settle(values, peak)
         return state
 

@@ -15,6 +15,10 @@ and increment i is sqrt(dt_fine) * xi_i.  Aggregation of fine increments into
 coarse ones is strict left-to-right summation, and `NoisePath.block_sums` is
 the one place that sums them: `increment_over`, `total`, `coarsen` and every
 step of `schemes.integrate` read their increments from it.
+`step_counts` owns path alignment: the fine steps of every horizon and
+step size (in `generate_path`, `schemes.integrate`, `RunConfig` and the
+noise-free reference) are counted there, and whatever does not fit in whole
+steps is a ConfigError.
 
 Both the generator and the inverse CDF are in-package.  `_philox_draws` is
 Philox4x64-10 (Salmon et al., SC 2011) on uint64 arrays; its k are bitwise
@@ -64,7 +68,7 @@ class NoiseAmplitude:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
 
     def __call__(self, c):
@@ -216,7 +220,43 @@ def whole_steps(value: float, base: float) -> int | None:
 
 def _check_dt_fine(dt_fine: float) -> None:
     if not (0.0 < dt_fine < math.inf):
-        raise ConfigError(f"dt_fine must be positive, got {dt_fine}")
+        raise ConfigError(f"dt_fine must be positive and finite, got {dt_fine}")
+
+
+def step_counts(t_end: float, dt_fine: float, dt: float | None = None,
+                quantum: int = 1) -> tuple[int, int | None]:
+    """Fine steps in [0, t_end] and in one step of size `dt` (None without
+    a dt): the one owner of path alignment.
+
+    dt_fine must be positive and finite; t_end finite and >= 0; dt finite
+    and at least one fine step; t_end and dt whole multiples of
+    `quantum * dt_fine`, and t_end a whole multiple of dt.  A ConfigError
+    names the key that breaks a rule.
+    """
+    _check_dt_fine(dt_fine)
+    unit = f"{quantum} * dt_fine" if quantum > 1 else "dt_fine"
+    counts = []
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if value is None:
+            counts.append(None)
+            continue
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
+        n = whole_steps(value, dt_fine)
+        if n is None or n % quantum:
+            raise ConfigError(f"{name} {value} is not a whole multiple of "
+                              f"{unit} ({quantum * dt_fine:g})")
+        counts.append(n)
+    n_total, m = counts
+    if n_total < 0:
+        raise ConfigError(f"t_end must be non-negative, got {t_end}")
+    if m is None:
+        return n_total, None
+    if m < 1:
+        raise ConfigError(f"dt must be at least one fine step of {dt_fine:g}, got {dt}")
+    if n_total % m:
+        raise ConfigError(f"t_end {t_end} is not a whole multiple of dt {dt}")
+    return n_total, m
 
 
 @dataclass(frozen=True)
@@ -276,14 +316,7 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
         raise ConfigError(
             f"seed must be a non-negative integer below 2**128, got {seed}"
         )
-    _check_dt_fine(dt_fine)
-    if t_end < 0.0:
-        raise ConfigError(f"t_end must be non-negative, got {t_end}")
-    n = whole_steps(t_end, dt_fine)
-    if n is None:
-        raise ConfigError(
-            f"t_end {t_end} is not a multiple of dt_fine {dt_fine}"
-        )
+    n = step_counts(t_end, dt_fine)[0]
     if n > max_steps:
         raise ResourceLimit(
             f"path of {n} increments exceeds the cap of {max_steps}"

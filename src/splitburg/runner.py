@@ -45,7 +45,7 @@ from .burgers import scl_step
 from .config import RunConfig, _as_int
 from .errors import CflViolation, ConfigError
 from .grid import FieldState
-from .noise import NoisePath, generate_path
+from .noise import NoisePath, generate_path, step_counts
 from .schemes import integrate
 
 CSV_COLUMNS = (
@@ -196,9 +196,9 @@ def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
     state = cfg.make_state()
     flux = cfg.make_flux()
     bc = cfg.make_bc()
-    n = round(cfg.t_end / dt)
+    n_total, m = step_counts(cfg.t_end, cfg.dt_fine, dt)
     try:
-        for _ in range(n):
+        for _ in range(n_total // m):
             state = scl_step(state, dt, flux, bc)
     except CflViolation as exc:
         raise ConfigError(

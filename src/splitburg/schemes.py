@@ -27,7 +27,8 @@ Each scheme's step is a kernel on raw float64 cell values (the `SCHEMES`
 table); the public `*_step` functions wrap the same kernels in states and
 records.  `integrate` drives a kernel along a reproducible noise path, with
 either a fixed step size or a stability-bound-governed one, truncating on
-blow-up.  It streams and builds no per-step records at all: a trajectory
+blow-up; `noise.step_counts` counts its fine steps and checks their
+alignment.  It streams and builds no per-step records at all: a trajectory
 holds its current values, the aba companion's values where the scheme
 carries one, a step counter and the rows of its residual trace, and only
 the last step's record is built, for `Trajectory`.  Memory per trajectory is
@@ -48,7 +49,7 @@ import numpy as np
 from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt
 from .errors import CflViolation, ConfigError
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
-from .noise import NoiseAmplitude, NoisePath, stochastic_update, whole_steps
+from .noise import NoiseAmplitude, NoisePath, step_counts, stochastic_update
 
 _SUBSTEPS = ("em", "milstein")
 _INNER_MODES = ("whole_step", "half_steps")
@@ -85,7 +86,7 @@ class SchemeConfig:
         if self.iterations not in allowed:
             raise ConfigError(f"{self.scheme} takes iterations "
                               f"{allowed.start}..{allowed.stop - 1}, got {self.iterations}")
-        if self.blowup_threshold <= 0.0:
+        if not self.blowup_threshold > 0.0:
             raise ConfigError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
 
     @property
@@ -326,11 +327,11 @@ def _blowup_reason(peak: float, threshold: float) -> str | None:
 
 def detect_blowup(state: FieldState,
                   threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> bool:
-    """True when the state is flagged, non-finite, or any |value| exceeds the
-    threshold (strictly)."""
-    if threshold <= 0.0:
+    """True when the state is non-finite or any |value| exceeds the threshold
+    (strictly)."""
+    if not threshold > 0.0:
         raise ConfigError(f"threshold must be positive, got {threshold}")
-    return state.blown_up or _blowup_reason(state.peak, threshold) is not None
+    return _blowup_reason(state.peak, threshold) is not None
 
 
 @dataclass(frozen=True)
@@ -437,13 +438,13 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
               dt: float | None = None, cfl: CflPolicy | None = None) -> Trajectory:
     """Drive one trajectory from c0 to t_end along the given noise path.
 
-    Exactly one of `dt` (fixed step, must be a path-aligned multiple of the
-    fine resolution dividing t_end) or `cfl` (stability-governed step, snapped
-    down to the path resolution) selects the stepping mode.  Blow-up (by
-    threshold, non-finite values, a rejected explicit step, or an admissible
-    step below the path resolution) truncates the trajectory and is flagged
-    with its time and reason; numpy's overflow and invalid-value warnings
-    are silenced for the whole trajectory.
+    Exactly one of `dt` (fixed step) or `cfl` (stability-governed step,
+    snapped down to the path resolution) selects the stepping mode;
+    `noise.step_counts` checks that t_end and dt fit the path in whole
+    steps.  Blow-up (by threshold, non-finite values, a rejected explicit
+    step, or an admissible step below the path resolution) truncates the
+    trajectory and is flagged with its time and reason; numpy's overflow and
+    invalid-value warnings are silenced for the whole trajectory.
 
     Each step calls the scheme's kernel on the current values (and the
     companion's) and scans its result once: the peak |value| decides
@@ -453,27 +454,10 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     """
     if (dt is None) == (cfl is None):
         raise ConfigError("provide exactly one of dt (fixed) or cfl (governed)")
-    if t_end < 0.0:
-        raise ConfigError(f"t_end must be non-negative, got {t_end}")
-    fine = path.dt_fine
-    n_total = whole_steps(t_end, fine)
-    if n_total is None:
-        raise ConfigError(f"t_end {t_end} is not a multiple of the path resolution {fine}")
+    fine, quantum = path.dt_fine, cfg.quantum
+    n_total, m_fixed = step_counts(t_end, fine, dt, quantum)
     if n_total > path.n_steps:
         raise ConfigError(f"path covers only [0, {path.t_end}], t_end {t_end} is beyond it")
-    quantum = cfg.quantum
-    if n_total % quantum:
-        raise ConfigError("t_end must cover a whole number of half-interval pairs")
-
-    m_fixed = None
-    if dt is not None:
-        m_fixed = whole_steps(dt, fine)
-        if m_fixed is None or m_fixed < 1:
-            raise ConfigError(f"dt {dt} is not a multiple of the path resolution {fine}")
-        if m_fixed % quantum:
-            raise ConfigError(f"dt {dt} cannot be split into aligned half intervals")
-        if n_total % m_fixed:
-            raise ConfigError(f"t_end {t_end} is not a multiple of dt {dt}")
 
     traits = SCHEMES[cfg.scheme]
     kernel, flux, sigma, dx = traits.kernel, cfg.flux, cfg.sigma, c0.grid.dx

@@ -50,6 +50,15 @@ def test_validate_rejects_a_bad_config(tmp_path, capsys):
     assert err.startswith("config error:")
 
 
+def test_validate_rejects_a_non_finite_number_without_a_traceback(tmp_path, capsys):
+    bad = tmp_path / "nan.yaml"
+    bad.write_text("dt_fine: .nan\n")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dt_fine must be finite")
+    assert "Traceback" not in err
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 1
     assert "config error" in capsys.readouterr().err

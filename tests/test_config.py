@@ -1,18 +1,29 @@
 """Run-configuration parsing, defaults, and cross-field validation."""
 
+import math
 import pickle
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
+import splitburg.config as config_mod
 from splitburg import (
     BoundaryKind,
     CflMode,
+    CflPolicy,
     ConfigError,
+    NoiseAmplitude,
     RunConfig,
+    SchemeConfig,
     SchemeSpec,
+    detect_blowup,
     parse_config,
     parse_config_file,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FULL_DOC = """
 grid: {x_min: 0.0, x_max: 2.0, n_cells: 80}
@@ -30,7 +41,7 @@ dt_ladder: [0.02, 0.01, 0.005]
 dt_fine: 0.0025
 t_end: 0.2
 seeds: {base: 10, count: 5}
-cfl: {mode: deterministic_only, safety: 0.8, xi_bound: 2.5, dt_max: 0.04}
+cfl: {mode: deterministic_only, safety: 0.8, xi_bound: 2.5}
 adaptive_dt: true
 blowup_threshold: 1.0e4
 stochastic_substep: em
@@ -71,7 +82,14 @@ def test_full_document_round_trip():
     assert cfg.seeds == tuple(range(10, 15))
     policy = cfg.make_policy()
     assert policy.mode is CflMode.DETERMINISTIC_ONLY
-    assert policy.safety == 0.8 and policy.dt_max == 0.04
+    assert policy.safety == 0.8 and policy.xi_bound == 2.5
+    # the dt ladder entry is the one step cap: a run passes it to make_policy
+    assert policy.dt_max is None
+    assert not hasattr(cfg, "dt_max")
+    with pytest.raises(ConfigError, match="unknown key.*dt_max"):
+        parse_config(FULL_DOC.replace("xi_bound: 2.5}", "xi_bound: 2.5, dt_max: 0.04}"))
+    with pytest.raises(ConfigError, match="unknown key.*dt_max"):
+        parse_config("cfl: {dt_max: 0.01}")
     assert cfg.adaptive_dt
     assert cfg.blowup_threshold == 1.0e4
     assert cfg.stochastic_substep == "em"
@@ -104,6 +122,61 @@ def test_numbers_must_be_numeric():
         parse_config("t_end: yes")
     with pytest.raises(ConfigError):
         parse_config("grid: {n_cells: 10.5}")
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1e999"])
+@pytest.mark.parametrize("doc, key", [
+    ("dt_fine: {}", "dt_fine"),
+    ("t_end: {}", "t_end"),
+    ("dt_ladder: [0.01, {}]", "dt_ladder"),
+    ("dt_ladder: {{base: {}, levels: 2}}", "dt_ladder.base"),
+    ("noise: {{lam: {}}}", "noise.lam"),
+    ("blowup_threshold: {}", "blowup_threshold"),
+    ("cfl: {{xi_bound: {}}}", "cfl.xi_bound"),
+    ("initial_condition: {{kind: constant, value: {}}}", "value"),
+])
+def test_non_finite_numbers_are_config_errors(doc, key, value):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite"):
+        parse_config(doc.format(value))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_config_rejects_non_finite_alignment_values(bad):
+    for kwargs in ({"dt_fine": bad}, {"t_end": bad}, {"dt_ladder": (bad,)},
+                   {"dt_ladder": (0.01, bad)}):
+        with pytest.raises(ConfigError):
+            RunConfig(**kwargs)
+
+
+def test_nan_fails_the_dataclass_gates():
+    nan = math.nan
+    with pytest.raises(ConfigError, match="lam"):
+        NoiseAmplitude("linear", nan)
+    with pytest.raises(ConfigError, match="blowup_threshold"):
+        SchemeConfig("ab", blowup_threshold=nan)
+    with pytest.raises(ConfigError, match="xi_bound"):
+        CflPolicy(xi_bound=nan)
+    with pytest.raises(ConfigError, match="dt_max"):
+        CflPolicy(dt_max=nan)
+    with pytest.raises(ConfigError, match="threshold"):
+        detect_blowup(RunConfig().make_state(), threshold=nan)
+    for kwargs in ({"lam": nan}, {"blowup_threshold": nan}, {"xi_bound": nan}):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            RunConfig(**kwargs)
+
+
+def test_readme_configuration_block_names_every_key():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### Configuration", 1)[1]
+    block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+    parse_config(block)
+    named = set()
+    for key, value in yaml.safe_load(block).items():
+        if key in config_mod._SECTIONS:
+            named.update(f"{key}.{leaf}" for leaf in value)
+        else:
+            named.add(key)
+    assert named == set(config_mod._SCALARS) | set(config_mod._STRUCTURED)
 
 
 def test_dt_ladder_validation():

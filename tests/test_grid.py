@@ -11,6 +11,7 @@ from splitburg import (
     FieldState,
     InitialCondition,
     SpatialGrid,
+    detect_blowup,
     l1_distance,
     make_initial_state,
 )
@@ -114,6 +115,21 @@ def test_field_state_flags_non_finite_values():
     assert not FieldState(grid, np.zeros(3)).blown_up
     assert FieldState(grid, np.array([0.0, np.nan, 0.0])).blown_up
     assert FieldState(grid, np.array([0.0, np.inf, 0.0])).blown_up
+
+
+def test_blown_up_is_read_off_the_values_only():
+    grid = SpatialGrid(0.0, 1.0, 3)
+    zeros = FieldState(grid, np.zeros(3))
+    # no caller can flag a finite state as diverged
+    with pytest.raises(TypeError):
+        FieldState(grid, np.zeros(3), 0.0, True)
+    with pytest.raises(TypeError):
+        zeros.with_values(np.zeros(3), blown_up=True)
+    assert not detect_blowup(zeros)
+    assert not zeros.successor(np.ones(3), 0.1).blown_up
+    assert zeros.successor(np.array([0.0, np.nan, 1.0]), 0.1).blown_up
+    bad = FieldState(grid, np.array([0.0, -np.inf, 0.0]))
+    assert pickle.loads(pickle.dumps(bad)).blown_up and detect_blowup(bad)
 
 
 def test_with_values_keeps_time_unless_told():

@@ -25,6 +25,7 @@ from splitburg.noise import (
     SEED_LIMIT,
     _ndtri,
     _philox_draws,
+    step_counts,
     stochastic_update,
     whole_steps,
 )
@@ -70,6 +71,37 @@ def test_whole_steps_counts_aligned_multiples_only():
     assert whole_steps(0.3, 0.1) == 3  # 0.3 / 0.1 is not exactly 3 in binary
     assert whole_steps(0.0105, 0.01) is None
     assert whole_steps(0.0015, 0.001) is None
+
+
+def test_step_counts_own_every_alignment_rule():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 3),
+           st.floats(1e-6, 1.0), st.sampled_from([math.nan, math.inf, -math.inf]))
+    def check(k, m, q, fine, non_finite):
+        dt, t_end = m * q * fine, k * m * q * fine
+        assert step_counts(t_end, fine, dt, q) == (k * m * q, m * q)
+        assert step_counts(t_end, fine, quantum=q) == (k * m * q, None)
+        assert step_counts(0.0, fine, dt, q) == (0, m * q)
+        off = [
+            (t_end, fine, (m * q + 0.5) * fine),  # dt between two fine steps
+            ((k * m * q + 0.5) * fine, fine, dt),  # t_end between two fine steps
+            (t_end, fine, -dt), (-t_end, fine, dt), (t_end, fine, 0.0),
+            (t_end, 0.0, dt), (t_end, -fine, dt),
+            (non_finite, fine, dt), (t_end, non_finite, dt), (t_end, fine, non_finite),
+        ]
+        if q > 1:  # whole fine steps, but not whole multiples of q of them
+            off += [(t_end, fine, (m * q + 1) * fine), ((k * m * q + 1) * fine, fine, None)]
+        if m > 1:  # t_end a whole multiple of q * dt_fine, but not of dt
+            off.append(((k * m + 1) * q * fine, fine, dt))
+        for t, f, d in off:
+            with pytest.raises(ConfigError):
+                step_counts(t, f, d, q)
+
+    check()
 
 
 def test_stochastic_update_linearizes_at_a_separate_point():
@@ -178,11 +210,16 @@ def test_path_argument_validation():
         generate_path(1, 0.0105, 1e-2)
     with pytest.raises(ResourceLimit):
         generate_path(1, 1.0, 1e-3, max_steps=100)
-    for dt_fine in (0.0, -0.5, math.nan):
+    for dt_fine in (0.0, -0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="dt_fine must be positive"):
             NoisePath(1, dt_fine, [0.1, 0.2])
         with pytest.raises(ConfigError, match="dt_fine must be positive"):
             generate_path(1, 1.0, dt_fine)
+    for t_end in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="t_end must be finite"):
+            generate_path(1, t_end, 1e-3)
+    with pytest.raises(ConfigError, match="t_end must be non-negative"):
+        generate_path(1, -0.01, 1e-3)
 
 
 def test_increment_over_matches_slice_sum():

@@ -1,5 +1,6 @@
 """Splitting one-step maps, fixpoint iterates and the trajectory driver."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -416,6 +417,13 @@ def test_integrate_alignment_errors():
     with pytest.raises(ConfigError):
         # half-increment schemes need an even number of fine steps per dt
         integrate(c0, 0.1, cfg_for("bab"), path, dt=0.005)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="dt must be finite"):
+            integrate(c0, 0.1, cfg_for("ab"), path, dt=bad)
+        with pytest.raises(ConfigError, match="t_end must be finite"):
+            integrate(c0, bad, cfg_for("ab"), path, dt=0.01)
+        with pytest.raises(ConfigError, match="t_end must be finite"):
+            integrate(c0, bad, cfg_for("ab"), path, cfl=CflPolicy(dt_max=0.01))
 
 
 def test_integrate_fixed_dt_consumes_the_coarsened_path():
