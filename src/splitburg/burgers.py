@@ -120,6 +120,12 @@ def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
     return values - ratio * (interface[..., 1:] - interface[..., :-1])
 
 
+def check_dt(dt: float) -> None:
+    """Raise ConfigError unless dt is a positive step size; NaN is not."""
+    if not dt > 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+
+
 def scl_step(state: FieldState, dt: float, flux: FluxFunction,
              bc: BoundaryKind) -> FieldState:
     """Advance a state by one explicit conservation-law step of size dt.
@@ -127,8 +133,7 @@ def scl_step(state: FieldState, dt: float, flux: FluxFunction,
     Rejects dt above the deterministic stability bound dx / max|f'(u)| with a
     CflViolation naming the admissible step.
     """
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    check_dt(dt)
     with np.errstate(over="ignore", invalid="ignore"):
         new = _eo_step(state.values, dt, flux, bc, state.grid.dx,
                        flux.peak_speed(state.peak))
@@ -230,7 +235,7 @@ def _governed_dt(absu: np.ndarray, peak: float, speed: float, dx: float,
             dt = min(dt, policy.dt_max)
 
     if t_remaining is not None:
-        if t_remaining <= 0.0:
+        if not t_remaining > 0.0:
             raise ConfigError(f"t_remaining must be positive, got {t_remaining}")
         dt = min(dt, t_remaining)
     if dt <= 0.0:

@@ -27,7 +27,7 @@ from .grid import (
     SpatialGrid,
     make_initial_state,
 )
-from .noise import SEED_LIMIT, NoiseAmplitude, step_counts
+from .noise import NoiseAmplitude, check_seed, step_counts
 from .schemes import SchemeConfig, scheme_traits
 
 DEFAULT_SEED_BASE = 1
@@ -117,10 +117,7 @@ class RunConfig:
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         for s in self.seeds:
-            if int(s) != s or s < 0 or s >= SEED_LIMIT:
-                raise ConfigError(
-                    f"seeds must be non-negative integers below 2**128, got {s}"
-                )
+            check_seed(s)
         if len(set(self.seeds)) != len(self.seeds):
             dupes = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
             raise ConfigError(f"duplicate seeds {dupes}")

@@ -304,6 +304,15 @@ class NoisePath:
         return self.increment_over(0, self.n_steps)
 
 
+def check_seed(seed) -> None:
+    """Raise ConfigError unless `seed` is an integer in [0, 2**128).  The range
+    is compared first, so NaN and infinities are refused before `int`."""
+    if not 0 <= seed < SEED_LIMIT or int(seed) != seed:
+        raise ConfigError(
+            f"seeds must be non-negative integers below 2**128, got {seed}"
+        )
+
+
 def generate_path(seed: int, t_end: float, dt_fine: float,
                   max_steps: int = MAX_PATH_STEPS) -> NoisePath:
     """Draw the fine-resolution increments of stream `seed` over [0, t_end].
@@ -312,10 +321,7 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
     enters.  Distinct seeds key distinct Philox streams, so there is no
     cross-stream reuse between workers.
     """
-    if seed < 0 or int(seed) != seed or seed >= SEED_LIMIT:
-        raise ConfigError(
-            f"seed must be a non-negative integer below 2**128, got {seed}"
-        )
+    check_seed(seed)
     n = step_counts(t_end, dt_fine)[0]
     if n > max_steps:
         raise ResourceLimit(
@@ -368,8 +374,8 @@ def milstein_step(c, sigma: NoiseAmplitude, dw: float, dt: float):
 
 def exact_linear_sde(c0, lam: float, w_t: float, t: float):
     """Closed-form solution of dX = lam * X dW:  c0 * exp(lam W_t - lam^2 t / 2)."""
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ConfigError(f"lam must be non-negative, got {lam}")
-    if t < 0.0:
+    if not t >= 0.0:
         raise ConfigError(f"t must be non-negative, got {t}")
     return c0 * np.exp(lam * w_t - 0.5 * lam * lam * t)

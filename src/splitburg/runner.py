@@ -13,8 +13,11 @@ a new one only when (seed, t_end, dt_fine) changes.  That is one
 time, and none once `_run_tasks` returns.  The reduction and the archive are
 in cell-major order, as the outputs are.
 
-Each seed's residual trace is the `(n, 4)` float64 array that `integrate`
-builds as it streams, and the process pool is imported only for `jobs > 1`.
+A seed's one record is its `SeedOutcome`: the `EnsembleSample` that
+`summarize` reads, with the trajectory's final `FieldState` as its endpoint,
+passed to the reduction, the archive and the writer as the worker built it.
+Its residual trace is the `(n, 4)` float64 array that `integrate` builds as
+it streams.  The process pool is imported only for `jobs > 1`.
 It starts at most as many workers as there are chunks of tasks and usable
 CPUs, however large `jobs` is.
 
@@ -82,22 +85,17 @@ class ResultRow:
                 raise ValueError(f"result field {name} is not finite")
 
 
-@dataclass(frozen=True)
-class SeedOutcome:
-    """What one worker produced for one seed of one cell.
+@dataclass(frozen=True, kw_only=True)
+class SeedOutcome(EnsembleSample):
+    """What one worker produced for one seed of one cell: the
+    `EnsembleSample` that `summarize` reads, plus the worker's accounting.
 
-    `residuals` has one row (step, time, iteration, residual) per iterate
-    residual, the columns of the residual CSV; it is `(0, 4)` when the
-    scheme makes no residuals.  `_run_cell` returns it read-only; the copy a
-    pool unpickles is writable."""
+    `endpoint` is the trajectory's final `FieldState`, or None when it blew
+    up at `blowup_time`.  `residuals` has one row (step, time, iteration,
+    residual) per iterate residual, the columns of the residual CSV; it is
+    `(0, 4)` when the scheme makes no residuals.  `_run_cell` returns it
+    read-only; the copy a pool unpickles is writable."""
 
-    scheme: str
-    iterations: int
-    dt: float
-    seed: int
-    endpoint: np.ndarray | None
-    final_time: float
-    blowup_time: float | None
     residuals: np.ndarray
     n_steps: int
     wall_time: float
@@ -149,11 +147,11 @@ def _run_cell(task: tuple[RunConfig, str, int, float, int]) -> SeedOutcome:
                          cfl=cfg.make_policy(dt_max=dt))
     else:
         traj = integrate(c0, cfg.t_end, scheme_cfg, path, dt=dt)
-    endpoint = None if traj.blown_up else traj.final_state.values
     return SeedOutcome(
-        scheme, iterations, dt, seed, endpoint, traj.final_state.time,
-        traj.blowup_time, traj.residuals, traj.n_steps,
-        time.perf_counter() - start,
+        seed, scheme, iterations, dt,
+        endpoint=None if traj.blown_up else traj.final_state,
+        blowup_time=traj.blowup_time, residuals=traj.residuals,
+        n_steps=traj.n_steps, wall_time=time.perf_counter() - start,
     )
 
 
@@ -284,17 +282,8 @@ def run_matrix(
         if not cell:
             empty_cells.append((label, "every worker task failed"))
             continue
-        samples = [
-            EnsembleSample(
-                o.seed, scheme, iterations, dt,
-                endpoint=(None if o.endpoint is None
-                          else FieldState(grid, o.endpoint, time=o.final_time)),
-                blowup_time=o.blowup_time,
-            )
-            for o in cell
-        ]
         try:
-            report = summarize(samples, references[dt])
+            report = summarize(cell, references[dt])
             rows.append(ResultRow(
                 scheme, iterations, dt, grid.dx, cfg.lam,
                 report.n_seeds_used, report.blowup_count,
@@ -379,7 +368,8 @@ class CsvWriter:
                 fh.write("x,c\n")
                 for k, template in enumerate(self._profile_templates()):
                     i = k * _BLOCK_LINES
-                    fh.write(template % tuple(o.endpoint[i:i + _BLOCK_LINES].tolist()))
+                    fh.write(template % tuple(
+                        o.endpoint.values[i:i + _BLOCK_LINES].tolist()))
         if o.iterations > 0:
             with open(os.path.join(self._residuals, stem), "w",
                       encoding="utf-8") as fh:

@@ -46,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt
+from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt, check_dt
 from .errors import CflViolation, ConfigError
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, step_counts, stochastic_update
@@ -244,8 +244,7 @@ def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
 def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw=None,
             halves=None, companion=None) -> StepRecord:
     """The record of one step of `kernel` from `state`."""
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
+    check_dt(dt)
     with np.errstate(over="ignore", invalid="ignore"):
         values, residuals, _ = kernel(state.values, dt, dw, halves, companion, cfg,
                                       state.grid.dx, None)

@@ -214,6 +214,9 @@ def test_cfl_caps_at_dt_max_and_t_remaining():
     policy = CflPolicy(CflMode.DETERMINISTIC_ONLY, safety=1.0, dt_max=0.02)
     assert cfl_dt(state, NoiseAmplitude(), policy) == 0.02
     assert cfl_dt(state, NoiseAmplitude(), policy, t_remaining=0.005) == 0.005
+    for t_remaining in (0.0, -0.005, float("nan")):
+        with pytest.raises(ConfigError, match="t_remaining must be positive"):
+            cfl_dt(state, NoiseAmplitude(), policy, t_remaining=t_remaining)
 
 
 def test_cfl_policy_validation():

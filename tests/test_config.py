@@ -238,8 +238,9 @@ def test_seeds_must_fit_the_philox_key():
         parse_config(f"seeds: [1, {top + 1}]")
     with pytest.raises(ConfigError, match="below 2\\*\\*128"):
         parse_config(f"seeds: {{base: {top}, count: 2}}")
-    with pytest.raises(ConfigError, match="below 2\\*\\*128"):
-        RunConfig(seeds=(top + 1,))
+    for seed in (top + 1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="below 2\\*\\*128"):
+            RunConfig(seeds=(seed,))
 
 
 def test_scheme_entries():

@@ -204,6 +204,9 @@ def test_path_argument_validation():
     with pytest.raises(ConfigError, match="below 2\\*\\*128"):
         generate_path(SEED_LIMIT, 1.0, 1e-3)
     assert generate_path(SEED_LIMIT - 1, 1.0, 1e-3).n_steps == 1000
+    for seed in (math.nan, math.inf, -math.inf, 1.5):
+        with pytest.raises(ConfigError, match="below 2\\*\\*128"):
+            generate_path(seed, 1.0, 1e-3)
     with pytest.raises(ConfigError):
         generate_path(1, 1.0, 0.0)
     with pytest.raises(ConfigError):
@@ -326,6 +329,10 @@ def test_exact_linear_sde_values():
         exact_linear_sde(1.0, -0.5, 0.0, 1.0)
     with pytest.raises(ConfigError):
         exact_linear_sde(1.0, 0.5, 0.0, -1.0)
+    with pytest.raises(ConfigError, match="lam must be non-negative"):
+        exact_linear_sde(1.0, math.nan, 0.1, 0.1)
+    with pytest.raises(ConfigError, match="t must be non-negative"):
+        exact_linear_sde(1.0, 0.5, 0.1, math.nan)
 
 
 def test_milstein_beats_em_on_geometric_brownian_motion():

@@ -15,6 +15,8 @@ import pytest
 import splitburg.runner as runner_mod
 from splitburg import (
     ConfigError,
+    EnsembleSample,
+    FieldState,
     cell_label,
     emit_csv,
     integrate,
@@ -268,9 +270,37 @@ def test_run_cell_keeps_the_residual_trace_as_one_array(scheme, iterations):
     want = np.array(expected, dtype=np.float64).reshape(-1, 4)
     assert np.array_equal(trace.view(np.int64), want.view(np.int64))
     # a pool returns outcomes pickled
-    thawed = pickle.loads(pickle.dumps(outcome)).residuals
-    assert thawed.dtype == np.float64 and thawed.shape == trace.shape
-    assert np.array_equal(thawed.view(np.int64), trace.view(np.int64))
+    thawed = pickle.loads(pickle.dumps(outcome))
+    assert thawed.residuals.dtype == np.float64
+    assert thawed.residuals.shape == trace.shape
+    assert np.array_equal(thawed.residuals.view(np.int64), trace.view(np.int64))
+    # the outcome is the sample the reduction reads, endpoint and all
+    for o in (outcome, thawed):
+        assert isinstance(o, EnsembleSample) and o.blowup_time is None
+        assert isinstance(o.endpoint, FieldState)
+        assert o.endpoint.time == cfg.t_end
+        assert not o.endpoint.values.flags.writeable
+        assert np.array_equal(o.endpoint.values.view(np.int64),
+                              traj.final_state.values.view(np.int64))
+    # dt 0.05 breaks the CFL bound of 40 cells on the first step
+    blown = runner_mod._run_cell((cfg, scheme, iterations, 0.05, 2))
+    assert isinstance(blown, EnsembleSample)
+    assert blown.endpoint is None and blown.blowup_time == 0.0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_matrix_reduces_the_outcomes_it_archives(monkeypatch, jobs):
+    # each seed's outcome is the sample summarize reads, not a rebuilt copy
+    seen = []
+
+    def recording(samples, reference, _real=runner_mod.summarize):
+        seen.extend(samples)
+        return _real(samples, reference)
+
+    monkeypatch.setattr(runner_mod, "summarize", recording)
+    rows, archive, stats = run_matrix(small_cfg(), jobs=jobs)
+    assert stats.clean and len(seen) == len(archive.outcomes) == 6
+    assert all(any(s is o for o in archive.outcomes) for s in seen)
 
 
 def test_emit_csv_layout(tmp_path):

@@ -726,6 +726,7 @@ def test_a_trajectory_holds_one_state_not_one_per_step():
 def test_step_functions_reject_non_positive_dt(dt):
     state = sine_state()
     steps = (
+        lambda: scl_step(state, dt, FluxFunction(), BoundaryKind.PERIODIC),
         lambda: ab_step(state, dt, 0.1, cfg_for("ab")),
         lambda: aba_step(state, dt, 0.1, cfg_for("aba")),
         lambda: bab_step(state, dt, 0.05, 0.05, cfg_for("bab")),
