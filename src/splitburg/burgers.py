@@ -86,6 +86,41 @@ def _check_cfl(speed: float, dt: float, dx: float) -> None:
             raise CflViolation(dt, admissible)
 
 
+def _interface_flux(values: np.ndarray, flux: FluxFunction,
+                    bc: BoundaryKind) -> np.ndarray:
+    """`engquist_osher_flux(padded[..., :-1], padded[..., 1:], flux)` of the
+    `bc.pad`-ded values, by the same operations on the same operands (at
+    most commuted), without building the padded array.  It writes only
+    arrays it allocates: max(left, 0) and min(right, 0) at each interface,
+    which become the flux buffer (burgers_square) or scratch, and for
+    burgers_half the flux buffer."""
+    shape = values.shape[:-1] + (values.shape[-1] + 1,)
+    if flux.kind == "zero":
+        return np.zeros(shape)
+    left, right = np.empty(shape), np.empty(shape)
+    np.maximum(values, 0.0, out=left[..., 1:])
+    np.minimum(values, 0.0, out=right[..., :-1])
+    # the ghost cells' terms: max(0, 0) and min(0, 0), or for periodic
+    # ghosts the terms of the cells they copy, computed above
+    if bc is BoundaryKind.PERIODIC:
+        left[..., 0] = left[..., -1]
+        right[..., -1] = right[..., 0]
+    else:
+        left[..., 0] = right[..., -1] = 0.0
+    if flux.kind == "burgers_square":
+        interface = left
+        interface *= left
+        right *= right
+    else:
+        # f(u) = (0.5 * u) * u, in that order: for subnormal u * u it is not
+        # 0.5 * (u * u)
+        interface = left * 0.5
+        interface *= left
+        right *= np.multiply(right, 0.5, out=left)
+    interface += right
+    return interface
+
+
 def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
              dx: float, speed: float | None = None) -> np.ndarray:
     """One conservative update of raw cell values; asserts the wave-speed bound.
@@ -98,14 +133,20 @@ def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
     such row names the admissible step).  `speed`, for one field, is its
     max|f'(u)| when the caller already knows it.  Overflow and invalid
     values are the caller's to silence: it reports them as a blow-up.
+
+    The result is bitwise `values - dt/dx * diff(F)`, with F the
+    `engquist_osher_flux` of the `bc.pad`-ded values: the same operations
+    in the same order, operands at most commuted, never reassociated or
+    folded.  The kernel writes only arrays it allocates (the result and
+    `_interface_flux`'s buffers); `values` is never written.
     """
     if values.ndim == 1:
         if speed is None:
-            speed = flux.peak_speed(float(np.abs(values).max()))
+            speed = flux.peak_speed(float(np.maximum.reduce(np.abs(values))))
         _check_cfl(speed, dt, dx)
         ratio = dt / dx
     else:
-        speeds = np.abs(flux.deriv(values)).max(axis=-1).ravel().tolist()
+        peaks = np.maximum.reduce(np.abs(values), axis=-1).ravel().tolist()
         dts = np.asarray(dt, dtype=np.float64)
         if dts.ndim:
             ratio = (dts / dx)[..., None]
@@ -113,11 +154,12 @@ def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
         else:
             ratio = dt / dx
             dts = repeat(dt)
-        for s, d in zip(speeds, dts):
-            _check_cfl(s, d, dx)
-    padded = bc.pad(values)
-    interface = engquist_osher_flux(padded[..., :-1], padded[..., 1:], flux)
-    return values - ratio * (interface[..., 1:] - interface[..., :-1])
+        for p, d in zip(peaks, dts):
+            _check_cfl(flux.peak_speed(p), d, dx)
+    interface = _interface_flux(values, flux, bc)
+    new = interface[..., 1:] - interface[..., :-1]
+    new *= ratio
+    return np.subtract(values, new, out=new)
 
 
 def check_dt(dt: float) -> None:

@@ -81,13 +81,15 @@ def _scan(values: np.ndarray) -> tuple[np.ndarray, float]:
     the one scan a state gets, whose results also serve the stability checks
     of the step that starts from it."""
     absu = np.abs(values)
-    return absu, float(absu.max())
+    return absu, float(np.maximum.reduce(absu))
 
 
 def _mean_abs(diff: np.ndarray) -> float:
     """Mean of |diff|: np.mean's own sum and division, without its per-call
-    dispatch, so it equals np.mean(np.abs(diff)) bit for bit."""
-    return float(np.add.reduce(np.abs(diff))) / diff.size
+    dispatch, so it equals np.mean(np.abs(diff)) bit for bit (the same
+    operations in the same order).  `diff` is a temporary its caller hands
+    over: it is overwritten with |diff|."""
+    return float(np.add.reduce(np.abs(diff, out=diff))) / diff.size
 
 
 @dataclass(frozen=True)

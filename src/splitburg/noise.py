@@ -344,32 +344,59 @@ def coarsen(path: NoisePath, factor: int) -> np.ndarray:
     return path.block_sums(0, factor, n // factor)
 
 
-def stochastic_update(base, lin, sigma: NoiseAmplitude, dw: float, dt: float,
-                      kind: str):
-    """EM (kind "em") or Milstein update of `base`, linearized at `lin`:
-    base + sigma(lin) dW [+ (1/2) sigma(lin) sigma'(lin) (dW^2 - dt)]."""
-    amp = sigma(lin)
+def stochastic_update(base: np.ndarray, lin: np.ndarray, sigma: NoiseAmplitude,
+                      dw: float, dt: float, kind: str) -> np.ndarray:
+    """EM (kind "em") or Milstein update of the float64 array `base`,
+    linearized at `lin`:
+    base + sigma(lin) dW [+ (1/2) sigma(lin) sigma'(lin) (dW^2 - dt)].
+
+    The result is bitwise that expression's: the same operations in the
+    same order, operands at most commuted, never reassociated or folded
+    (constant noise forms its one amplitude product once, not per cell).
+    The kernel writes only arrays it allocates, the result and, for linear
+    noise, the amplitude; `base` and `lin` are never written.
+    """
+    if sigma.kind == "linear":
+        amp = lin * sigma.lam
+        new = amp * dw
+        np.add(base, new, out=new)
+    else:
+        amp = sigma.lam
+        new = base + amp * dw
     if kind == "em":
-        return base + amp * dw
-    return base + amp * dw + 0.5 * amp * sigma.slope * (dw * dw - dt)
+        return new
+    amp *= 0.5
+    amp *= sigma.slope
+    amp *= dw * dw - dt
+    new += amp
+    return new
+
+
+def _update_at_itself(c, sigma: NoiseAmplitude, dw: float, dt: float, kind: str):
+    """`stochastic_update` of scalar, list or array values linearized at
+    themselves; a scalar gives a scalar."""
+    u = np.asarray(c, dtype=np.float64)
+    if u.ndim:
+        return stochastic_update(u, u, sigma, dw, dt, kind)
+    return stochastic_update(u[None], u[None], sigma, dw, dt, kind)[0]
 
 
 def em_step(c, sigma: NoiseAmplitude, dw: float):
     """Euler-Maruyama update c + sigma(c) dW.
 
-    Accepts scalars, arrays or a FieldState; time bookkeeping belongs to the
-    caller, so a FieldState keeps its time stamp.
+    Accepts scalars, lists, arrays or a FieldState; time bookkeeping belongs
+    to the caller, so a FieldState keeps its time stamp.
     """
     if isinstance(c, FieldState):
         return c.with_values(em_step(c.values, sigma, dw))
-    return stochastic_update(c, c, sigma, dw, 0.0, "em")
+    return _update_at_itself(c, sigma, dw, 0.0, "em")
 
 
 def milstein_step(c, sigma: NoiseAmplitude, dw: float, dt: float):
     """Milstein update c + sigma(c) dW + (1/2) sigma(c) sigma'(c) (dW^2 - dt)."""
     if isinstance(c, FieldState):
         return c.with_values(milstein_step(c.values, sigma, dw, dt))
-    return stochastic_update(c, c, sigma, dw, dt, "milstein")
+    return _update_at_itself(c, sigma, dw, dt, "milstein")
 
 
 def exact_linear_sde(c0, lam: float, w_t: float, t: float):

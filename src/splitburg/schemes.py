@@ -163,23 +163,47 @@ def _iter_after(u, dt, dw, halves, companion, cfg, dx, speed):
     return lin, residuals, companion
 
 
-def _voc_terms(fields: np.ndarray, dt: float, cfg: SchemeConfig,
+def _linearized(sigma: NoiseAmplitude, fields, extra=None) -> np.ndarray:
+    """A new stack of the k rows of `fields`, their amplitudes sigma, the
+    row `extra` where one is given, and their corrections sigma * sigma',
+    in that order: the rows the variation-of-constants terms transport."""
+    k = len(fields)
+    stack = np.empty((3 * k + (extra is not None), fields[0].size))
+    for i, field in enumerate(fields):
+        stack[i] = field
+    if extra is not None:
+        stack[2 * k] = extra
+    amp = stack[k:2 * k]
+    if sigma.kind == "linear":
+        np.multiply(stack[:k], sigma.lam, out=amp)
+    else:
+        amp[...] = sigma.lam
+    np.multiply(amp, sigma.slope, out=stack[-k:])
+    return stack
+
+
+def _voc_terms(fields, dt: float, cfg: SchemeConfig,
                dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Variation-of-constants terms of a linearization field, or of each row
-    of a (k, n_cells) stack of them: the field and the amplitude propagated
-    over dt, and the correction product twice.  The field, amplitude and
-    correction go through one transport call, the correction's second pass
-    through another."""
-    amp = np.asarray(cfg.sigma(fields), dtype=np.float64)
-    corr = amp * cfg.sigma.slope
-    field_t, amp_t, corr_t = _eo_step(np.array((fields, amp, corr)), dt, cfg.flux,
-                                      cfg.bc, dx)
-    return field_t, amp_t, _eo_step(corr_t, dt, cfg.flux, cfg.bc, dx)
+    """Variation-of-constants terms of the k linearization fields in
+    `fields`: each field and its amplitude propagated over dt, and its
+    correction product twice, as (k, n_cells) arrays.  The fields,
+    amplitudes and corrections go through one transport call, the
+    corrections' second pass through another."""
+    k = len(fields)
+    moved = _eo_step(_linearized(cfg.sigma, fields), dt, cfg.flux, cfg.bc, dx)
+    return moved[:k], moved[k:2 * k], _eo_step(moved[2 * k:], dt, cfg.flux, cfg.bc, dx)
 
 
-def _voc_milstein(terms: tuple[np.ndarray, ...], dw: float, dt: float) -> np.ndarray:
-    field, amp, corr = terms
-    return field + amp * dw + 0.5 * corr * (dw * dw - dt)
+def _voc_milstein(field: np.ndarray, amp: np.ndarray, corr: np.ndarray, dw: float,
+                  dt: float) -> np.ndarray:
+    """field + amp dW + (1/2) corr (dW^2 - dt), bitwise, as a new array.
+    `corr` is a temporary its caller hands over: it is overwritten."""
+    new = amp * dw
+    np.add(field, new, out=new)
+    corr *= 0.5
+    corr *= dw * dw - dt
+    new += corr
+    return new
 
 
 def _iter_before_whole(u, companion, dt, dw, cfg, dx, carry):
@@ -187,13 +211,10 @@ def _iter_before_whole(u, companion, dt, dw, cfg, dx, carry):
     companion, and with `carry` the companion's own aba step over dt (else
     the companion itself).  The companion's two half transports ride in the
     two transport calls of the iterates, with their own dt."""
-    fields = np.array((u, companion))
-    amp = np.asarray(cfg.sigma(fields), dtype=np.float64)
-    corr = amp * cfg.sigma.slope
     h = 0.5 * dt
     if carry:
         # rows u, companion, amp x2, companion's first half transport, corr x2
-        moved = _eo_step(np.concatenate((fields, amp, companion[None], corr)),
+        moved = _eo_step(_linearized(cfg.sigma, (u, companion), companion),
                          (dt, dt, dt, dt, h, dt, dt), cfg.flux, cfg.bc, dx)
         mid = moved[4]
         moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt, cfg.stochastic_substep)
@@ -201,23 +222,24 @@ def _iter_before_whole(u, companion, dt, dw, cfg, dx, carry):
         twice = _eo_step(moved[4:7], (h, dt, dt), cfg.flux, cfg.bc, dx)
         companion, corr_t = twice[0], twice[1:3]
     else:
-        moved = _eo_step(np.concatenate((fields, amp, corr)), dt, cfg.flux, cfg.bc, dx)
+        moved = _eo_step(_linearized(cfg.sigma, (u, companion)), dt, cfg.flux,
+                         cfg.bc, dx)
         corr_t = _eo_step(moved[4:6], dt, cfg.flux, cfg.bc, dx)
-    c1, c2 = _voc_milstein((moved[0:2], moved[2:4], corr_t), dw, dt)
+    c1, c2 = _voc_milstein(moved[0:2], moved[2:4], corr_t, dw, dt)
     return c2, (_mean_abs(c2 - c1),), companion
 
 
 def _iter_before(u, dt, dw, halves, companion, cfg, dx, speed, carry=True):
     if cfg.iterations == 2 and cfg.inner_mode == "whole_step":
         return _iter_before_whole(u, companion, dt, dw, cfg, dx, carry)
-    c1 = _voc_milstein(_voc_terms(u, dt, cfg, dx), dw, dt)
+    (c1,) = _voc_milstein(*_voc_terms((u,), dt, cfg, dx), dw, dt)
     if cfg.iterations == 1:
         return c1, (), companion
     h = 0.5 * dt
     dw1, dw2 = halves
     mid, _, _ = _aba(u, h, dw1, None, None, cfg, dx, speed)
     (field_u, field_m), (amp_u, amp_m), (corr_u, corr_m) = _voc_terms(
-        np.array((u, mid)), h, cfg, dx)
+        (u, mid), h, cfg, dx)
     c2 = (
         field_u + field_m
         + amp_u * dw1 + amp_m * dw2
@@ -228,14 +250,32 @@ def _iter_before(u, dt, dw, halves, companion, cfg, dx, speed, carry=True):
 
 
 def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
-    terms = _voc_terms(u, dt, cfg, dx)
-    base, c1 = terms[0], _voc_milstein(terms, dw, dt)
-    quad = 0.5 * np.asarray(cfg.sigma(c1), dtype=np.float64) ** 2 * dt
+    (base,), (amp,), (corr,) = _voc_terms((u,), dt, cfg, dx)
+    c1 = _voc_milstein(base, amp, corr, dw, dt)
+    sigma = cfg.sigma
+    linear = sigma.kind == "linear"
+    # every iterate starts from base - (1/2) sigma(c1)^2 dt, in that order
+    if linear:
+        drift = c1 * sigma.lam
+        drift *= drift
+        drift *= 0.5
+        drift *= dt
+        np.subtract(base, drift, out=drift)
+    else:
+        drift = base - 0.5 * (sigma.lam * sigma.lam) * dt
 
     prev = c1
     residuals: list[float] = []
     for _ in range(2, cfg.iterations + 1):
-        nxt = base - quad + cfg.sigma(0.5 * (prev + u)) * dw
+        # + sigma((prev + u) / 2) dW
+        if linear:
+            nxt = prev + u
+            nxt *= 0.5
+            nxt *= sigma.lam
+            nxt *= dw
+            np.add(drift, nxt, out=nxt)
+        else:
+            nxt = drift + sigma.lam * dw
         residuals.append(_mean_abs(nxt - prev))
         prev = nxt
     return prev, residuals, companion

@@ -1,5 +1,7 @@
 """Properties checked over generated inputs rather than hand-picked cases."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,13 +50,100 @@ def test_eo_step_on_a_stack_equals_one_call_per_row(stack, dts, per_row, flux, b
         assert batched.tobytes() == np.array(rows).tobytes()
 
 
+# --- the in-place kernels equal their textbook expressions, bit for bit ----
+
+from splitburg import NoiseAmplitude, engquist_osher_flux  # noqa: E402
+from splitburg.burgers import _check_cfl  # noqa: E402
+from splitburg.noise import stochastic_update  # noqa: E402
+
+# the edges of float64 besides CELL_VALUES: subnormals, numbers whose square
+# (or half square) is subnormal, the largest finite numbers, infinities and
+# NaN; (0.5 * a) * a and 0.5 * (a * a) differ for some of them
+EDGE_VALUES = st.one_of(
+    CELL_VALUES,
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     1.7976931348623157e308, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.builds(math.copysign, st.floats(1e-163, 1e-153), st.sampled_from([1.0, -1.0])),
+)
+
+
+def _edge_arrays(shape):
+    return arrays(np.float64, shape, elements=EDGE_VALUES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.one_of(st.integers(2, 12).map(lambda n: (n,)),
+                     st.tuples(st.integers(1, 4), st.integers(2, 12))).flatmap(_edge_arrays),
+    dts=st.lists(st.floats(1e-4, 0.5), min_size=4, max_size=4),
+    per_row=st.booleans(),
+    known_speed=st.booleans(),
+    flux=st.sampled_from(["burgers_half", "burgers_square", "zero"]),
+    bc=st.sampled_from(list(BoundaryKind)),
+)
+def test_eo_step_is_its_textbook_expression_bit_for_bit(values, dts, per_row, known_speed,
+                                                        flux, bc):
+    # values - dt/dx * diff(F(pad(values))), one dt per row or one for all
+    flux, dx = FluxFunction(flux), 1.0 / values.shape[-1]
+    rows = values.reshape(-1, values.shape[-1])
+    row_dts = dts[:len(rows)] if per_row and values.ndim == 2 else [dts[0]] * len(rows)
+    dt = np.array(row_dts) if per_row and values.ndim == 2 else dts[0]
+    ratio = (np.asarray(dt) / dx)[..., None] if np.ndim(dt) else dt / dx
+    # for one field a caller-known speed of 0 skips the stability check, so
+    # infinite values reach the arithmetic too
+    speed = 0.0 if known_speed and values.ndim == 1 else None
+    before = values.tobytes()
+    with np.errstate(all="ignore"):
+        padded = bc.pad(values)
+        want = values - ratio * np.diff(
+            engquist_osher_flux(padded[..., :-1], padded[..., 1:], flux), axis=-1)
+        try:
+            if speed is None:
+                for row, row_dt in zip(rows, row_dts):
+                    _check_cfl(flux.max_speed(row), row_dt, dx)
+        except CflViolation:
+            event("rejected by the stability check")
+            with pytest.raises(CflViolation):
+                _eo_step(values, dt, flux, bc, dx, speed)
+        else:
+            got = _eo_step(values, dt, flux, bc, dx, speed)
+            assert got.shape == values.shape
+            assert got.tobytes() == want.tobytes()
+    assert values.tobytes() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.integers(1, 12).flatmap(lambda n: st.tuples(_edge_arrays(n), _edge_arrays(n))),
+    same=st.booleans(),
+    kind=st.sampled_from(["linear", "constant"]),
+    lam=st.sampled_from([0.0, 0.5, 0.7, 1.3, 2.0]),
+    dw=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.5, 0.5)),
+    dt=st.floats(1e-5, 0.1),
+    substep=st.sampled_from(["em", "milstein"]),
+)
+def test_stochastic_update_is_its_textbook_expression_bit_for_bit(base, same, kind, lam,
+                                                                  dw, dt, substep):
+    base, lin = base
+    lin = base if same else lin
+    sigma = NoiseAmplitude(kind, lam)
+    before = base.tobytes() + lin.tobytes()
+    with np.errstate(all="ignore"):
+        want = base + sigma(lin) * dw
+        if substep == "milstein":
+            want = want + 0.5 * sigma(lin) * sigma.slope * (dw * dw - dt)
+        got = stochastic_update(base, lin, sigma, dw, dt, substep)
+    assert got.tobytes() == want.tobytes()
+    assert base.tobytes() + lin.tobytes() == before
+
+
 # --- the streamed integrator equals stepping by hand -----------------------
 
 from splitburg import (  # noqa: E402
     CflMode,
     CflPolicy,
     InitialCondition,
-    NoiseAmplitude,
     SchemeConfig,
     SpatialGrid,
     StepNoise,
