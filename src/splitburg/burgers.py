@@ -179,7 +179,7 @@ def scl_step(state: FieldState, dt: float, flux: FluxFunction,
     with np.errstate(over="ignore", invalid="ignore"):
         new = _eo_step(state.values, dt, flux, bc, state.grid.dx,
                        flux.peak_speed(state.peak))
-    return state.successor(new, state.time + dt)
+    return state.with_values(new, state.time + dt)
 
 
 class CflMode(Enum):

@@ -97,11 +97,9 @@ class FieldState:
     """Cell-averaged solution values at one time level.
 
     Values are stored read-only.  The constructor always copies them, so a
-    state never aliases a caller's buffer; only `successor` adopts an array,
-    one a step has just computed and nothing else holds.  `peak` is
-    the largest |value|, from the one scan every state gets (`successor` takes
-    it from a caller that has just scanned the array).  `blown_up` marks a
-    diverged state: one with a non-finite entry (non-finite `peak`).
+    state never aliases a caller's buffer, and `peak`, the largest |value|,
+    comes from the one scan every state makes of its copy.  `blown_up` marks
+    a diverged state: one with a non-finite entry (non-finite `peak`).
     """
 
     grid: SpatialGrid
@@ -111,20 +109,13 @@ class FieldState:
 
     def __post_init__(self) -> None:
         vals = np.array(self.values, dtype=np.float64)  # copy: never alias caller buffers
-        vals.setflags(write=False)
-        self._settle(vals)
-
-    def _settle(self, vals: np.ndarray, peak: float | None = None) -> None:
-        """Store the read-only `vals` and set `peak` from one scan of them,
-        or from `peak` when it is that scan's."""
         if vals.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"expected {self.grid.n_cells} cell values, got shape {vals.shape}"
             )
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if peak is None:
-            peak = _scan(vals)[1]
-        object.__setattr__(self, "peak", peak)
+        object.__setattr__(self, "peak", _scan(vals)[1])
 
     @property
     def blown_up(self) -> bool:
@@ -138,22 +129,6 @@ class FieldState:
 
     def with_values(self, values, time: float | None = None) -> "FieldState":
         return FieldState(self.grid, values, self.time if time is None else time)
-
-    def successor(self, values: np.ndarray, time: float,
-                  peak: float | None = None) -> "FieldState":
-        """The state at `time` holding `values`, an array the caller has just
-        computed and hands over: it is frozen in place instead of copied
-        (a view is copied, since its base may still be written).  `peak`, the
-        largest |value| from the caller's own scan of `values`, spares the
-        state its scan."""
-        if values.base is not None:
-            values = values.copy()
-        values.setflags(write=False)
-        state = object.__new__(FieldState)
-        object.__setattr__(state, "grid", self.grid)
-        object.__setattr__(state, "time", time)
-        state._settle(values, peak)
-        return state
 
 
 _IC_KINDS = ("sine_bump", "riemann_step", "constant", "table")

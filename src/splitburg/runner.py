@@ -8,9 +8,9 @@ never aborts the rest of the matrix.
 
 Tasks run seed-major (for each seed, every cell and dt), so consecutive tasks
 share a Wiener path: `_run_cell` keeps the path of the task before and draws
-a new one only when (seed, t_end, dt_fine) changes.  That is one
-`generate_path` call per seed per chunk of tasks, at most one path held at a
-time, and none once `_run_tasks` returns.  The reduction and the archive are
+a new one only when (seed, t_end, dt_fine) changes.  A pool chunk holds
+whole seeds, so that is one path per seed, at most one held at a time, and
+none once `_run_tasks` returns.  The reduction and the archive are
 in cell-major order, as the outputs are.
 
 A seed's one record is its `SeedOutcome`: the `EnsembleSample` that
@@ -242,10 +242,11 @@ def run_matrix(
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         # a pool forks all its workers at the first submit, so start no more
-        # than can be busy; contiguous chunks, about four per worker, as
-        # Pool.map chunks
+        # than can be busy; contiguous chunks of whole seeds, so that no
+        # seed's path is drawn twice, at least four per worker where there
+        # are that many seeds
         workers = min(jobs, _usable_cpus())
-        size = -(-len(tasks) // (4 * workers))
+        size = max(1, len(cfg.seeds) // (4 * workers)) * len(cell_dts)
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         done: list[list[SeedOutcome | str]] = [[] for _ in chunks]
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:

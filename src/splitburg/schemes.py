@@ -24,14 +24,18 @@ Iterative one-step maps:
                            iterate and the start state
 
 Each scheme's step is a kernel on raw float64 cell values (the `SCHEMES`
-table); the public `*_step` functions wrap the same kernels in states and
-records.  `integrate` drives a kernel along a reproducible noise path, with
+table), and `SchemeConfig` says what a step of it reads: the half-interval
+increments (`reads_halves`), an aba companion (`carries_companion`) and the
+fine steps its size is a multiple of (`quantum`).  The public `*_step`
+functions wrap the same kernels in states and records, taking plain float
+increments.  `integrate` drives a kernel along a reproducible noise path, with
 either a fixed step size or a stability-bound-governed one, truncating on
 blow-up; `noise.step_counts` counts its fine steps and checks their
 alignment.  It streams and builds no per-step records at all: a trajectory
 holds its current values, the aba companion's values where the scheme
 carries one, a step counter and the rows of its residual trace, and only
-the last step's record is built, for `Trajectory`.  Memory per trajectory is
+the last step's record is built, for `Trajectory`, its state a copy of the
+values through `FieldState.with_values`.  Memory per trajectory is
 O(cells), not O(steps x cells).  The state after step k of a fixed-dt
 trajectory is the endpoint of integrating over k steps on the same path.
 """
@@ -91,9 +95,23 @@ class SchemeConfig:
 
     @property
     def quantum(self) -> int:
-        """Fine path steps every step size must be a multiple of: 2 when a
-        step consumes the increments of its two half intervals."""
+        """Fine path steps every step size must be a multiple of: 2 in the
+        scheme's `half_increments` modes."""
         return 2 if self.inner_mode in SCHEMES[self.scheme].half_increments else 1
+
+    @property
+    def reads_halves(self) -> bool:
+        """Whether a step reads the increments of its two half intervals:
+        bab always, iter_before only for its second iterate in half_steps."""
+        traits = SCHEMES[self.scheme]
+        return (self.inner_mode in traits.half_increments
+                and (not traits.iterations or self.iterations > 1))
+
+    @property
+    def carries_companion(self) -> bool:
+        """Whether the second iterate is refreshed from an aba companion
+        carried alongside: iter_before at I=2 in whole_step."""
+        return self.iterations > 1 and self.inner_mode in SCHEMES[self.scheme].companion
 
 
 @dataclass(frozen=True)
@@ -105,16 +123,6 @@ class StepRecord:
     state_after: FieldState
     dt_used: float
     iterate_residuals: tuple[float, ...] = ()
-
-
-@dataclass(frozen=True)
-class StepNoise:
-    """Increments one step may consume: the full-interval one, and the two
-    half-interval ones where the scheme needs them."""
-
-    full: float
-    first_half: float | None = None
-    second_half: float | None = None
 
 
 def _check_contraction(residuals, stacklevel: int = 3) -> None:
@@ -230,10 +238,10 @@ def _iter_before_whole(u, companion, dt, dw, cfg, dx, carry):
 
 
 def _iter_before(u, dt, dw, halves, companion, cfg, dx, speed, carry=True):
-    if cfg.iterations == 2 and cfg.inner_mode == "whole_step":
+    if cfg.carries_companion:
         return _iter_before_whole(u, companion, dt, dw, cfg, dx, carry)
     (c1,) = _voc_milstein(*_voc_terms((u,), dt, cfg, dx), dw, dt)
-    if cfg.iterations == 1:
+    if not cfg.reads_halves:
         return c1, (), companion
     h = 0.5 * dt
     dw1, dw2 = halves
@@ -289,7 +297,7 @@ def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw=None,
         values, residuals, _ = kernel(state.values, dt, dw, halves, companion, cfg,
                                       state.grid.dx, None)
     _check_contraction(residuals, stacklevel=4)  # the public step's caller
-    return StepRecord(state.successor(values, state.time + dt), dt, tuple(residuals))
+    return StepRecord(state.with_values(values, state.time + dt), dt, tuple(residuals))
 
 
 def ab_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
@@ -323,9 +331,12 @@ def iter_after_step(state: FieldState, dt: float, dw: float,
     return _record(_iter_after, state, dt, cfg, dw)
 
 
-def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
-                     cfg: SchemeConfig, aba_state: FieldState | None = None) -> StepRecord:
-    """One or two variation-of-constants iterates.
+def iter_before_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig,
+                     aba_state: FieldState | None = None,
+                     halves: tuple[float, float] | None = None) -> StepRecord:
+    """One or two variation-of-constants iterates with the full-interval
+    increment dw and, where the step reads them, the two half-interval
+    increments `halves`.
 
     iterations=1: the Milstein form linearized at the start state.
     iterations=2, whole_step: the same form re-evaluated from the aba
@@ -335,14 +346,11 @@ def iter_before_step(state: FieldState, dt: float, noise: StepNoise,
         state with the first half increment and an aba half-step solution with
         the second.
     """
-    halves = None
-    if cfg.iterations == 2 and cfg.inner_mode == "half_steps":
-        if noise.first_half is None or noise.second_half is None:
-            raise ConfigError("half_steps mode needs both half-interval increments")
-        halves = (noise.first_half, noise.second_half)
+    if cfg.reads_halves and (halves is None or None in halves):
+        raise ConfigError("half_steps mode needs both half-interval increments")
     companion = state if aba_state is None else aba_state
-    return _record(partial(_iter_before, carry=False), state, dt, cfg, noise.full,
-                   halves, companion.values)
+    return _record(partial(_iter_before, carry=False), state, dt, cfg, dw, halves,
+                   companion.values)
 
 
 def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
@@ -425,10 +433,12 @@ class SchemeTraits:
     `full_increment` says whether a step consumes the full-interval
     increment (bab consumes only the halves).
     `iterations` are the counts it takes (empty: not iterative).
-    `half_increments` are the inner modes in which a step consumes its two
-    half-interval increments, so dt spans an even number of fine steps;
-    `companion` those in which the second iterate is refreshed from an aba
-    solution carried alongside.
+    `half_increments` are the inner modes in which dt spans an even number
+    of fine steps, since a step may consume its two half-interval
+    increments; `companion` those in which the second iterate is refreshed
+    from an aba solution carried alongside.  An iterative scheme reads
+    either only from its second iterate on (`SchemeConfig.reads_halves`,
+    `SchemeConfig.carries_companion`).
 
     `stochastic_substep: em` reaches only ab, aba, bab and the aba solutions
     inside iter_before (whole-step companion, half-steps midpoint); the
@@ -501,12 +511,12 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     traits = SCHEMES[cfg.scheme]
     kernel, flux, sigma, dx = traits.kernel, cfg.flux, cfg.sigma, c0.grid.dx
     threshold = cfg.blowup_threshold
-    full, halves = traits.full_increment, quantum == 2
+    full, halves = traits.full_increment, cfg.reads_halves
     if m_fixed is not None:
         dws, pairs = _step_increments(path, 0, m_fixed, n_total // m_fixed, full, halves)
     u, time, peak = c0.values, c0.time, c0.peak
     absu = np.abs(u)
-    companion = u if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
+    companion = u if cfg.carries_companion else None
     residuals: tuple[float, ...] | list[float] = ()
     n_steps = 0
     rows: list[tuple[int, float, int, float]] = []
@@ -550,7 +560,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
                 break
     last = None
     if n_steps:
-        last = StepRecord(c0.successor(u, time, peak), dt_used, tuple(residuals))
+        last = StepRecord(c0.with_values(u, time), dt_used, tuple(residuals))
     trace = np.array(rows, dtype=np.float64).reshape(-1, 4)
     trace.flags.writeable = False
     return Trajectory(c0, last, n_steps, trace, blowup_time, blowup_reason)

@@ -76,7 +76,7 @@ def test_field_state_copies_and_freezes_values():
         state.values[0] = 0.0
 
 
-def test_field_state_copies_frozen_arrays_and_successor_adopts_fresh_ones():
+def test_field_state_copies_frozen_arrays():
     grid = SpatialGrid(0.0, 1.0, 3)
     frozen = np.array([1.0, 2.0, 3.0])
     frozen.setflags(write=False)
@@ -85,15 +85,6 @@ def test_field_state_copies_frozen_arrays_and_successor_adopts_fresh_ones():
     frozen.setflags(write=True)  # the caller still owns its array
     frozen[2] = 99.0
     assert state.values[2] == 3.0 and state.peak == 3.0
-    fresh = np.array([4.0, 5.0, 6.0])
-    after = state.successor(fresh, 0.2)
-    assert after.values is fresh and not fresh.flags.writeable
-    assert after.time == 0.2 and after.peak == 6.0
-    stack = np.array([[1.0, -7.0, 2.0], [0.0, 0.0, 0.0]])
-    row = state.successor(stack[0], 0.2)
-    assert row.values is not stack[0] and row.peak == 7.0
-    stack[0, 0] = 99.0  # the view's base stays writable; the state is a copy
-    assert row.values[0] == 1.0
 
 
 def test_field_state_stays_read_only_through_pickle():
@@ -126,8 +117,8 @@ def test_blown_up_is_read_off_the_values_only():
     with pytest.raises(TypeError):
         zeros.with_values(np.zeros(3), blown_up=True)
     assert not detect_blowup(zeros)
-    assert not zeros.successor(np.ones(3), 0.1).blown_up
-    assert zeros.successor(np.array([0.0, np.nan, 1.0]), 0.1).blown_up
+    assert not zeros.with_values(np.ones(3), 0.1).blown_up
+    assert zeros.with_values(np.array([0.0, np.nan, 1.0]), 0.1).blown_up
     bad = FieldState(grid, np.array([0.0, -np.inf, 0.0]))
     assert pickle.loads(pickle.dumps(bad)).blown_up and detect_blowup(bad)
 

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from splitburg import BoundaryKind, CflViolation, FluxFunction  # noqa: E402
 from splitburg.burgers import _eo_step  # noqa: E402
+from splitburg.grid import _mean_abs  # noqa: E402
 
 # values that include exact zeros, both signs and a wide range of magnitudes
 CELL_VALUES = st.one_of(
@@ -146,7 +147,6 @@ from splitburg import (  # noqa: E402
     InitialCondition,
     SchemeConfig,
     SpatialGrid,
-    StepNoise,
     ab_step,
     aba_step,
     bab_step,
@@ -174,8 +174,7 @@ def _public_step(state, path, k, m, cfg, companion):
     if cfg.scheme == "bab":
         return bab_step(state, dt, *halves, cfg), companion
     if cfg.scheme == "iter_before":
-        noise = StepNoise(dw, *halves) if cfg.quantum == 2 else StepNoise(dw)
-        rec = iter_before_step(state, dt, noise, cfg, aba_state=companion)
+        rec = iter_before_step(state, dt, dw, cfg, aba_state=companion, halves=halves)
         if companion is not None:
             companion = aba_step(companion, dt, dw, cfg).state_after
         return rec, companion
@@ -190,8 +189,7 @@ def _step_by_hand(c0, cfg, path, n_total, policy=None, m_fixed=None):
     snapped down to the path resolution and the scheme's quantum.
     Returns (final state, steps taken, (blow-up time, reason), residual
     rows)."""
-    traits = SCHEMES[cfg.scheme]
-    companion = c0 if cfg.iterations > 1 and cfg.inner_mode in traits.companion else None
+    companion = c0 if cfg.carries_companion else None
     state, rows, step, k = c0, [], 0, 0
     while k < n_total:
         m = m_fixed
@@ -302,3 +300,17 @@ def test_governed_integrate_equals_stepping_by_hand(cfg, seed, amplitude, mode, 
     traj = integrate(c0, n_total * fine, cfg, path, cfl=policy)
     event(f"{mode.value} ends: {traj.blowup_reason or 'at t_end'}")
     _assert_same(traj, _step_by_hand(c0, cfg, path, n_total, policy=policy))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
+       decades=st.integers(0, 40))
+def test_row_means_of_a_stack_equal_one_mean_abs_per_row(k, n, seed, decades):
+    # a row-wise reduction of a (k, n) stack, as per-row residuals of a
+    # batched step would take, must equal `_mean_abs` of each row alone;
+    # n crosses the block sizes of numpy's pairwise sum
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-decades, decades + 1, (k, n))
+    rows = np.add.reduce(np.abs(d), axis=-1)
+    for i in range(k):
+        assert rows[i] / n == _mean_abs(d[i].copy())

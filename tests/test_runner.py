@@ -179,11 +179,12 @@ def test_an_on_outcome_error_ends_the_run(jobs):
         run_matrix(small_cfg(), jobs=jobs, on_outcome=refuse)
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 6)])
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (64, 3)])
 def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch, cpus, workers):
-    # 6 tasks in chunks of ceil(6 / (4 workers)): one task each at 2 CPUs,
-    # and at 64 CPUs 6 one-task chunks, so no more than 6 workers
-    started = []
+    # 3 seeds of 2 tasks in chunks of max(1, 3 // (4 workers)) whole seeds:
+    # three one-seed chunks at 2 CPUs and at 64, so no more than 3 workers,
+    # and each seed's path is drawn once
+    started, drawn = [], []
 
     class InThreadPool:
         """Records `max_workers` and runs each submission at once in this
@@ -203,11 +204,21 @@ def test_jobs_starts_no_more_workers_than_cpus_or_chunks(monkeypatch, cpus, work
             fut.set_result(fn(*args))
             return fut
 
+    def generate_path(seed, *args):
+        drawn.append(seed)
+        return real_generate_path(seed, *args)
+
+    real_generate_path = runner_mod.generate_path
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InThreadPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
+    monkeypatch.setattr(runner_mod, "generate_path", generate_path)
     rows, archive, stats = run_matrix(small_cfg(), jobs=10_000)
     assert started == [workers]
+    assert drawn == list(small_cfg().seeds)
+    drawn.clear()
+    run_matrix(small_cfg(), jobs=2)
+    assert drawn == list(small_cfg().seeds)
     assert stats.clean
     assert without_wall_time(rows) == without_wall_time(run_matrix(small_cfg())[0])
 

@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-import splitburg.grid as grid_mod
 import splitburg.schemes as schemes_mod
 from splitburg import (
     BoundaryKind,
@@ -22,7 +21,6 @@ from splitburg import (
     NoisePath,
     SchemeConfig,
     SpatialGrid,
-    StepNoise,
     ab_step,
     aba_step,
     bab_step,
@@ -89,12 +87,29 @@ def test_scheme_config_flags():
     assert SchemeConfig("bab").quantum == 2
     assert SchemeConfig("iter_before", inner_mode="half_steps").quantum == 2
     assert SchemeConfig("iter_before").quantum == 1
+    # quantum 2 for every half_steps iter_before, though only its second
+    # iterate reads the halves
+    assert SchemeConfig("iter_before", iterations=1, inner_mode="half_steps").quantum == 2
     assert [name for name, row in SCHEMES.items() if row.companion] == ["iter_before"]
     assert SCHEMES["iter_before"].companion == ("whole_step",)
     assert list(SCHEMES["iter_after"].iterations) == list(range(1, 9))
     assert list(SCHEMES["iter_before"].iterations) == [1, 2]
     assert list(SCHEMES["iter_before_trapezoid"].iterations) == list(range(2, 9))
     assert not SCHEMES["aba"].iterations
+    # what a step reads
+    modes = ("whole_step", "half_steps")
+    for mode in modes:
+        assert SchemeConfig("bab", iterations=1, inner_mode=mode).reads_halves
+        first_only = SchemeConfig("iter_before", iterations=1, inner_mode=mode)
+        assert not (first_only.reads_halves or first_only.carries_companion)
+    whole = SchemeConfig("iter_before", iterations=2)
+    halves = SchemeConfig("iter_before", iterations=2, inner_mode="half_steps")
+    assert whole.carries_companion and not whole.reads_halves
+    assert halves.reads_halves and not halves.carries_companion
+    for name in ("ab", "aba", "iter_after", "iter_before_trapezoid"):
+        for mode in modes:
+            cfg = SchemeConfig(name, inner_mode=mode)
+            assert not (cfg.reads_halves or cfg.carries_companion)
 
 
 # ----------------------------------------------------- non-iterative maps
@@ -246,7 +261,7 @@ def test_iter_before_single_iterate_formula_bitwise():
         state = random_state(rng)
         dw = float(rng.normal(scale=0.1))
         cfg = cfg_for("iter_before", iterations=1)
-        got = iter_before_step(state, 0.01, StepNoise(dw), cfg)
+        got = iter_before_step(state, 0.01, dw, cfg)
         u = state.values
         amp = np.asarray(cfg.sigma(u), dtype=np.float64)
         corr = amp * np.asarray(cfg.sigma.deriv(u), dtype=np.float64)
@@ -260,7 +275,7 @@ def test_iter_before_noise_off_is_pure_transport():
     state = random_state(rng)
     for iterations in (1, 2):
         cfg = cfg_for("iter_before", lam=0.0, iterations=iterations)
-        got = iter_before_step(state, 0.01, StepNoise(0.6), cfg)
+        got = iter_before_step(state, 0.01, 0.6, cfg)
         assert np.array_equal(
             got.state_after.values, transported(state, 0.01, cfg).values
         )
@@ -271,7 +286,7 @@ def test_iter_before_constant_noise_propagates_the_ones_direction():
     state = random_state(rng)
     dw = 0.12
     cfg = cfg_for("iter_before", sigma_kind="constant", lam=0.4, iterations=1)
-    got = iter_before_step(state, 0.01, StepNoise(dw), cfg)
+    got = iter_before_step(state, 0.01, dw, cfg)
     base = transported(state, 0.01, cfg).values
     forced = propagate_values(np.full(16, 0.4), state, 0.01, cfg)
     assert np.allclose(got.state_after.values, base + forced * dw, rtol=1e-14)
@@ -283,14 +298,14 @@ def test_iter_before_second_iterate_reuses_the_companion_state():
     companion = random_state(rng)
     dw = 0.09
     cfg = cfg_for("iter_before", iterations=2)
-    got = iter_before_step(state, 0.01, StepNoise(dw), cfg, aba_state=companion)
+    got = iter_before_step(state, 0.01, dw, cfg, aba_state=companion)
     # the refreshed iterate evaluates the same formula at the companion values
-    alone = iter_before_step(companion, 0.01, StepNoise(dw),
+    alone = iter_before_step(companion, 0.01, dw,
                              cfg_for("iter_before", iterations=1))
     assert np.array_equal(got.state_after.values, alone.state_after.values)
     assert len(got.iterate_residuals) == 1
     # without a companion the refresh re-evaluates at the start state
-    standalone = iter_before_step(state, 0.01, StepNoise(dw), cfg)
+    standalone = iter_before_step(state, 0.01, dw, cfg)
     assert standalone.iterate_residuals == (0.0,)
 
 
@@ -300,7 +315,7 @@ def test_iter_before_half_steps_zero_flux_sums_two_milstein_half_steps():
     dw = 0.11
     cfg = cfg_for("iter_before", iterations=2, inner_mode="half_steps",
                   flux=FluxFunction("zero"))
-    got = iter_before_step(state, 0.01, StepNoise(2 * dw, dw, dw), cfg)
+    got = iter_before_step(state, 0.01, 2 * dw, cfg, halves=(dw, dw))
     first = milstein_step(state.values, cfg.sigma, dw, 0.005)
     second = milstein_step(first, cfg.sigma, dw, 0.005)
     assert np.allclose(got.state_after.values, first + second, rtol=1e-13)
@@ -311,7 +326,9 @@ def test_iter_before_half_steps_requires_both_half_increments():
     state = random_state(rng)
     cfg = cfg_for("iter_before", iterations=2, inner_mode="half_steps")
     with pytest.raises(ConfigError):
-        iter_before_step(state, 0.01, StepNoise(0.1), cfg)
+        iter_before_step(state, 0.01, 0.1, cfg)
+    with pytest.raises(ConfigError):
+        iter_before_step(state, 0.01, 0.1, cfg, halves=(0.05, None))
 
 
 def test_trapezoid_noise_off_is_pure_transport():
@@ -533,9 +550,9 @@ def test_integrate_carries_the_aba_companion_across_steps():
 
     dw1 = path.increment_over(0, 10)
     dw2 = path.increment_over(10, 20)
-    step1 = iter_before_step(c0, 0.01, StepNoise(dw1), cfg, aba_state=c0)
+    step1 = iter_before_step(c0, 0.01, dw1, cfg, aba_state=c0)
     companion = aba_step(c0, 0.01, dw1, cfg).state_after
-    step2 = iter_before_step(step1.state_after, 0.01, StepNoise(dw2), cfg,
+    step2 = iter_before_step(step1.state_after, 0.01, dw2, cfg,
                              aba_state=companion)
     assert np.array_equal(ends[0].final_state.values, step1.state_after.values)
     assert np.array_equal(ends[1].final_state.values, step2.state_after.values)
@@ -632,7 +649,24 @@ def test_iterative_steps_batch_their_independent_transports(
         assert np.array_equal(got.final_state.values, want.final_state.values)
 
 
-def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
+def test_governed_single_iterate_half_steps_sums_no_halves(monkeypatch):
+    # an I=1 step reads only its full-interval increment: one block sum a step
+    calls = []
+
+    def block_sums(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    real = NoisePath.block_sums
+    monkeypatch.setattr(NoisePath, "block_sums", block_sums)
+    cfg = cfg_for("iter_before", iterations=1, inner_mode="half_steps")
+    traj = integrate(sine_state(32), 0.1, cfg, generate_path(27, 0.1, 1e-4),
+                     cfl=CflPolicy(CflMode.COMBINED, dt_max=0.01))
+    assert traj.n_steps > 1 and not traj.blown_up
+    assert len(calls) == traj.n_steps
+
+
+def test_integrate_scans_each_step_once(monkeypatch):
     c0 = sine_state()
     path = generate_path(23, 0.1, 0.001)
     computed, scans = [], []
@@ -645,11 +679,10 @@ def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
         scans.append(values)
         return real_scan(values)
 
-    real_update, real_scan = schemes_mod.stochastic_update, grid_mod._scan
+    real_update, real_scan = schemes_mod.stochastic_update, schemes_mod._scan
     monkeypatch.setattr(schemes_mod, "stochastic_update", update)
-    # the loop's scan and any a state makes of its own
+    # the loop's own scan; the last state's scan of its copy is not counted
     monkeypatch.setattr(schemes_mod, "_scan", scan)
-    monkeypatch.setattr(grid_mod, "_scan", scan)
     policy = CflPolicy(CflMode.COMBINED, dt_max=0.01)
     # step k is the last step of a k-step trajectory, the one it keeps
     for k in range(1, 11):
@@ -657,14 +690,16 @@ def test_integrate_step_adopts_its_array_and_scans_it_once(monkeypatch):
         scans.clear()
         traj = integrate(c0, 0.01 * k, cfg_for("ab"), path, dt=0.01)
         assert traj.n_steps == len(computed) == len(scans) == k
-        assert traj.final_state.values is computed[-1] is scans[-1]
+        assert computed[-1] is scans[-1]
+        assert np.array_equal(traj.final_state.values, computed[-1])
         assert traj.final_state.peak == float(np.max(np.abs(computed[-1])))
     # governed steps read their bound off the same one scan
     computed.clear()
     scans.clear()
     traj = integrate(c0, 0.1, cfg_for("ab"), generate_path(23, 0.1, 1e-4), cfl=policy)
     assert traj.n_steps == len(computed) == len(scans) > 10
-    assert traj.final_state.values is computed[-1] is scans[-1]
+    assert computed[-1] is scans[-1]
+    assert np.array_equal(traj.final_state.values, computed[-1])
 
 
 @pytest.mark.parametrize("scheme, iterations, inner_mode", [
@@ -683,16 +718,11 @@ def test_integrate_builds_one_state_per_trajectory(monkeypatch, scheme, iteratio
     cfg = cfg_for(scheme, iterations=iterations, inner_mode=inner_mode)
     built = []
 
-    def successor(self, *args):
-        built.append(1)
-        return real(self, *args)
-
     def post_init(self):
         built.append(1)
         real_init(self)
 
-    real, real_init = FieldState.successor, FieldState.__post_init__
-    monkeypatch.setattr(FieldState, "successor", successor)
+    real_init = FieldState.__post_init__
     monkeypatch.setattr(FieldState, "__post_init__", post_init)
     governed = CflPolicy(CflMode.COMBINED, dt_max=0.01)
     for path_, kw in ((path, {"dt": 0.01}), (fine_path, {"cfl": governed})):
@@ -742,7 +772,7 @@ def test_step_functions_reject_non_positive_dt(dt):
         lambda: aba_step(state, dt, 0.1, cfg_for("aba")),
         lambda: bab_step(state, dt, 0.05, 0.05, cfg_for("bab")),
         lambda: iter_after_step(state, dt, 0.1, cfg_for("iter_after")),
-        lambda: iter_before_step(state, dt, StepNoise(0.1), cfg_for("iter_before")),
+        lambda: iter_before_step(state, dt, 0.1, cfg_for("iter_before")),
         lambda: iter_before_trapezoid_step(state, dt, 0.1,
                                            cfg_for("iter_before_trapezoid")),
     )
