@@ -29,8 +29,10 @@ class SpatialGrid:
             raise ConfigError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise ConfigError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 2:
+        # the range first, so NaN and infinities are refused before `int`
+        if not 2 <= self.n_cells < math.inf or int(self.n_cells) != self.n_cells:
             raise ConfigError(f"n_cells must be an integer >= 2, got {self.n_cells}")
+        object.__setattr__(self, "n_cells", int(self.n_cells))
 
     @property
     def dx(self) -> float:

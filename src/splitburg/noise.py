@@ -71,10 +71,17 @@ class NoiseAmplitude:
         if not self.lam >= 0.0:
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
 
-    def __call__(self, c):
+    def __call__(self, c, out=None):
+        """sigma(c), broadcast to c's shape: the one place that forms the
+        amplitude.  With `out` (numpy's buffer convention) it is computed
+        into that array of c's shape, which may be c itself, bitwise the
+        same as the allocating call."""
         if self.kind == "linear":
-            return self.lam * c
-        return _shaped_like(c, self.lam)
+            return self.lam * c if out is None else np.multiply(c, self.lam, out=out)
+        if out is None:
+            return _shaped_like(c, self.lam)
+        out[...] = self.lam
+        return out
 
     @property
     def slope(self) -> float:
@@ -335,9 +342,12 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
 
 def coarsen(path: NoisePath, factor: int) -> np.ndarray:
     """Increments at resolution factor * dt_fine, each the left-to-right sum
-    of the fine increments it covers."""
-    if factor < 1 or int(factor) != factor:
+    of the fine increments it covers.  An integral float is taken as that
+    integer; the range is compared first, so NaN and infinities are refused
+    before `int`."""
+    if not 1 <= factor < math.inf or int(factor) != factor:
         raise ConfigError(f"coarsening factor must be a positive integer, got {factor}")
+    factor = int(factor)
     n = path.n_steps
     if n % factor != 0:
         raise ConfigError(f"factor {factor} does not divide path length {n}")
@@ -351,18 +361,14 @@ def stochastic_update(base: np.ndarray, lin: np.ndarray, sigma: NoiseAmplitude,
     base + sigma(lin) dW [+ (1/2) sigma(lin) sigma'(lin) (dW^2 - dt)].
 
     The result is bitwise that expression's: the same operations in the
-    same order, operands at most commuted, never reassociated or folded
-    (constant noise forms its one amplitude product once, not per cell).
-    The kernel writes only arrays it allocates, the result and, for linear
-    noise, the amplitude; `base` and `lin` are never written.
+    same order, operands at most commuted, never reassociated or folded.
+    `sigma(lin)` forms the amplitude, one value per cell for either noise
+    kind.  The kernel writes only arrays it allocates, the result and the
+    amplitude; `base` and `lin` are never written.
     """
-    if sigma.kind == "linear":
-        amp = lin * sigma.lam
-        new = amp * dw
-        np.add(base, new, out=new)
-    else:
-        amp = sigma.lam
-        new = base + amp * dw
+    amp = sigma(lin)
+    new = amp * dw
+    np.add(base, new, out=new)
     if kind == "em":
         return new
     amp *= 0.5

@@ -27,8 +27,12 @@ Each scheme's step is a kernel on raw float64 cell values (the `SCHEMES`
 table), and `SchemeConfig` says what a step of it reads: the half-interval
 increments (`reads_halves`), an aba companion (`carries_companion`) and the
 fine steps its size is a multiple of (`quantum`).  The public `*_step`
-functions wrap the same kernels in states and records, taking plain float
-increments.  `integrate` drives a kernel along a reproducible noise path, with
+functions run the very kernels `integrate` runs, wrapped in states and
+records and taking plain float increments; iter_before's also takes the aba
+companion's step and drops its result.  The kernels form the noise
+amplitude only by calling `NoiseAmplitude`, which computes sigma(c) into a
+buffer they pass where they have one, so none branches on the noise kind.
+`integrate` drives a kernel along a reproducible noise path, with
 either a fixed step size or a stability-bound-governed one, truncating on
 blow-up; `noise.step_counts` counts its fine steps and checks their
 alignment.  It streams and builds no per-step records at all: a trajectory
@@ -46,7 +50,6 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -181,11 +184,7 @@ def _linearized(sigma: NoiseAmplitude, fields, extra=None) -> np.ndarray:
         stack[i] = field
     if extra is not None:
         stack[2 * k] = extra
-    amp = stack[k:2 * k]
-    if sigma.kind == "linear":
-        np.multiply(stack[:k], sigma.lam, out=amp)
-    else:
-        amp[...] = sigma.lam
+    amp = sigma(stack[:k], out=stack[k:2 * k])
     np.multiply(amp, sigma.slope, out=stack[-k:])
     return stack
 
@@ -214,32 +213,27 @@ def _voc_milstein(field: np.ndarray, amp: np.ndarray, corr: np.ndarray, dw: floa
     return new
 
 
-def _iter_before_whole(u, companion, dt, dw, cfg, dx, carry):
+def _iter_before_whole(u, companion, dt, dw, cfg, dx):
     """Iterates 1 and 2 of whole-step iter_before, linearized at u and at the
-    companion, and with `carry` the companion's own aba step over dt (else
-    the companion itself).  The companion's two half transports ride in the
-    two transport calls of the iterates, with their own dt."""
+    companion, and the companion's own aba step over dt.  The companion's
+    two half transports ride in the two transport calls of the iterates,
+    with their own dt.  The new values and companion are copies of their
+    rows, so the stacks they come from die with the step."""
     h = 0.5 * dt
-    if carry:
-        # rows u, companion, amp x2, companion's first half transport, corr x2
-        moved = _eo_step(_linearized(cfg.sigma, (u, companion), companion),
-                         (dt, dt, dt, dt, h, dt, dt), cfg.flux, cfg.bc, dx)
-        mid = moved[4]
-        moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt, cfg.stochastic_substep)
-        # rows: the companion's second half transport, corr x2
-        twice = _eo_step(moved[4:7], (h, dt, dt), cfg.flux, cfg.bc, dx)
-        companion, corr_t = twice[0], twice[1:3]
-    else:
-        moved = _eo_step(_linearized(cfg.sigma, (u, companion)), dt, cfg.flux,
-                         cfg.bc, dx)
-        corr_t = _eo_step(moved[4:6], dt, cfg.flux, cfg.bc, dx)
-    c1, c2 = _voc_milstein(moved[0:2], moved[2:4], corr_t, dw, dt)
-    return c2, (_mean_abs(c2 - c1),), companion
+    # rows u, companion, amp x2, companion's first half transport, corr x2
+    moved = _eo_step(_linearized(cfg.sigma, (u, companion), companion),
+                     (dt, dt, dt, dt, h, dt, dt), cfg.flux, cfg.bc, dx)
+    mid = moved[4]
+    moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt, cfg.stochastic_substep)
+    # rows: the companion's second half transport, corr x2
+    twice = _eo_step(moved[4:7], (h, dt, dt), cfg.flux, cfg.bc, dx)
+    c1, c2 = _voc_milstein(moved[0:2], moved[2:4], twice[1:3], dw, dt)
+    return c2.copy(), (_mean_abs(c2 - c1),), twice[0].copy()
 
 
-def _iter_before(u, dt, dw, halves, companion, cfg, dx, speed, carry=True):
+def _iter_before(u, dt, dw, halves, companion, cfg, dx, speed):
     if cfg.carries_companion:
-        return _iter_before_whole(u, companion, dt, dw, cfg, dx, carry)
+        return _iter_before_whole(u, companion, dt, dw, cfg, dx)
     (c1,) = _voc_milstein(*_voc_terms((u,), dt, cfg, dx), dw, dt)
     if not cfg.reads_halves:
         return c1, (), companion
@@ -261,29 +255,22 @@ def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
     (base,), (amp,), (corr,) = _voc_terms((u,), dt, cfg, dx)
     c1 = _voc_milstein(base, amp, corr, dw, dt)
     sigma = cfg.sigma
-    linear = sigma.kind == "linear"
     # every iterate starts from base - (1/2) sigma(c1)^2 dt, in that order
-    if linear:
-        drift = c1 * sigma.lam
-        drift *= drift
-        drift *= 0.5
-        drift *= dt
-        np.subtract(base, drift, out=drift)
-    else:
-        drift = base - 0.5 * (sigma.lam * sigma.lam) * dt
+    drift = sigma(c1, out=np.empty_like(c1))
+    drift *= drift
+    drift *= 0.5
+    drift *= dt
+    np.subtract(base, drift, out=drift)
 
     prev = c1
     residuals: list[float] = []
     for _ in range(2, cfg.iterations + 1):
         # + sigma((prev + u) / 2) dW
-        if linear:
-            nxt = prev + u
-            nxt *= 0.5
-            nxt *= sigma.lam
-            nxt *= dw
-            np.add(drift, nxt, out=nxt)
-        else:
-            nxt = drift + sigma.lam * dw
+        nxt = prev + u
+        nxt *= 0.5
+        sigma(nxt, out=nxt)
+        nxt *= dw
+        np.add(drift, nxt, out=nxt)
         residuals.append(_mean_abs(nxt - prev))
         prev = nxt
     return prev, residuals, companion
@@ -345,12 +332,16 @@ def iter_before_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig,
     iterations=2, half_steps: the two-half-interval sum, pairing the start
         state with the first half increment and an aba half-step solution with
         the second.
+
+    The step runs the kernel `integrate` runs.  At iterations=2 whole_step
+    that kernel also takes the companion's own aba step, whose result is
+    dropped here (`aba_step` returns it).  So the step also raises that aba
+    step's CflViolation, which `integrate` records as `cfl_rejected`.
     """
     if cfg.reads_halves and (halves is None or None in halves):
         raise ConfigError("half_steps mode needs both half-interval increments")
     companion = state if aba_state is None else aba_state
-    return _record(partial(_iter_before, carry=False), state, dt, cfg, dw, halves,
-                   companion.values)
+    return _record(_iter_before, state, dt, cfg, dw, halves, companion.values)
 
 
 def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,

@@ -41,6 +41,17 @@ def test_grid_rejects_bad_bounds_and_cell_counts():
         SpatialGrid(0.0, 1.0, 1)
     with pytest.raises(ConfigError):
         SpatialGrid(0.0, np.inf, 10)
+    # the range is compared before `int`, so NaN and infinities are refused
+    for n in (np.nan, np.inf, -np.inf, 1.5, 1):
+        with pytest.raises(ConfigError, match="n_cells"):
+            SpatialGrid(0.0, 1.0, n)
+    # an integral float is stored as that integer, so every kind samples on it
+    grid = SpatialGrid(0.0, 1.0, 10.0)
+    assert type(grid.n_cells) is int and grid == SpatialGrid(0.0, 1.0, 10)
+    for ic in (InitialCondition.sine_bump(), InitialCondition.riemann_step(1.0, 0.0),
+               InitialCondition.constant(0.3),
+               InitialCondition.table([0.0, 1.0], [0.0, 1.0])):
+        assert make_initial_state(grid, ic).values.shape == (10,)
 
 
 def test_grid_compatibility():

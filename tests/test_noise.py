@@ -280,6 +280,12 @@ def test_coarsen_validation():
         coarsen(path, 3)
     with pytest.raises(ConfigError):
         coarsen(path, 0)
+    # the range is compared before `int`, so NaN and infinities are refused
+    for factor in (np.nan, np.inf, -np.inf, 1.5):
+        with pytest.raises(ConfigError, match="coarsening factor"):
+            coarsen(path, factor)
+    # an integral float is taken as that integer
+    assert np.array_equal(coarsen(path, 2.0), coarsen(path, 2))
 
 
 def test_em_step_values():

@@ -135,7 +135,15 @@ def test_stochastic_update_is_its_textbook_expression_bit_for_bit(base, same, ki
         if substep == "milstein":
             want = want + 0.5 * sigma(lin) * sigma.slope * (dw * dw - dt)
         got = stochastic_update(base, lin, sigma, dw, dt, substep)
+        # sigma into a caller's buffer, fresh or aliasing a copy of its
+        # input, is bitwise the allocating call broadcast to lin's shape
+        amp = np.broadcast_to(sigma(lin), lin.shape).tobytes()
+        fresh = sigma(lin, out=np.empty_like(lin))
+        buf = lin.copy()
+        aliased = sigma(buf, out=buf)
     assert got.tobytes() == want.tobytes()
+    assert fresh.tobytes() == amp
+    assert aliased is buf and buf.tobytes() == amp
     assert base.tobytes() + lin.tobytes() == before
 
 

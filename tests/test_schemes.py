@@ -12,6 +12,7 @@ from splitburg import (
     BoundaryKind,
     CflMode,
     CflPolicy,
+    CflViolation,
     ConfigError,
     ContractionWarning,
     FieldState,
@@ -255,12 +256,13 @@ def test_iter_after_warns_when_the_fixpoint_diverges():
         iter_after_step(state, 0.01, 2.5, cfg)  # |dW| far above the contraction range
 
 
-def test_iter_before_single_iterate_formula_bitwise():
+@pytest.mark.parametrize("sigma_kind", ["linear", "constant"])
+def test_iter_before_single_iterate_formula_bitwise(sigma_kind):
     rng = np.random.default_rng(22)
     for _ in range(10):
         state = random_state(rng)
         dw = float(rng.normal(scale=0.1))
-        cfg = cfg_for("iter_before", iterations=1)
+        cfg = cfg_for("iter_before", sigma_kind=sigma_kind, iterations=1)
         got = iter_before_step(state, 0.01, dw, cfg)
         u = state.values
         amp = np.asarray(cfg.sigma(u), dtype=np.float64)
@@ -309,6 +311,20 @@ def test_iter_before_second_iterate_reuses_the_companion_state():
     assert standalone.iterate_residuals == (0.0,)
 
 
+def test_iter_before_step_raises_the_companion_aba_steps_cfl_violation():
+    # the public step runs integrate's kernel, which also takes the
+    # companion's aba step: here its second half transport is too long
+    state = FieldState(GRID, np.full(16, 0.1))
+    companion = sine_state(16)
+    dt, dw = GRID.dx / companion.peak, 3.0
+    cfg = cfg_for("iter_before", iterations=2)
+    with pytest.raises(CflViolation) as aba_error:
+        aba_step(companion, dt, dw, cfg)
+    with pytest.raises(CflViolation) as step_error:
+        iter_before_step(state, dt, dw, cfg, aba_state=companion)
+    assert str(step_error.value) == str(aba_error.value)
+
+
 def test_iter_before_half_steps_zero_flux_sums_two_milstein_half_steps():
     grid4 = SpatialGrid(0.0, 1.0, 4)
     state = FieldState(grid4, np.array([0.4, -0.2, 0.7, 0.1]))
@@ -350,11 +366,12 @@ def test_trapezoid_zero_increment_keeps_the_quadratic_drift():
     assert np.allclose(got.state_after.values, expected, rtol=1e-14)
 
 
-def test_trapezoid_recursion_matches_a_hand_rollout():
+@pytest.mark.parametrize("sigma_kind", ["linear", "constant"])
+def test_trapezoid_recursion_matches_a_hand_rollout(sigma_kind):
     rng = np.random.default_rng(36)
     state = random_state(rng)
     dw = 0.08
-    cfg = cfg_for("iter_before_trapezoid", iterations=3)
+    cfg = cfg_for("iter_before_trapezoid", sigma_kind=sigma_kind, iterations=3)
     got = iter_before_trapezoid_step(state, 0.01, dw, cfg)
 
     u = state.values
@@ -556,6 +573,13 @@ def test_integrate_carries_the_aba_companion_across_steps():
                              aba_state=companion)
     assert np.array_equal(ends[0].final_state.values, step1.state_after.values)
     assert np.array_equal(ends[1].final_state.values, step2.state_after.values)
+    # the kernel's new values and companion own their data: no dead stack
+    # rows stay alive between steps
+    values, _, carried = SCHEMES["iter_before"].kernel(
+        c0.values, 0.01, dw1, None, c0.values, cfg, c0.grid.dx, None)
+    assert values.base is None and carried.base is None
+    assert np.array_equal(values, step1.state_after.values)
+    assert np.array_equal(carried, companion.values)
 
 
 def test_only_ab_aba_bab_and_aba_companions_follow_the_em_substep():
@@ -739,7 +763,7 @@ def test_integrate_builds_one_state_per_trajectory(monkeypatch, scheme, iteratio
     ("aba", 7.0),
     ("bab", 7.2),
     ("iter_after", 7.4),
-    ("iter_before", 40.0),
+    ("iter_before", 33.0),
     ("iter_before_trapezoid", 18.0),
 ])
 def test_a_trajectory_holds_one_state_not_one_per_step(scheme, states):
