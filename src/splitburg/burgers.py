@@ -199,9 +199,10 @@ class CflMode(Enum):
 class CflPolicy:
     """Which stability bound to apply and how much headroom to keep.
 
-    xi_bound is the number of increment standard deviations the stochastic
-    bounds guard against; dt_max caps the recommendation and is the fallback
-    when the state carries no usable information (all cells floored).
+    xi_bound, positive and finite, is the number of increment standard
+    deviations the stochastic bounds guard against; dt_max caps the
+    recommendation and is the fallback when the state carries no usable
+    information (all cells floored).
     """
 
     mode: CflMode = CflMode.COMBINED
@@ -212,8 +213,8 @@ class CflPolicy:
     def __post_init__(self) -> None:
         if not (0.0 < self.safety <= 1.0):
             raise ConfigError(f"safety must lie in (0, 1], got {self.safety}")
-        if not self.xi_bound > 0.0:
-            raise ConfigError(f"xi_bound must be positive, got {self.xi_bound}")
+        if not 0.0 < self.xi_bound < math.inf:
+            raise ConfigError(f"xi_bound must be positive and finite, got {self.xi_bound}")
         if self.dt_max is not None and not self.dt_max > 0.0:
             raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
 

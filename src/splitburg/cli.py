@@ -69,7 +69,6 @@ def main(argv=None) -> int:
         # only this process writes: the pool's outcomes come back to it
         writer = CsvWriter(out_dir, cfg.make_grid().centers)
         rows, _, stats = run_matrix(cfg, jobs=args.jobs, on_outcome=writer.write)
-        summary_path = writer.finish(rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -77,14 +76,21 @@ def main(argv=None) -> int:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    if not args.quiet:
-        print(f"wrote {summary_path} with {len(rows)} row(s)")
-        print(f"total integrated steps: {stats.total_steps}")
+    # reported whenever the matrix ran, so a run without a summary says why
     for label, dt, seed, message in stats.failures:
         print(f"cell failure: {label} dt={dt:g} seed={seed}: {message}",
               file=sys.stderr)
     for label, why in stats.empty_cells:
         print(f"cell without usable samples: {label}: {why}", file=sys.stderr)
+    try:
+        summary_path = writer.finish(rows)
+    except Exception as exc:
+        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+
+    if not args.quiet:
+        print(f"wrote {summary_path} with {len(rows)} row(s)")
+        print(f"total integrated steps: {stats.total_steps}")
     return 0 if stats.clean else 2
 
 

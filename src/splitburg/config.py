@@ -28,7 +28,7 @@ from .grid import (
     make_initial_state,
 )
 from .noise import NoiseAmplitude, check_seed, step_counts
-from .schemes import SchemeConfig, scheme_traits
+from .schemes import DEFAULT_BLOWUP_THRESHOLD, SchemeConfig, scheme_traits
 
 DEFAULT_SEED_BASE = 1
 DEFAULT_SEED_COUNT = 50
@@ -83,7 +83,7 @@ class RunConfig:
     safety: float = 0.9
     xi_bound: float = 3.0
     adaptive_dt: bool = False
-    blowup_threshold: float = 1e6
+    blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
     stochastic_substep: str = "milstein"
     inner_mode: str = "whole_step"
     output_dir: str = "results"

@@ -60,6 +60,8 @@ class NoiseAmplitude:
 
     linear:   sigma(c) = lam * c,  sigma'(c) = lam
     constant: sigma(c) = lam,      sigma'(c) = 0
+
+    lam must be non-negative and finite.
     """
 
     kind: str = "linear"
@@ -68,8 +70,8 @@ class NoiseAmplitude:
     def __post_init__(self) -> None:
         if self.kind not in _NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if not self.lam >= 0.0:
-            raise ConfigError(f"lam must be non-negative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ConfigError(f"lam must be non-negative and finite, got {self.lam}")
 
     def __call__(self, c, out=None):
         """sigma(c), broadcast to c's shape: the one place that forms the

@@ -25,11 +25,10 @@ Outputs stream.  `run_matrix` hands each outcome to an `on_outcome` callback
 in the calling process as soon as its chunk of tasks is back: at `jobs == 1`
 once every task has run, at `jobs > 1` per pool chunk in completion order,
 so the parent creates files while the workers compute.  `CsvWriter` owns the
-layout (summary.csv, profiles/, residuals/), writes each file a block of
-lines at a time and summary.csv last.  Only the parent writes: creating
-files in one directory from several threads made each create cost more in
-system time, not less.  `emit_csv` runs the same writer over a finished
-`RunArchive`.
+layout (summary.csv, profiles/, residuals/), writes each file in one call
+and summary.csv last.  Only the parent writes: creating files in one
+directory from several threads made each create cost more in system time,
+not less.  `emit_csv` runs the same writer over a finished `RunArchive`.
 """
 
 from __future__ import annotations
@@ -307,11 +306,6 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-#: Lines per write of a profile or residual file, so that no file's lines
-#: are held all at once while each write still amortizes its call.
-_BLOCK_LINES = 1024
-
-
 class CsvWriter:
     """The output layout under one directory: summary.csv, and one file per
     seed in profiles/ and residuals/.
@@ -323,9 +317,9 @@ class CsvWriter:
     profile, unless it blew up, and its residual trace if the scheme is
     iterative.  `finish(rows)` writes summary.csv atomically, last, so a
     summary never sits beside another run's per-seed files, and a run that
-    fails after its first write leaves no summary at all.  Files are written
-    a block of `_BLOCK_LINES` lines at a time, by the one process that
-    holds the writer.
+    fails after its first write leaves no summary at all.  Each file is
+    formatted whole and written in one call, by the one process that holds
+    the writer.
     """
 
     def __init__(self, out_dir, x_centers: np.ndarray) -> None:
@@ -333,8 +327,10 @@ class CsvWriter:
         # str paths: a pathlib join costs about 3 us, paid twice per seed
         self._profiles = os.path.join(self.out, "profiles")
         self._residuals = os.path.join(self.out, "residuals")
-        self._x_centers = x_centers
-        self._templates: list[str] | None = None
+        # the header and one "x,%r" line per cell: the x column is formatted
+        # once per writer; tolist() gives builtin floats, whose repr is _fmt's
+        self._profile = "x,c\n" + "".join(
+            [f"{x!r},%r\n" for x in x_centers.tolist()])
         self._started = False
 
     def _start(self) -> None:
@@ -348,17 +344,6 @@ class CsvWriter:
                 stale.unlink()
         self._started = True
 
-    def _profile_templates(self) -> list[str]:
-        """One "x,%r" line per cell, joined a block at a time: the x column
-        is formatted once per writer, as a few strings, not one per line."""
-        if self._templates is None:
-            # tolist() gives builtin floats, whose repr is _fmt's
-            xs = self._x_centers.tolist()
-            self._templates = [
-                "".join([f"{x!r},%r\n" for x in xs[i:i + _BLOCK_LINES]])
-                for i in range(0, len(xs), _BLOCK_LINES)]
-        return self._templates
-
     def write(self, o: SeedOutcome) -> None:
         """Write one seed's profile and residual trace."""
         self._start()
@@ -366,20 +351,13 @@ class CsvWriter:
         if o.endpoint is not None:
             with open(os.path.join(self._profiles, stem), "w",
                       encoding="utf-8") as fh:
-                fh.write("x,c\n")
-                for k, template in enumerate(self._profile_templates()):
-                    i = k * _BLOCK_LINES
-                    fh.write(template % tuple(
-                        o.endpoint.values[i:i + _BLOCK_LINES].tolist()))
+                fh.write(self._profile % tuple(o.endpoint.values.tolist()))
         if o.iterations > 0:
             with open(os.path.join(self._residuals, stem), "w",
                       encoding="utf-8") as fh:
-                fh.write("step,time,iteration,residual\n")
-                for i in range(0, len(o.residuals), _BLOCK_LINES):
-                    fh.write("".join([
-                        f"{int(step)},{t!r},{int(sweep)},{res!r}\n"
-                        for step, t, sweep, res
-                        in o.residuals[i:i + _BLOCK_LINES].tolist()]))
+                fh.write("".join(["step,time,iteration,residual\n"] + [
+                    f"{int(step)},{t!r},{int(sweep)},{res!r}\n"
+                    for step, t, sweep, res in o.residuals.tolist()]))
 
     def finish(self, rows) -> Path:
         """Write summary.csv, one row per cell in the fixed column order."""

@@ -73,7 +73,13 @@ class ContractionWarning(RuntimeWarning):
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Everything a one-step map needs besides the state and the increments."""
+    """Everything a one-step map needs besides the state and the increments.
+
+    `iterations` is stored as an `int`, so an integral float such as 2.0
+    becomes 2.  `blowup_threshold` must be positive and finite: no state
+    exceeds an infinite one, so a non-finite endpoint would pass as
+    completed.
+    """
 
     scheme: str
     flux: FluxFunction = FluxFunction()
@@ -93,8 +99,10 @@ class SchemeConfig:
         if self.iterations not in allowed:
             raise ConfigError(f"{self.scheme} takes iterations "
                               f"{allowed.start}..{allowed.stop - 1}, got {self.iterations}")
-        if not self.blowup_threshold > 0.0:
-            raise ConfigError(f"blowup_threshold must be positive, got {self.blowup_threshold}")
+        object.__setattr__(self, "iterations", int(self.iterations))
+        if not 0.0 < self.blowup_threshold < math.inf:
+            raise ConfigError("blowup_threshold must be positive and finite, "
+                              f"got {self.blowup_threshold}")
 
     @property
     def quantum(self) -> int:
@@ -366,9 +374,10 @@ def _blowup_reason(peak: float, threshold: float) -> str | None:
 def detect_blowup(state: FieldState,
                   threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> bool:
     """True when the state is non-finite or any |value| exceeds the threshold
-    (strictly)."""
-    if not threshold > 0.0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
+    (strictly).  The threshold must be positive and finite, or a non-finite
+    state would not exceed it."""
+    if not 0.0 < threshold < math.inf:
+        raise ConfigError(f"threshold must be positive and finite, got {threshold}")
     return _blowup_reason(state.peak, threshold) is not None
 
 

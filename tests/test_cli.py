@@ -122,6 +122,41 @@ def test_cell_failure_exits_2_but_still_writes(config_file, tmp_path,
     assert (out / "summary.csv").exists()
 
 
+EVERY_CELL_FAILS = {
+    # each task asks for a path of 10^8 increments, over the cap
+    "resource_limit": ("schemes: [ab]\ndt_fine: 1.0e-9\nt_end: 0.1\n", [
+        "cell failure: ab dt=0.01 seed=1: ResourceLimit: path of 100000000 "
+        "increments exceeds the cap of 10000000",
+        "cell failure: ab dt=0.01 seed=2: ResourceLimit: path of 100000000 "
+        "increments exceeds the cap of 10000000",
+        "cell without usable samples: ab dt=0.01: every worker task failed",
+    ]),
+    # every seed blows up
+    "blowup": ("schemes: [ab, aba]\nnoise: {kind: linear, lam: 80.0}\n"
+               "blowup_threshold: 1.01\nt_end: 0.05\n", [
+        "cell without usable samples: ab dt=0.01: no usable samples: "
+        "every trajectory blew up",
+        "cell without usable samples: aba dt=0.01: no usable samples: "
+        "every trajectory blew up",
+    ]),
+}
+
+
+@pytest.mark.parametrize("study", sorted(EVERY_CELL_FAILS))
+def test_a_run_where_every_cell_fails_says_why_and_writes_no_summary(
+        study, tmp_path, capsys):
+    doc, expected = EVERY_CELL_FAILS[study]
+    cfg = tmp_path / "fails.yaml"
+    cfg.write_text("grid: {n_cells: 20}\ndt_ladder: [0.01]\nseeds: [1, 2]\n" + doc)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == expected + [
+        "run failed: ValueError: no result rows to write"]
+    assert captured.out == ""
+    assert not (out / "summary.csv").exists()
+
+
 def test_unstable_dt_is_reported_as_config_error(tmp_path, capsys):
     cfg = tmp_path / "fast.yaml"
     cfg.write_text("{dt_ladder: [0.02], dt_fine: 0.01, t_end: 0.1}\n")

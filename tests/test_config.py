@@ -149,20 +149,21 @@ def test_run_config_rejects_non_finite_alignment_values(bad):
 
 
 def test_nan_fails_the_dataclass_gates():
-    nan = math.nan
-    with pytest.raises(ConfigError, match="lam"):
-        NoiseAmplitude("linear", nan)
-    with pytest.raises(ConfigError, match="blowup_threshold"):
-        SchemeConfig("ab", blowup_threshold=nan)
-    with pytest.raises(ConfigError, match="xi_bound"):
-        CflPolicy(xi_bound=nan)
     with pytest.raises(ConfigError, match="dt_max"):
-        CflPolicy(dt_max=nan)
-    with pytest.raises(ConfigError, match="threshold"):
-        detect_blowup(RunConfig().make_state(), threshold=nan)
-    for kwargs in ({"lam": nan}, {"blowup_threshold": nan}, {"xi_bound": nan}):
-        with pytest.raises(ConfigError, match=next(iter(kwargs))):
-            RunConfig(**kwargs)
+        CflPolicy(dt_max=math.nan)
+    # as the YAML parser does, the gates refuse infinities too
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="lam"):
+            NoiseAmplitude("linear", bad)
+        with pytest.raises(ConfigError, match="blowup_threshold"):
+            SchemeConfig("ab", blowup_threshold=bad)
+        with pytest.raises(ConfigError, match="xi_bound"):
+            CflPolicy(xi_bound=bad)
+        with pytest.raises(ConfigError, match="threshold"):
+            detect_blowup(RunConfig().make_state(), threshold=bad)
+        for kwargs in ({"lam": bad}, {"blowup_threshold": bad}, {"xi_bound": bad}):
+            with pytest.raises(ConfigError, match=next(iter(kwargs))):
+                RunConfig(**kwargs)
 
 
 def test_readme_configuration_block_names_every_key():

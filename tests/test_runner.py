@@ -15,8 +15,11 @@ import pytest
 import splitburg.runner as runner_mod
 from splitburg import (
     ConfigError,
+    CsvWriter,
     EnsembleSample,
     FieldState,
+    SeedOutcome,
+    SpatialGrid,
     cell_label,
     emit_csv,
     integrate,
@@ -352,6 +355,39 @@ def test_emit_csv_layout(tmp_path):
     step, t, sweep, res = trace[1].split(",")
     assert (step, sweep) == ("0", "2")
     assert float(res) > 0.0
+
+
+def test_csv_writer_formats_files_past_a_thousand_lines(tmp_path):
+    # golden meshes and traces stay under 1,024 lines; these cross that mark
+    rng = np.random.default_rng(7)
+    grid = SpatialGrid(-1.0, 2.0, 2500)
+    values = rng.standard_normal(2500) * 10.0 ** rng.integers(-300, 300, 2500)
+    n = 2500
+    trace = np.column_stack([np.arange(n) // 3, rng.random(n),
+                             2 + np.arange(n) % 3, rng.random(n) * 1e-12])
+    profiled = SeedOutcome(4, "iter_after", 3, 0.005,
+                           endpoint=FieldState(grid, values), residuals=trace,
+                           n_steps=n // 3, wall_time=0.0)
+    blown = SeedOutcome(5, "iter_after", 2, 0.005, endpoint=None,
+                        blowup_time=0.0, residuals=np.empty((0, 4)),
+                        n_steps=0, wall_time=0.0)
+    writer = CsvWriter(tmp_path, grid.centers)
+    writer.write(profiled)
+    writer.write(blown)
+
+    def lines(path):
+        return path.read_text(encoding="utf-8").split("\n")
+
+    assert lines(tmp_path / "profiles" / "iter_after3_0.005_4.csv") == ["x,c"] + [
+        f"{x!r},{c!r}" for x, c in zip(grid.centers.tolist(), values.tolist())
+    ] + [""]
+    assert lines(tmp_path / "residuals" / "iter_after3_0.005_4.csv") == [
+        "step,time,iteration,residual"] + [
+        f"{int(s)},{t!r},{int(i)},{r!r}" for s, t, i, r in trace.tolist()
+    ] + [""]
+    assert not (tmp_path / "profiles" / "iter_after2_0.005_5.csv").exists()
+    assert lines(tmp_path / "residuals" / "iter_after2_0.005_5.csv") == [
+        "step,time,iteration,residual", ""]
 
 
 def test_emit_csv_rerun_leaves_no_stale_files(tmp_path):

@@ -80,6 +80,19 @@ def test_scheme_config_validation():
         SchemeConfig("iter_before_trapezoid", iterations=1)
     with pytest.raises(ConfigError):
         SchemeConfig("ab", blowup_threshold=0.0)
+    for bad in (2.5, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="iterations"):
+            SchemeConfig("iter_after", iterations=bad)
+    # an integral float is stored as its int, as SpatialGrid does n_cells
+    c0 = make_initial_state(GRID, InitialCondition.sine_bump())
+    path = generate_path(1, 0.05, 0.0025)
+    for scheme in ("iter_after", "iter_before", "iter_before_trapezoid"):
+        cfg = SchemeConfig(scheme, iterations=2.0)
+        assert type(cfg.iterations) is int and cfg.iterations == 2
+        got = integrate(c0, 0.05, cfg, path, dt=0.005)
+        want = integrate(c0, 0.05, SchemeConfig(scheme, iterations=2), path, dt=0.005)
+        assert got.final_state.values.tobytes() == want.final_state.values.tobytes()
+        assert got.residuals.tobytes() == want.residuals.tobytes()
 
 
 def test_scheme_config_flags():
