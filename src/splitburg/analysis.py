@@ -52,7 +52,7 @@ def _usable(samples: Sequence[EnsembleSample]) -> list[EnsembleSample]:
 def _stack(samples: Sequence[EnsembleSample]) -> np.ndarray:
     grid = samples[0].endpoint.grid
     for s in samples[1:]:
-        if not s.endpoint.grid.compatible_with(grid):
+        if s.endpoint.grid != grid:
             raise ValueError("ensemble mixes grids")
     return np.stack([s.endpoint.values for s in samples])
 

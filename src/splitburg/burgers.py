@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CflViolation, ConfigError
+from .errors import CflViolation, ConfigError, check_positive
 from .grid import BoundaryKind, FieldState
 from .noise import NoiseAmplitude
 
@@ -162,20 +162,15 @@ def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
     return np.subtract(values, new, out=new)
 
 
-def check_dt(dt: float) -> None:
-    """Raise ConfigError unless dt is a positive step size; NaN is not."""
-    if not dt > 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-
-
 def scl_step(state: FieldState, dt: float, flux: FluxFunction,
              bc: BoundaryKind) -> FieldState:
     """Advance a state by one explicit conservation-law step of size dt.
 
     Rejects dt above the deterministic stability bound dx / max|f'(u)| with a
-    CflViolation naming the admissible step.
+    CflViolation naming the admissible step, and a dt that is not positive
+    and finite with a ConfigError.
     """
-    check_dt(dt)
+    check_positive(dt, "dt")
     with np.errstate(over="ignore", invalid="ignore"):
         new = _eo_step(state.values, dt, flux, bc, state.grid.dx,
                        flux.peak_speed(state.peak))
@@ -199,10 +194,10 @@ class CflMode(Enum):
 class CflPolicy:
     """Which stability bound to apply and how much headroom to keep.
 
-    xi_bound, positive and finite, is the number of increment standard
-    deviations the stochastic bounds guard against; dt_max caps the
-    recommendation and is the fallback when the state carries no usable
-    information (all cells floored).
+    xi_bound is the number of increment standard deviations the stochastic
+    bounds guard against; dt_max caps the recommendation and is the fallback
+    when the state carries no usable information (all cells floored).  Both
+    must be positive and finite (`errors.check_positive`).
     """
 
     mode: CflMode = CflMode.COMBINED
@@ -213,30 +208,27 @@ class CflPolicy:
     def __post_init__(self) -> None:
         if not (0.0 < self.safety <= 1.0):
             raise ConfigError(f"safety must lie in (0, 1], got {self.safety}")
-        if not 0.0 < self.xi_bound < math.inf:
-            raise ConfigError(f"xi_bound must be positive and finite, got {self.xi_bound}")
-        if self.dt_max is not None and not self.dt_max > 0.0:
-            raise ConfigError(f"dt_max must be positive, got {self.dt_max}")
+        check_positive(self.xi_bound, "xi_bound")
+        if self.dt_max is not None:
+            check_positive(self.dt_max, "dt_max")
 
 
 def cfl_dt(state: FieldState, sigma: NoiseAmplitude, policy: CflPolicy,
-           flux: FluxFunction | None = None,
+           flux: FluxFunction = FluxFunction(),
            t_remaining: float | None = None) -> float:
     """Recommended step size for the policy's stability bound.
 
-    deterministic_only:  safety * dx / max|u|
+    deterministic_only:  safety * dx / max|f'(u)|
     stochastic_only:     safety * min_j u_j^2 / (sigma(u_j)^2 * xi^2)
     combined:            safety * min_j (1 / (|u_j|/dx + |sigma(u_j)|*xi/|u_j|))^2
 
-    With a flux supplied the deterministic speed is max|f'(u)| instead of
-    max|u| (identical for the default flux).  Cells with |u| below the
-    velocity floor are excluded; when nothing survives, dt_max is returned
-    unscaled.  The result never exceeds dt_max or t_remaining.
+    Cells with |u| below the velocity floor are excluded; when nothing
+    survives, dt_max is returned unscaled.  The result never exceeds dt_max
+    or t_remaining, which must be positive and finite.
     """
     peak = state.peak
-    speed = peak if flux is None else flux.peak_speed(peak)
-    return _governed_dt(np.abs(state.values), peak, speed, state.grid.dx, sigma,
-                        policy, t_remaining)
+    return _governed_dt(np.abs(state.values), peak, flux.peak_speed(peak),
+                        state.grid.dx, sigma, policy, t_remaining)
 
 
 def _governed_dt(absu: np.ndarray, peak: float, speed: float, dx: float,
@@ -278,8 +270,7 @@ def _governed_dt(absu: np.ndarray, peak: float, speed: float, dx: float,
             dt = min(dt, policy.dt_max)
 
     if t_remaining is not None:
-        if not t_remaining > 0.0:
-            raise ConfigError(f"t_remaining must be positive, got {t_remaining}")
+        check_positive(t_remaining, "t_remaining")
         dt = min(dt, t_remaining)
     if dt <= 0.0:
         raise ConfigError("stability bound collapsed to a non-positive step")

@@ -19,7 +19,7 @@ from pathlib import Path
 import yaml
 
 from .burgers import CflMode, CflPolicy, FluxFunction
-from .errors import ConfigError
+from .errors import ConfigError, check_positive
 from .grid import (
     BoundaryKind,
     FieldState,
@@ -49,7 +49,7 @@ class SchemeSpec:
                     f"scheme {self.name!r} takes no iteration counts"
                 )
             return
-        iters = self.iterations or (2,)
+        iters = self.iterations or (SchemeConfig.iterations,)
         object.__setattr__(self, "iterations", tuple(iters))
         for i in self.iterations:
             SchemeConfig(self.name, iterations=i)
@@ -64,28 +64,33 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Plain-data study description; builder methods make the runtime objects."""
+    """Plain-data study description; builder methods make the runtime objects.
+
+    A field that a runtime class also has takes its default from that class
+    (`FluxFunction`, `NoiseAmplitude`, `CflPolicy`, `SchemeConfig`), so the
+    two cannot drift apart.
+    """
 
     x_min: float = 0.0
     x_max: float = 1.0
     n_cells: int = 100
     ic: InitialCondition = field(default_factory=InitialCondition.sine_bump)
-    flux_kind: str = "burgers_half"
-    boundary: str = "zero_dirichlet"
-    noise_kind: str = "linear"
-    lam: float = 0.5
+    flux_kind: str = FluxFunction.kind
+    boundary: str = SchemeConfig.bc.value
+    noise_kind: str = NoiseAmplitude.kind
+    lam: float = NoiseAmplitude.lam
     schemes: tuple[SchemeSpec, ...] = (SchemeSpec("ab"),)
     dt_ladder: tuple[float, ...] = (0.005,)
     dt_fine: float = 0.0025
     t_end: float = 0.1
     seeds: tuple[int, ...] = tuple(range(DEFAULT_SEED_BASE, DEFAULT_SEED_BASE + DEFAULT_SEED_COUNT))
-    cfl_mode: str = "combined"
-    safety: float = 0.9
-    xi_bound: float = 3.0
+    cfl_mode: str = CflPolicy.mode.value
+    safety: float = CflPolicy.safety
+    xi_bound: float = CflPolicy.xi_bound
     adaptive_dt: bool = False
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
-    stochastic_substep: str = "milstein"
-    inner_mode: str = "whole_step"
+    stochastic_substep: str = SchemeConfig.stochastic_substep
+    inner_mode: str = SchemeConfig.inner_mode
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
@@ -99,13 +104,9 @@ class RunConfig:
 
         if not self.dt_ladder:
             raise ConfigError("dt ladder must not be empty")
-        for dt in self.dt_ladder:
-            if not dt > 0.0:
-                raise ConfigError(f"dt ladder entries must be positive, got {dt}")
         if any(b >= a for a, b in zip(self.dt_ladder, self.dt_ladder[1:])):
             raise ConfigError("dt ladder must be strictly decreasing")
-        if not self.t_end > 0.0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        check_positive(self.t_end, "t_end")
         # the dt ladder entries in fine steps; step_counts checks each fits
         ms = [step_counts(self.t_end, self.dt_fine, dt, quantum)[1]
               for dt in self.dt_ladder]

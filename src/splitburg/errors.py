@@ -1,8 +1,17 @@
-"""Shared exception types."""
+"""Shared exception types, and the one positive-and-finite gate."""
+
+import math
 
 
 class ConfigError(ValueError):
     """A run configuration or operation argument is invalid."""
+
+
+def check_positive(value, name: str) -> None:
+    """Raise ConfigError naming `name` unless 0 < value < inf, so NaN and
+    infinities are refused."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 class CflViolation(RuntimeError):

@@ -46,13 +46,6 @@ class SpatialGrid:
     def centers(self) -> np.ndarray:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    def compatible_with(self, other: "SpatialGrid") -> bool:
-        return (
-            self.n_cells == other.n_cells
-            and self.x_min == other.x_min
-            and self.x_max == other.x_max
-        )
-
 
 class BoundaryKind(Enum):
     """Ghost-cell closure at the domain ends (one ghost cell per side)."""
@@ -198,6 +191,6 @@ def make_initial_state(grid: SpatialGrid, ic: InitialCondition) -> FieldState:
 
 def l1_distance(a: FieldState, b: FieldState) -> float:
     """Mean of |a_j - b_j| over cells (the spatial part of the seed-averaged errors)."""
-    if not a.grid.compatible_with(b.grid):
+    if a.grid != b.grid:
         raise ValueError("states live on different grids")
     return _mean_abs(a.values - b.values)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimit
+from .errors import ConfigError, ResourceLimit, check_positive
 from .grid import FieldState
 
 _NOISE_KINDS = ("linear", "constant")
@@ -227,11 +227,6 @@ def whole_steps(value: float, base: float) -> int | None:
     return k
 
 
-def _check_dt_fine(dt_fine: float) -> None:
-    if not (0.0 < dt_fine < math.inf):
-        raise ConfigError(f"dt_fine must be positive and finite, got {dt_fine}")
-
-
 def step_counts(t_end: float, dt_fine: float, dt: float | None = None,
                 quantum: int = 1) -> tuple[int, int | None]:
     """Fine steps in [0, t_end] and in one step of size `dt` (None without
@@ -242,7 +237,7 @@ def step_counts(t_end: float, dt_fine: float, dt: float | None = None,
     `quantum * dt_fine`, and t_end a whole multiple of dt.  A ConfigError
     names the key that breaks a rule.
     """
-    _check_dt_fine(dt_fine)
+    check_positive(dt_fine, "dt_fine")
     unit = f"{quantum} * dt_fine" if quantum > 1 else "dt_fine"
     counts = []
     for name, value in (("t_end", t_end), ("dt", dt)):
@@ -277,7 +272,7 @@ class NoisePath:
     increments: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_dt_fine(self.dt_fine)
+        check_positive(self.dt_fine, "dt_fine")
         inc = np.array(self.increments, dtype=np.float64)
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
@@ -408,9 +403,12 @@ def milstein_step(c, sigma: NoiseAmplitude, dw: float, dt: float):
 
 
 def exact_linear_sde(c0, lam: float, w_t: float, t: float):
-    """Closed-form solution of dX = lam * X dW:  c0 * exp(lam W_t - lam^2 t / 2)."""
-    if not lam >= 0.0:
-        raise ConfigError(f"lam must be non-negative, got {lam}")
-    if not t >= 0.0:
-        raise ConfigError(f"t must be non-negative, got {t}")
+    """Closed-form solution of dX = lam * X dW:  c0 * exp(lam W_t - lam^2 t / 2).
+
+    `NoiseAmplitude("linear", lam)` gates lam, so it is non-negative and
+    finite; t must be non-negative and finite too.
+    """
+    lam = NoiseAmplitude("linear", lam).lam
+    if not 0.0 <= t < math.inf:
+        raise ConfigError(f"t must be non-negative and finite, got {t}")
     return c0 * np.exp(lam * w_t - 0.5 * lam * lam * t)

@@ -53,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt, check_dt
-from .errors import CflViolation, ConfigError
+from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt
+from .errors import CflViolation, ConfigError, check_positive
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, step_counts, stochastic_update
 
@@ -100,9 +100,7 @@ class SchemeConfig:
             raise ConfigError(f"{self.scheme} takes iterations "
                               f"{allowed.start}..{allowed.stop - 1}, got {self.iterations}")
         object.__setattr__(self, "iterations", int(self.iterations))
-        if not 0.0 < self.blowup_threshold < math.inf:
-            raise ConfigError("blowup_threshold must be positive and finite, "
-                              f"got {self.blowup_threshold}")
+        check_positive(self.blowup_threshold, "blowup_threshold")
 
     @property
     def quantum(self) -> int:
@@ -286,8 +284,9 @@ def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
 
 def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw=None,
             halves=None, companion=None) -> StepRecord:
-    """The record of one step of `kernel` from `state`."""
-    check_dt(dt)
+    """The record of one step of `kernel` from `state`; dt must be positive
+    and finite."""
+    check_positive(dt, "dt")
     with np.errstate(over="ignore", invalid="ignore"):
         values, residuals, _ = kernel(state.values, dt, dw, halves, companion, cfg,
                                       state.grid.dx, None)
@@ -376,8 +375,7 @@ def detect_blowup(state: FieldState,
     """True when the state is non-finite or any |value| exceeds the threshold
     (strictly).  The threshold must be positive and finite, or a non-finite
     state would not exceed it."""
-    if not 0.0 < threshold < math.inf:
-        raise ConfigError(f"threshold must be positive and finite, got {threshold}")
+    check_positive(threshold, "threshold")
     return _blowup_reason(state.peak, threshold) is not None
 
 

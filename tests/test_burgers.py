@@ -1,5 +1,7 @@
 """Conservation-law step and stability-bound tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -214,9 +216,12 @@ def test_cfl_caps_at_dt_max_and_t_remaining():
     policy = CflPolicy(CflMode.DETERMINISTIC_ONLY, safety=1.0, dt_max=0.02)
     assert cfl_dt(state, NoiseAmplitude(), policy) == 0.02
     assert cfl_dt(state, NoiseAmplitude(), policy, t_remaining=0.005) == 0.005
-    for t_remaining in (0.0, -0.005, float("nan")):
+    for t_remaining in (0.0, -0.005, float("nan"), math.inf):
         with pytest.raises(ConfigError, match="t_remaining must be positive"):
             cfl_dt(state, NoiseAmplitude(), policy, t_remaining=t_remaining)
+    # an infinite cap would be the step recommended for an all-zero state
+    with pytest.raises(ConfigError, match="dt_max"):
+        CflPolicy(dt_max=math.inf)
 
 
 def test_cfl_policy_validation():

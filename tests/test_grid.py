@@ -56,9 +56,9 @@ def test_grid_rejects_bad_bounds_and_cell_counts():
 
 def test_grid_compatibility():
     a = SpatialGrid(0.0, 1.0, 8)
-    assert a.compatible_with(SpatialGrid(0.0, 1.0, 8))
-    assert not a.compatible_with(SpatialGrid(0.0, 1.0, 9))
-    assert not a.compatible_with(SpatialGrid(0.0, 2.0, 8))
+    assert a == SpatialGrid(0.0, 1.0, 8)
+    assert a != SpatialGrid(0.0, 1.0, 9)
+    assert a != SpatialGrid(0.0, 2.0, 8)
 
 
 def test_boundary_padding():

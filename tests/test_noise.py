@@ -335,10 +335,12 @@ def test_exact_linear_sde_values():
         exact_linear_sde(1.0, -0.5, 0.0, 1.0)
     with pytest.raises(ConfigError):
         exact_linear_sde(1.0, 0.5, 0.0, -1.0)
-    with pytest.raises(ConfigError, match="lam must be non-negative"):
-        exact_linear_sde(1.0, math.nan, 0.1, 0.1)
-    with pytest.raises(ConfigError, match="t must be non-negative"):
-        exact_linear_sde(1.0, 0.5, 0.1, math.nan)
+    # NaN and infinity are refused too, not turned into a nan result
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="lam must be non-negative"):
+            exact_linear_sde(1.0, bad, 0.1, 0.1)
+        with pytest.raises(ConfigError, match="t must be non-negative"):
+            exact_linear_sde(1.0, 0.5, 0.1, bad)
 
 
 def test_milstein_beats_em_on_geometric_brownian_motion():

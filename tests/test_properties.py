@@ -322,3 +322,31 @@ def test_row_means_of_a_stack_equal_one_mean_abs_per_row(k, n, seed, decades):
     rows = np.add.reduce(np.abs(d), axis=-1)
     for i in range(k):
         assert rows[i] / n == _mean_abs(d[i].copy())
+
+
+# --- ROADMAP item 10: why iter_before's transported amplitudes refuse steps ---
+
+@settings(max_examples=300, deadline=None)
+@given(
+    magnitudes=st.integers(2, 12).flatmap(
+        lambda n: arrays(np.float64, n, elements=st.floats(1e-3, 1e3))),
+    signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=12, max_size=12),
+    lam=st.floats(0.01, 10.0),
+    fraction=st.floats(0.01, 0.99),
+    flux=st.sampled_from(["burgers_half", "burgers_square"]),
+    bc=st.sampled_from(list(BoundaryKind)),
+)
+def test_eo_step_scales_with_the_amplitude(magnitudes, signs, lam, fraction, flux, bc):
+    # the cause behind ROADMAP item 10: for a degree-2 flux one EO step
+    # satisfies Phi_t(lam u) = lam Phi_{lam t}(u), so a transported linear
+    # amplitude lam u moves at lam times the field's speed and meets its CFL
+    # limit at dt / lam; t sits inside both (equal) limits.  The rounding
+    # scale is the input's: near the limit the result can cancel to a few
+    # percent of it (100,000 random cases stayed below 1.7 eps * max|lam u|)
+    u = magnitudes * np.array(signs[:magnitudes.size])
+    flux, dx = FluxFunction(flux), 1.0 / u.size
+    t = fraction * dx / (lam * flux.max_speed(u))
+    scaled = _eo_step(lam * u, t, flux, bc, dx)
+    expected = lam * _eo_step(u, lam * t, flux, bc, dx)
+    tol = 16 * np.finfo(np.float64).eps * np.abs(lam * u).max()
+    assert np.abs(scaled - expected).max() <= tol

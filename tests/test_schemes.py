@@ -800,12 +800,16 @@ def test_a_trajectory_holds_one_state_not_one_per_step(scheme, states):
 
 
 
-@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan")])
+@pytest.mark.parametrize("dt", [0.0, -0.01, float("nan"), math.inf])
 def test_step_functions_reject_non_positive_dt(dt):
+    # the gate, not the CFL check, refuses an infinite dt: under the zero
+    # flux there is no CFL check, and the step would make an all-NaN state
     state = sine_state()
     steps = (
         lambda: scl_step(state, dt, FluxFunction(), BoundaryKind.PERIODIC),
+        lambda: scl_step(state, dt, FluxFunction("zero"), BoundaryKind.PERIODIC),
         lambda: ab_step(state, dt, 0.1, cfg_for("ab")),
+        lambda: ab_step(state, dt, 0.1, cfg_for("ab", flux=FluxFunction("zero"))),
         lambda: aba_step(state, dt, 0.1, cfg_for("aba")),
         lambda: bab_step(state, dt, 0.05, 0.05, cfg_for("bab")),
         lambda: iter_after_step(state, dt, 0.1, cfg_for("iter_after")),
@@ -816,3 +820,28 @@ def test_step_functions_reject_non_positive_dt(dt):
     for step in steps:
         with pytest.raises(ConfigError, match="dt must be positive"):
             step()
+
+
+def test_iter_before_rejects_every_seed_at_lambda_two():
+    # pins ROADMAP item 10 before it is fixed: the shock regime (3 sin(pi x),
+    # periodic, linear noise lam 2) at dt 0.001, where ab and aba take every
+    # seed; iter_before transports its amplitude at lam times the field's
+    # speed (test_properties.py::test_eo_step_scales_with_the_amplitude)
+    grid = SpatialGrid(0.0, 1.0, 100)
+    c0 = FieldState(grid, 3.0 * InitialCondition.sine_bump().sample(grid))
+    sigma = NoiseAmplitude("linear", 2.0)
+    paths = [generate_path(seed, 0.1, 6.25e-5) for seed in range(40)]
+    rejected = {}
+    for scheme, iterations in (("ab", 1), ("aba", 1), ("iter_after", 2),
+                               ("iter_before", 1), ("iter_before", 2),
+                               ("iter_before_trapezoid", 2)):
+        cfg = SchemeConfig(scheme, sigma=sigma, bc=BoundaryKind.PERIODIC,
+                           iterations=iterations)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ContractionWarning)
+            trajs = [integrate(c0, 0.1, cfg, path, dt=0.001) for path in paths]
+        rejected[scheme, iterations] = sum(t.blowup_reason == "cfl_rejected"
+                                           for t in trajs)
+    assert rejected == {("ab", 1): 0, ("aba", 1): 0, ("iter_after", 2): 4,
+                        ("iter_before", 1): 40, ("iter_before", 2): 40,
+                        ("iter_before_trapezoid", 2): 40}
