@@ -41,12 +41,22 @@ class FluxFunction:
         if self.kind not in _FLUX_KINDS:
             raise ConfigError(f"unknown flux kind {self.kind!r}")
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
+        """f(u) elementwise: the one place that forms the flux.  With `out`
+        (numpy's buffer convention) it is computed into that array of u's
+        shape, which must not alias u, bitwise the same as the allocating
+        call.  burgers_half is (0.5 * u) * u in that order: for subnormal
+        u * u it is not 0.5 * (u * u)."""
         if self.kind == "burgers_half":
-            return 0.5 * u * u
+            f = np.multiply(u, 0.5, out=out)
+            f *= u
+            return f
         if self.kind == "burgers_square":
-            return u * u
-        return np.zeros_like(np.asarray(u, dtype=np.float64))
+            return np.multiply(u, u, out=out)
+        if out is None:
+            return np.zeros(np.shape(u))
+        out[...] = 0.0
+        return out
 
     def deriv(self, u):
         if self.kind == "burgers_half":
@@ -92,32 +102,15 @@ def _interface_flux(values: np.ndarray, flux: FluxFunction,
     `bc.pad`-ded values, by the same operations on the same operands (at
     most commuted), without building the padded array.  It writes only
     arrays it allocates: max(left, 0) and min(right, 0) at each interface,
-    which become the flux buffer (burgers_square) or scratch, and for
-    burgers_half the flux buffer."""
+    the first of which becomes scratch, and the flux buffer of `flux(left)`.
+    Only `FluxFunction` and `BoundaryKind` branch on their kinds."""
     shape = values.shape[:-1] + (values.shape[-1] + 1,)
-    if flux.kind == "zero":
-        return np.zeros(shape)
     left, right = np.empty(shape), np.empty(shape)
     np.maximum(values, 0.0, out=left[..., 1:])
     np.minimum(values, 0.0, out=right[..., :-1])
-    # the ghost cells' terms: max(0, 0) and min(0, 0), or for periodic
-    # ghosts the terms of the cells they copy, computed above
-    if bc is BoundaryKind.PERIODIC:
-        left[..., 0] = left[..., -1]
-        right[..., -1] = right[..., 0]
-    else:
-        left[..., 0] = right[..., -1] = 0.0
-    if flux.kind == "burgers_square":
-        interface = left
-        interface *= left
-        right *= right
-    else:
-        # f(u) = (0.5 * u) * u, in that order: for subnormal u * u it is not
-        # 0.5 * (u * u)
-        interface = left * 0.5
-        interface *= left
-        right *= np.multiply(right, 0.5, out=left)
-    interface += right
+    bc.close_ghost_terms(left, right)
+    interface = flux(left)
+    interface += flux(right, out=left)
     return interface
 
 

@@ -63,6 +63,20 @@ class BoundaryKind(Enum):
             return padded
         return np.concatenate((values[..., -1:], values, values[..., :1]), axis=-1)
 
+    def close_ghost_terms(self, left: np.ndarray, right: np.ndarray) -> None:
+        """Fill the ghost cells' Engquist-Osher terms, in place, of arrays
+        holding max(u, 0) of each interface's left cell (`left`) and
+        min(u, 0) of its right cell (`right`), last axis one longer than
+        the values: `left[..., 0]` and `right[..., -1]` become those of the
+        ghost cells `pad` adds, max(0, 0) and min(0, 0), or for periodic
+        ghosts the terms of the cells they copy, read from the same
+        arrays."""
+        if self is BoundaryKind.ZERO_DIRICHLET:
+            left[..., 0] = right[..., -1] = 0.0
+        else:
+            left[..., 0] = left[..., -1]
+            right[..., -1] = right[..., 0]
+
     @classmethod
     def from_name(cls, name: str) -> "BoundaryKind":
         try:

@@ -25,8 +25,10 @@ Philox4x64-10 (Salmon et al., SC 2011) on uint64 arrays; its k are bitwise
 those of `numpy.random.Generator(numpy.random.Philox(key=seed)).integers(0,
 2**53, dtype=numpy.uint64)`, whose Lemire reduction never rejects for a range
 of exactly 2^53 and keeps the top 53 bits.  The inverse CDF is a port of the
-Cephes `ndtri` that takes its logarithms from libm (`math.log`); it is
-bitwise equal to `scipy.special.ndtri`.  Drawing a path therefore loads
+Cephes `ndtri` that takes its logarithms from libm (`math.log`): each of
+Cephes' three regions evaluates its own rational function, by Cephes' own
+`polevl`/`p1evl` recurrences, on that region's entries only.  It is bitwise
+equal to `scipy.special.ndtri`.  Drawing a path therefore loads
 neither `numpy.random` nor any scipy module.
 """
 
@@ -42,7 +44,8 @@ from .grid import FieldState
 
 _NOISE_KINDS = ("linear", "constant")
 
-#: default ceiling on fine increments per path (~80 MB of float64)
+#: default ceiling on fine increments per path: the stored path is ~80 MB of
+#: float64, and drawing it peaks at ~68 B per increment (~0.7 GB)
 MAX_PATH_STEPS = 10_000_000
 
 #: seeds key Philox4x64's two 64-bit key words, so they lie below 2^128
@@ -126,55 +129,48 @@ _Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
        1.34204006088543189037E-2, 3.28014464682127739104E-4,
        2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
-# _RATIONALS[k, j, r] is coefficient k of the numerator (j = 0) or denominator
-# (j = 1) of region r (0 central, 1 tail x < 8, 2 tail x >= 8), all written as
-# nine-term Horner polynomials so every element takes the same steps.  The
-# leading zeros before P0 and the explicit leading 1 of each Q leave Cephes'
-# values unchanged bit for bit: the Horner value stays exactly 0 until P0's
-# first coefficient is added, and 1 * t + Q[0] is exactly t + Q[0].
-_RATIONALS = np.array([
-    ((0.0,) * 4 + _P0, (1.0,) + _Q0),
-    (_P1, (1.0,) + _Q1),
-    (_P2, (1.0,) + _Q2),
-]).transpose(2, 1, 0).copy()
-
-
 def _libm_log(a: np.ndarray) -> np.ndarray:
     # numpy's SIMD log differs from libm in the last bit for some tail inputs
     return np.fromiter(map(math.log, a.tolist()), np.float64, a.size)
+
+
+def _rational(t: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """t * P(t) / Q(t) by Cephes' recurrences: `polevl` over p and `p1evl`
+    over q, whose leading coefficient 1 is left out."""
+    num = p[0]
+    for c in p[1:]:
+        num = num * t + c
+    den = t + q[0]
+    for c in q[1:]:
+        den = den * t + c
+    return t * num / den
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF of the uniforms `u`, bitwise equal to
     `scipy.special.ndtri`.
 
-    The domain is (0, 1] as `generate_path` draws it: the smallest uniform is
-    2^-54, and the largest draw k = 2^53 - 1 gives exactly 1 (k + 1/2 rounds
-    up to 2^53), which maps to +inf as in Cephes.  0 and NaN never occur.
+    Each of Cephes' three regions evaluates its own rational function on
+    its own entries only: the central one of (y - 1/2)^2, and the two tails
+    (x < 8 and x >= 8) of 1/x.  The domain is (0, 1] as `generate_path`
+    draws it: the smallest uniform is 2^-54, and the largest draw
+    k = 2^53 - 1 gives exactly 1 (k + 1/2 rounds up to 2^53), whose y is 0:
+    it lies in no region and keeps its starting value +inf, as in Cephes.
+    0 and NaN never occur.
     """
-    n = u.size
-    top = u == 1.0
     flip = u > 1.0 - _EXP_M2
     y = np.where(flip, 1.0 - u, u)
-    y[top] = 0.5  # keeps the tail's log off zero; the result is set below
-    tail = np.flatnonzero(y <= _EXP_M2)
+    out = np.full(u.shape, np.inf)
+    central = np.flatnonzero(y > _EXP_M2)
+    yc = y[central] - 0.5
+    out[central] = (yc + yc * _rational(yc * yc, _P0, _Q0)) * _S2PI
+    tail = np.flatnonzero((0.0 < y) & (y <= _EXP_M2))
     x = np.sqrt(-2.0 * _libm_log(y[tail]))
-    yc = y - 0.5
-    t = yc * yc
-    t[tail] = 1.0 / x
-    region = np.zeros(n, np.intp)
-    region[tail] = 1 + (x >= 8.0)
-    # numerators in the first n entries, denominators in the last n
-    coef = _RATIONALS[:, :, region].reshape(len(_RATIONALS), 2 * n)
-    tt = np.concatenate((t, t))
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * tt + c
-    ratio = t * ans[:n] / ans[n:]
-    out = (yc + yc * ratio) * _S2PI
-    xt = x - _libm_log(x) / x - ratio[tail]
+    ratio = np.empty_like(x)
+    for region, p, q in ((x < 8.0, _P1, _Q1), (x >= 8.0, _P2, _Q2)):
+        ratio[region] = _rational(1.0 / x[region], p, q)
+    xt = x - _libm_log(x) / x - ratio
     out[tail] = np.where(flip[tail], xt, -xt)
-    out[top] = np.inf
     return out
 
 

@@ -290,7 +290,10 @@ def run_matrix(
                 report.weak, report.strong, report.variance_mean,
                 sum(o.wall_time for o in cell),
             ))
-        except ValueError as exc:
+        except (ValueError, RuntimeError) as exc:
+            # no usable sample, a non-finite estimate, or estimators that
+            # disagree (weak > strong): that cell has no row, and the rest
+            # of the run goes on
             empty_cells.append((label, str(exc)))
 
     stats = RunStats(

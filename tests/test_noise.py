@@ -3,6 +3,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,8 +161,28 @@ def test_ndtri_port_equals_scipy_at_every_branch_edge():
         0.5,
     ])
     assert_bitwise_ndtri(u)
+    # regions whose share of the array is empty or one entry
+    assert_bitwise_ndtri(np.linspace(0.2, 0.8, 7))  # all central
+    assert_bitwise_ndtri(np.geomspace(0.5 / 2**53, 0.1, 9))  # all lower tail
+    assert_bitwise_ndtri(np.array([0.3]))
+    assert_bitwise_ndtri(np.array([1.0]))
     assert_bitwise_ndtri(uniforms_of([0, 2**53 - 2, 2**53 - 1]))
     assert _ndtri(uniforms_of([2**53 - 1]))[0] == np.inf
+
+
+def test_drawing_a_path_holds_under_100_bytes_per_increment():
+    # the draw's transient arrays, the inverse CDF's and the path itself:
+    # drawing a path at MAX_PATH_STEPS stays under 1 GB
+    n = 100_000
+    generate_path(3, 1.0, 1.0 / n)  # warm-up: first-call allocations
+    tracemalloc.start()
+    try:
+        path = generate_path(3, 1.0, 1.0 / n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.n_steps == n
+    assert peak <= 100 * n
 
 
 def numpy_draws(seed, n):

@@ -27,6 +27,7 @@ from splitburg import (
     reference_endpoint,
     run_matrix,
 )
+from splitburg.cli import main
 
 SMALL_DOC = """
 grid: {n_cells: 40}
@@ -241,6 +242,27 @@ def test_fully_blown_cell_is_reported_not_rowed():
     assert len(stats.empty_cells) == 2
     assert "no usable samples" in stats.empty_cells[0][1]
     assert not stats.clean
+
+
+def test_a_failing_estimator_check_empties_its_cell_only(monkeypatch, tmp_path, capsys):
+    # summarize's weak <= strong check raises RuntimeError; it must not end
+    # the run, whether run_matrix is called directly or through the CLI
+    def inconsistent_for_ab(samples, reference, _real=runner_mod.summarize):
+        if samples[0].residuals.size == 0:  # ab makes no residuals
+            raise RuntimeError("estimator inconsistency: synthetic")
+        return _real(samples, reference)
+
+    monkeypatch.setattr(runner_mod, "summarize", inconsistent_for_ab)
+    rows, _, stats = run_matrix(small_cfg())
+    assert [r.scheme for r in rows] == ["iter_after"]
+    assert stats.empty_cells == (("ab dt=0.01", "estimator inconsistency: synthetic"),)
+    assert not stats.clean
+
+    config = tmp_path / "small.yaml"
+    config.write_text(SMALL_DOC)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "cell without usable samples: ab dt=0.01" in capsys.readouterr().err
+    assert (tmp_path / "out" / "summary.csv").is_file()
 
 
 def test_run_matrix_validates_jobs():
