@@ -15,7 +15,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CflViolation, ConfigError, check_positive
+from .errors import CflViolation, ConfigError, check_kind, check_positive
 from .grid import BoundaryKind, FieldState
 from .noise import NoiseAmplitude
 
@@ -38,8 +38,7 @@ class FluxFunction:
     kind: str = "burgers_half"
 
     def __post_init__(self) -> None:
-        if self.kind not in _FLUX_KINDS:
-            raise ConfigError(f"unknown flux kind {self.kind!r}")
+        check_kind(self.kind, _FLUX_KINDS, "flux kind")
 
     def __call__(self, u, out=None):
         """f(u) elementwise: the one place that forms the flux.  With `out`
@@ -177,10 +176,11 @@ class CflMode(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "CflMode":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ConfigError(f"unknown CFL mode {name!r}") from None
+        check_kind(name, _CFL_MODE_NAMES, "CFL mode")
+        return cls(name)
+
+
+_CFL_MODE_NAMES = tuple(mode.value for mode in CflMode)
 
 
 @dataclass(frozen=True)

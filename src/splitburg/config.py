@@ -3,23 +3,22 @@
 The document is YAML (JSON-style flow syntax also parses).  Unknown keys are
 rejected by name at every level, numeric fields must parse as finite numbers
 (plain scientific notation like `1e6` is fine even though YAML 1.1 tokenizes
-it as a string), and the dt ladder, path resolution, seeds and horizon are
-cross-checked here (each dt ladder entry's path alignment by
-`noise.step_counts`) so every downstream step can assume an aligned,
-well-formed study.
+it as a string), and the dt ladder, path resolution, scheme cells, seeds and
+horizon are cross-checked here (each dt ladder entry's path alignment by
+`noise.step_counts`, repeated cells and seeds by `errors.check_unique`) so
+every downstream step can assume an aligned, well-formed study.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
 from .burgers import CflMode, CflPolicy, FluxFunction
-from .errors import ConfigError, check_positive
+from .errors import ConfigError, check_positive, check_unique
 from .grid import (
     BoundaryKind,
     FieldState,
@@ -37,7 +36,8 @@ DEFAULT_SEED_COUNT = 50
 @dataclass(frozen=True)
 class SchemeSpec:
     """One scheme entry of the study matrix; iterative schemes expand to one
-    cell per iteration count."""
+    cell per iteration count.  `RunConfig` gates each count, by building the
+    cell's `SchemeConfig`, and refuses a cell listed twice."""
 
     name: str
     iterations: tuple[int, ...] = ()
@@ -49,17 +49,13 @@ class SchemeSpec:
                     f"scheme {self.name!r} takes no iteration counts"
                 )
             return
-        iters = self.iterations or (SchemeConfig.iterations,)
-        object.__setattr__(self, "iterations", tuple(iters))
-        for i in self.iterations:
-            SchemeConfig(self.name, iterations=i)
-        if len(set(self.iterations)) != len(self.iterations):
-            raise ConfigError(f"duplicate iteration counts for {self.name!r}")
+        object.__setattr__(self, "iterations",
+                           tuple(self.iterations or (SchemeConfig.iterations,)))
 
     def cells(self) -> tuple[tuple[str, int], ...]:
-        if self.iterations:
-            return tuple((self.name, int(i)) for i in self.iterations)
-        return ((self.name, 0),)
+        """(name, count) per cell, each count as given; 0 for a scheme
+        without iterations."""
+        return tuple((self.name, i) for i in self.iterations or (0,))
 
 
 @dataclass(frozen=True)
@@ -100,7 +96,10 @@ class RunConfig:
         self.make_policy()
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
-        quantum = max(self.make_scheme(name, iters).quantum for name, iters in self.cells())
+        # each count is gated as given, before `cells` takes it as an int
+        quantum = max(self.make_scheme(*cell).quantum
+                      for spec in self.schemes for cell in spec.cells())
+        check_unique(self.cells(), "scheme cells")
 
         if not self.dt_ladder:
             raise ConfigError("dt ladder must not be empty")
@@ -117,17 +116,13 @@ class RunConfig:
 
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        for s in self.seeds:
-            check_seed(s)
-        if len(set(self.seeds)) != len(self.seeds):
-            dupes = sorted(s for s, n in Counter(self.seeds).items() if n > 1)
-            raise ConfigError(f"duplicate seeds {dupes}")
+        object.__setattr__(self, "seeds", tuple(check_seed(s) for s in self.seeds))
+        check_unique(self.seeds, "seeds")
 
     def cells(self) -> tuple[tuple[str, int], ...]:
-        out: list[tuple[str, int]] = []
-        for spec in self.schemes:
-            out.extend(spec.cells())
-        return tuple(out)
+        """Every (scheme, iterations) cell of the matrix in order, the count
+        an int (0 for a scheme without iterations)."""
+        return tuple((name, int(i)) for spec in self.schemes for name, i in spec.cells())
 
     def make_grid(self) -> SpatialGrid:
         return SpatialGrid(self.x_min, self.x_max, self.n_cells)
@@ -157,7 +152,8 @@ class RunConfig:
             flux=self.make_flux(),
             sigma=self.make_sigma(),
             bc=self.make_bc(),
-            iterations=max(iterations, 1),
+            # a cell's 0 means "no iterations"; SchemeConfig wants one
+            iterations=iterations if scheme_traits(name).iterations else 1,
             stochastic_substep=self.stochastic_substep,
             inner_mode=self.inner_mode,
             blowup_threshold=self.blowup_threshold,
@@ -201,22 +197,20 @@ def _as_str(value, name: str) -> str:
     return value
 
 
+#: initial_condition kind -> its number keys; a key the document leaves out
+#: takes the `InitialCondition` field default
+_IC_NUMBERS = {"sine_bump": (), "riemann_step": ("u_left", "u_right"),
+               "constant": ("value",)}
+
+
 def _parse_ic(section) -> InitialCondition:
     if not isinstance(section, dict):
         raise ConfigError("initial_condition must be a mapping with a 'kind'")
     kind = _as_str(section.get("kind", ""), "initial_condition.kind")
-    if kind == "sine_bump":
-        _reject_unknown(section, {"kind"}, "initial_condition")
-        return InitialCondition.sine_bump()
-    if kind == "riemann_step":
-        _reject_unknown(section, {"kind", "u_left", "u_right"}, "initial_condition")
-        return InitialCondition.riemann_step(
-            _as_float(section.get("u_left", 1.0), "u_left"),
-            _as_float(section.get("u_right", 0.0), "u_right"),
-        )
-    if kind == "constant":
-        _reject_unknown(section, {"kind", "value"}, "initial_condition")
-        return InitialCondition.constant(_as_float(section.get("value", 0.0), "value"))
+    if kind in _IC_NUMBERS:
+        _reject_unknown(section, {"kind", *_IC_NUMBERS[kind]}, "initial_condition")
+        return InitialCondition(kind, **{key: _as_float(section[key], key)
+                                         for key in _IC_NUMBERS[kind] if key in section})
     if kind == "table":
         _reject_unknown(section, {"kind", "x", "values"}, "initial_condition")
         xs = section.get("x")
@@ -227,7 +221,7 @@ def _parse_ic(section) -> InitialCondition:
             [_as_float(v, "initial_condition.x") for v in xs],
             [_as_float(v, "initial_condition.values") for v in us],
         )
-    raise ConfigError(f"unknown initial condition {kind!r}")
+    return InitialCondition(kind)
 
 
 def _parse_schemes(section) -> tuple[SchemeSpec, ...]:

@@ -1,6 +1,9 @@
-"""Shared exception types, and the one positive-and-finite gate."""
+"""Shared exception types, and the one gate of each validation rule: a
+positive and finite number, a named kind, a whole number in a range, and
+entries without repeats."""
 
 import math
+from collections import Counter
 
 
 class ConfigError(ValueError):
@@ -12,6 +15,33 @@ def check_positive(value, name: str) -> None:
     infinities are refused."""
     if not 0.0 < value < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
+def check_kind(value, allowed, what: str) -> None:
+    """Raise ConfigError naming `what` unless `value` is one of `allowed`."""
+    if value not in allowed:
+        raise ConfigError(f"unknown {what} {value!r}")
+
+
+def check_whole(value, low, high, rule: str) -> int:
+    """`value` as an int, or ConfigError stating `rule` unless it is a whole
+    number with low <= value < high.  An integral float counts as whole; the
+    range is compared first, so NaN and infinities are refused before `int`,
+    and a value that does not compare as a number is refused too."""
+    try:
+        if low <= value < high and int(value) == value:
+            return int(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{rule}, got {value}")
+
+
+def check_unique(values, what: str) -> None:
+    """Raise ConfigError naming `what` and the repeated entries, sorted, if
+    any entry of `values` appears twice; one pass, however many entries."""
+    dupes = sorted(v for v, n in Counter(values).items() if n > 1)
+    if dupes:
+        raise ConfigError(f"duplicate {what} {dupes}")
 
 
 class CflViolation(RuntimeError):

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_kind, check_whole
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,8 @@ class SpatialGrid:
             raise ConfigError("grid bounds must be finite")
         if self.x_max <= self.x_min:
             raise ConfigError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
-        # the range first, so NaN and infinities are refused before `int`
-        if not 2 <= self.n_cells < math.inf or int(self.n_cells) != self.n_cells:
-            raise ConfigError(f"n_cells must be an integer >= 2, got {self.n_cells}")
-        object.__setattr__(self, "n_cells", int(self.n_cells))
+        object.__setattr__(self, "n_cells", check_whole(
+            self.n_cells, 2, math.inf, "n_cells must be an integer >= 2"))
 
     @property
     def dx(self) -> float:
@@ -79,10 +77,11 @@ class BoundaryKind(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "BoundaryKind":
-        try:
-            return cls(name)
-        except ValueError:
-            raise ConfigError(f"unknown boundary kind {name!r}") from None
+        check_kind(name, _BOUNDARY_NAMES, "boundary kind")
+        return cls(name)
+
+
+_BOUNDARY_NAMES = tuple(kind.value for kind in BoundaryKind)
 
 
 def _scan(values: np.ndarray) -> tuple[np.ndarray, float]:
@@ -152,18 +151,20 @@ class InitialCondition:
         riemann_step       u_left for x below the domain midpoint, u_right from it on
         constant           the single value everywhere
         table              linear interpolation of sampled (x, u) pairs
+
+    The field defaults (u_left 1.0, u_right 0.0, value 0.0) are the only
+    copy: a config document that leaves a key out gets them too.
     """
 
     kind: str
     value: float = 0.0
-    u_left: float = 0.0
+    u_left: float = 1.0
     u_right: float = 0.0
     x_table: tuple = ()
     u_table: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _IC_KINDS:
-            raise ConfigError(f"unknown initial condition {self.kind!r}")
+        check_kind(self.kind, _IC_KINDS, "initial condition")
         if self.kind == "table":
             if len(self.x_table) != len(self.u_table) or len(self.x_table) < 2:
                 raise ConfigError("table initial condition needs >= 2 (x, u) pairs")

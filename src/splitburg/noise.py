@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimit, check_positive
+from .errors import ConfigError, ResourceLimit, check_kind, check_positive, check_whole
 from .grid import FieldState
 
 _NOISE_KINDS = ("linear", "constant")
@@ -71,8 +71,7 @@ class NoiseAmplitude:
     lam: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in _NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
+        check_kind(self.kind, _NOISE_KINDS, "noise kind")
         if not 0.0 <= self.lam < math.inf:
             raise ConfigError(f"lam must be non-negative and finite, got {self.lam}")
 
@@ -304,13 +303,11 @@ class NoisePath:
         return self.increment_over(0, self.n_steps)
 
 
-def check_seed(seed) -> None:
-    """Raise ConfigError unless `seed` is an integer in [0, 2**128).  The range
-    is compared first, so NaN and infinities are refused before `int`."""
-    if not 0 <= seed < SEED_LIMIT or int(seed) != seed:
-        raise ConfigError(
-            f"seeds must be non-negative integers below 2**128, got {seed}"
-        )
+def check_seed(seed) -> int:
+    """`seed` as an int; ConfigError unless it is a whole number in
+    [0, 2**128) (`errors.check_whole`)."""
+    return check_whole(seed, 0, SEED_LIMIT,
+                       "seeds must be non-negative integers below 2**128")
 
 
 def generate_path(seed: int, t_end: float, dt_fine: float,
@@ -321,26 +318,24 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
     enters.  Distinct seeds key distinct Philox streams, so there is no
     cross-stream reuse between workers.
     """
-    check_seed(seed)
+    seed = check_seed(seed)
     n = step_counts(t_end, dt_fine)[0]
     if n > max_steps:
         raise ResourceLimit(
             f"path of {n} increments exceeds the cap of {max_steps}"
         )
-    draws = _philox_draws(int(seed), n)
+    draws = _philox_draws(seed, n)
     uniforms = (draws.astype(np.float64) + 0.5) / 2**53
     xi = _ndtri(uniforms)
-    return NoisePath(int(seed), float(dt_fine), np.sqrt(dt_fine) * xi)
+    return NoisePath(seed, float(dt_fine), np.sqrt(dt_fine) * xi)
 
 
 def coarsen(path: NoisePath, factor: int) -> np.ndarray:
     """Increments at resolution factor * dt_fine, each the left-to-right sum
     of the fine increments it covers.  An integral float is taken as that
-    integer; the range is compared first, so NaN and infinities are refused
-    before `int`."""
-    if not 1 <= factor < math.inf or int(factor) != factor:
-        raise ConfigError(f"coarsening factor must be a positive integer, got {factor}")
-    factor = int(factor)
+    integer (`errors.check_whole`)."""
+    factor = check_whole(factor, 1, math.inf,
+                         "coarsening factor must be a positive integer")
     n = path.n_steps
     if n % factor != 0:
         raise ConfigError(f"factor {factor} does not divide path length {n}")

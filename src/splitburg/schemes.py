@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt
-from .errors import CflViolation, ConfigError, check_positive
+from .errors import CflViolation, ConfigError, check_kind, check_positive, check_whole
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, step_counts, stochastic_update
 
@@ -92,14 +92,11 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         allowed = scheme_traits(self.scheme).iterations or range(1, MAX_ITERATIONS + 1)
-        if self.stochastic_substep not in _SUBSTEPS:
-            raise ConfigError(f"unknown stochastic substep {self.stochastic_substep!r}")
-        if self.inner_mode not in _INNER_MODES:
-            raise ConfigError(f"unknown inner mode {self.inner_mode!r}")
-        if self.iterations not in allowed:
-            raise ConfigError(f"{self.scheme} takes iterations "
-                              f"{allowed.start}..{allowed.stop - 1}, got {self.iterations}")
-        object.__setattr__(self, "iterations", int(self.iterations))
+        check_kind(self.stochastic_substep, _SUBSTEPS, "stochastic substep")
+        check_kind(self.inner_mode, _INNER_MODES, "inner mode")
+        object.__setattr__(self, "iterations", check_whole(
+            self.iterations, allowed.start, allowed.stop,
+            f"{self.scheme} takes iterations {allowed.start}..{allowed.stop - 1}"))
         check_positive(self.blowup_threshold, "blowup_threshold")
 
     @property
@@ -465,8 +462,7 @@ SCHEMES = {
 
 def scheme_traits(name: str) -> SchemeTraits:
     """The table row of a scheme name."""
-    if name not in SCHEMES:
-        raise ConfigError(f"unknown scheme {name!r}")
+    check_kind(name, SCHEMES, "scheme")
     return SCHEMES[name]
 
 

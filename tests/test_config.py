@@ -1,5 +1,6 @@
 """Run-configuration parsing, defaults, and cross-field validation."""
 
+import dataclasses
 import math
 import pickle
 import re
@@ -14,13 +15,17 @@ from splitburg import (
     CflMode,
     CflPolicy,
     ConfigError,
+    InitialCondition,
     NoiseAmplitude,
     RunConfig,
     SchemeConfig,
     SchemeSpec,
+    SpatialGrid,
     detect_blowup,
+    emit_csv,
     parse_config,
     parse_config_file,
+    run_matrix,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -253,12 +258,59 @@ def test_scheme_entries():
         parse_config("schemes: [{name: ab, iterations: [2]}]")
     with pytest.raises(ConfigError):
         parse_config("schemes: [{name: iter_after, iterations: [2, 2]}]")
+    # a cell listed twice, in one entry or across two, would run twice and
+    # write every seed's files twice under the same names
+    for doc in ("schemes: [ab, ab]",
+                "schemes: [{name: iter_after, iterations: [2]},"
+                " {name: iter_after, iterations: 2}]"):
+        with pytest.raises(ConfigError, match="duplicate scheme cells"):
+            parse_config(doc)
     with pytest.raises(ConfigError):
         parse_config("schemes: [{name: iter_after, iterations: [9]}]")
     with pytest.raises(ConfigError):
         parse_config("schemes: [{name: iter_before, iterations: [3]}]")
     with pytest.raises(ConfigError):
         parse_config("schemes: []")
+
+
+def test_counts_are_gated_as_given_before_a_cell_takes_them_as_ints():
+    # RunConfig builds each cell's SchemeConfig from the count as given, so
+    # neither `int` nor the non-iterative cell's 0 can pass a bad count
+    for bad in (2.5, 0.5, 0, -3, 9):
+        with pytest.raises(ConfigError, match="iter_after takes iterations 1..8"):
+            RunConfig(schemes=(SchemeSpec("iter_after", (bad,)),))
+    cfg = RunConfig(schemes=(SchemeSpec("iter_after", (2.0,)), SchemeSpec("ab")))
+    assert cfg.cells() == (("iter_after", 2), ("ab", 0))
+    assert all(type(i) is int for _, i in cfg.cells())
+    with pytest.raises(ConfigError, match="duplicate scheme cells"):
+        RunConfig(schemes=(SchemeSpec("iter_after", (2, 2.0)),))
+
+
+def test_whole_number_gates_refuse_what_is_not_a_number():
+    # one gate (errors.check_whole) serves n_cells, iteration counts and
+    # seeds, so a string is a ConfigError for each, not a TypeError from
+    # its comparison
+    for kwargs, rule in (({"n_cells": "10"}, "n_cells"),
+                         ({"seeds": ("1",)}, "below 2\\*\\*128"),
+                         ({"seeds": (None,)}, "below 2\\*\\*128")):
+        with pytest.raises(ConfigError, match=rule):
+            RunConfig(**kwargs)
+    with pytest.raises(ConfigError, match="iter_after takes iterations"):
+        SchemeConfig("iter_after", iterations="2")
+
+
+def test_seeds_are_stored_as_ints(tmp_path):
+    # integral float seeds name their files as the int study does
+    doc = "{grid: {n_cells: 10}, dt_ladder: [0.01], dt_fine: 0.005, t_end: 0.02}"
+    as_floats = dataclasses.replace(parse_config(doc), seeds=(1.0, 2.0))
+    as_ints = dataclasses.replace(parse_config(doc), seeds=(1, 2))
+    assert as_floats.seeds == (1, 2)
+    assert all(type(s) is int for s in as_floats.seeds)
+    stems = []
+    for cfg, out in ((as_floats, tmp_path / "floats"), (as_ints, tmp_path / "ints")):
+        emit_csv(*run_matrix(cfg)[:2], out)
+        stems.append(sorted(p.name for p in (out / "profiles").iterdir()))
+    assert stems[0] == stems[1] == ["ab_0.01_1.csv", "ab_0.01_2.csv"]
 
 
 def test_initial_condition_parsing():
@@ -270,6 +322,12 @@ def test_initial_condition_parsing():
     assert cfg.ic.x_table == (0.0, 1.0)
     with pytest.raises(ConfigError):
         parse_config("initial_condition: {kind: gaussian}")
+    # a key the document leaves out takes the InitialCondition field default
+    assert (parse_config("initial_condition: {kind: riemann_step}").ic
+            == InitialCondition("riemann_step"))
+    assert InitialCondition("riemann_step").sample(SpatialGrid(0.0, 1.0, 2)).tolist() == [1.0, 0.0]
+    assert (parse_config("initial_condition: {kind: constant}").ic
+            == InitialCondition("constant"))
     with pytest.raises(ConfigError):
         parse_config("initial_condition: {kind: constant, width: 1.0}")
 

@@ -845,3 +845,45 @@ def test_iter_before_rejects_every_seed_at_lambda_two():
     assert rejected == {("ab", 1): 0, ("aba", 1): 0, ("iter_after", 2): 4,
                         ("iter_before", 1): 40, ("iter_before", 2): 40,
                         ("iter_before_trapezoid", 2): 40}
+
+
+_TRAPEZOID_DRIFT = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 4: the trapezoid's frozen "
+    "1/2 sigma(c1)^2 dt term moves the mass by 1/2 lam^2 t_end")
+
+
+@pytest.mark.parametrize("scheme, iterations, inner_mode", [
+    ("ab", 1, "whole_step"),
+    ("aba", 1, "whole_step"),
+    ("bab", 1, "whole_step"),
+    ("iter_after", 1, "whole_step"),
+    ("iter_after", 2, "whole_step"),
+    ("iter_after", 4, "whole_step"),
+    ("iter_before", 1, "whole_step"),
+    ("iter_before", 2, "whole_step"),
+    ("iter_before", 1, "half_steps"),
+    pytest.param("iter_before_trapezoid", 2, "whole_step", marks=_TRAPEZOID_DRIFT),
+    pytest.param("iter_before_trapezoid", 4, "whole_step", marks=_TRAPEZOID_DRIFT),
+    pytest.param("iter_before", 2, "half_steps", marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 4: half_steps I=2 adds two "
+        "transported states, so every seed blows up")),
+])
+def test_constant_noise_moves_the_mass_by_lambda_w(scheme, iterations, inner_mode):
+    # the mass ledger under constant noise (ROADMAP item 9): periodic EO
+    # transport conserves the cell mean, so it must end at m(0) + lam W(T);
+    # measured at most 5.6e-16 over these seeds and meshes
+    lam, t_end = 0.5, 0.1
+    cfg = SchemeConfig(scheme, sigma=NoiseAmplitude("constant", lam),
+                       bc=BoundaryKind.PERIODIC, iterations=iterations,
+                       inner_mode=inner_mode)
+    paths = [generate_path(seed, t_end, 6.25e-5) for seed in range(10)]
+    for n_cells in (50, 100):
+        c0 = make_initial_state(SpatialGrid(0.0, 1.0, n_cells),
+                                InitialCondition.sine_bump())
+        for path in paths:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ContractionWarning)
+                traj = integrate(c0, t_end, cfg, path, dt=0.001)
+            assert not traj.blown_up
+            want = np.mean(c0.values) + lam * path.total
+            assert abs(np.mean(traj.final_state.values) - want) <= 1e-13
