@@ -16,7 +16,7 @@ import sys
 
 from .config import parse_config_file
 from .errors import ConfigError
-from .runner import CsvWriter, run_matrix
+from .runner import CsvWriter, reference_endpoint, run_matrix
 
 OUT_ENV_VAR = "SPLITBURG_OUT"
 
@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="suppress the summary report on stdout")
 
     validate = sub.add_parser(
-        "validate", help="parse and cross-check a configuration without running"
+        "validate", help="parse and cross-check a configuration, its noise-free "
+                         "baselines included, without running the matrix"
     )
     validate.add_argument("config", help="path to a YAML run configuration")
     return parser
@@ -53,16 +54,19 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config_file(args.config)
+        if args.command == "validate":
+            # the noise-free baselines `run` measures against refuse an
+            # unstable dt, so `validate` builds them too
+            for dt in cfg.dt_ladder:
+                reference_endpoint(cfg, dt)
+            print(
+                f"configuration OK: {len(cfg.cells())} scheme cell(s) x "
+                f"{len(cfg.dt_ladder)} dt level(s) x {len(cfg.seeds)} seed(s)"
+            )
+            return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    if args.command == "validate":
-        print(
-            f"configuration OK: {len(cfg.cells())} scheme cell(s) x "
-            f"{len(cfg.dt_ladder)} dt level(s) x {len(cfg.seeds)} seed(s)"
-        )
-        return 0
 
     out_dir = args.out or os.environ.get(OUT_ENV_VAR) or cfg.output_dir
     try:

@@ -86,7 +86,6 @@ class RunConfig:
     adaptive_dt: bool = False
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
     stochastic_substep: str = SchemeConfig.stochastic_substep
-    inner_mode: str = SchemeConfig.inner_mode
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
@@ -155,7 +154,6 @@ class RunConfig:
             # a cell's 0 means "no iterations"; SchemeConfig wants one
             iterations=iterations if scheme_traits(name).iterations else 1,
             stochastic_substep=self.stochastic_substep,
-            inner_mode=self.inner_mode,
             blowup_threshold=self.blowup_threshold,
         )
 
@@ -298,7 +296,6 @@ _SCALARS = {
     "adaptive_dt": ("adaptive_dt", _as_bool),
     "blowup_threshold": ("blowup_threshold", _as_float),
     "stochastic_substep": ("stochastic_substep", _as_str),
-    "inner_mode": ("inner_mode", _as_str),
     "output_dir": ("output_dir", _as_str),
 }
 

@@ -5,6 +5,8 @@ entries without repeats."""
 import math
 from collections import Counter
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """A run configuration or operation argument is invalid."""
@@ -25,11 +27,13 @@ def check_kind(value, allowed, what: str) -> None:
 
 def check_whole(value, low, high, rule: str) -> int:
     """`value` as an int, or ConfigError stating `rule` unless it is a whole
-    number with low <= value < high.  An integral float counts as whole; the
-    range is compared first, so NaN and infinities are refused before `int`,
-    and a value that does not compare as a number is refused too."""
+    number with low <= value < high.  An integral float counts as whole and
+    a bool (Python's or numpy's) does not; the range is compared first, so
+    NaN and infinities are refused before `int`, and a value that does not
+    compare as a number is refused too."""
     try:
-        if low <= value < high and int(value) == value:
+        if (not isinstance(value, (bool, np.bool_))
+                and low <= value < high and int(value) == value):
             return int(value)
     except TypeError:
         pass

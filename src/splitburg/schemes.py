@@ -16,8 +16,7 @@ Iterative one-step maps:
     iter_before            variation-of-constants form: the transport propagator
                            is also applied to the noise-amplitude fields; the
                            second iterate refreshes the linearization state from
-                           an aba companion solution (whole step) or from an aba
-                           half-step and the two half increments (half steps)
+                           an aba companion solution carried alongside
     iter_before_trapezoid  averaged-amplitude variant: after the first
                            variation-of-constants pass, subsequent iterates use
                            sigma evaluated at the midpoint of the previous
@@ -28,10 +27,11 @@ table), and `SchemeConfig` says what a step of it reads: the half-interval
 increments (`reads_halves`), an aba companion (`carries_companion`) and the
 fine steps its size is a multiple of (`quantum`).  The public `*_step`
 functions run the very kernels `integrate` runs, wrapped in states and
-records and taking plain float increments; iter_before's also takes the aba
-companion's step and drops its result.  The kernels form the noise
-amplitude only by calling `NoiseAmplitude`, which computes sigma(c) into a
-buffer they pass where they have one, so none branches on the noise kind.
+records and taking plain float increments (bab's two); iter_before's also
+takes the aba companion's step and drops its result.  The kernels form the
+noise amplitude only by calling `NoiseAmplitude`, which computes sigma(c)
+into a buffer they pass where they have one, so none branches on the noise
+kind.
 `integrate` drives a kernel along a reproducible noise path, with
 either a fixed step size or a stability-bound-governed one, truncating on
 blow-up; `noise.step_counts` counts its fine steps and checks their
@@ -59,7 +59,6 @@ from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, step_counts, stochastic_update
 
 _SUBSTEPS = ("em", "milstein")
-_INNER_MODES = ("whole_step", "half_steps")
 
 #: hard cap on fixed-point sweeps
 MAX_ITERATIONS = 8
@@ -87,13 +86,11 @@ class SchemeConfig:
     bc: BoundaryKind = BoundaryKind.ZERO_DIRICHLET
     iterations: int = 2
     stochastic_substep: str = "milstein"
-    inner_mode: str = "whole_step"
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
 
     def __post_init__(self) -> None:
         allowed = scheme_traits(self.scheme).iterations or range(1, MAX_ITERATIONS + 1)
         check_kind(self.stochastic_substep, _SUBSTEPS, "stochastic substep")
-        check_kind(self.inner_mode, _INNER_MODES, "inner mode")
         object.__setattr__(self, "iterations", check_whole(
             self.iterations, allowed.start, allowed.stop,
             f"{self.scheme} takes iterations {allowed.start}..{allowed.stop - 1}"))
@@ -101,23 +98,21 @@ class SchemeConfig:
 
     @property
     def quantum(self) -> int:
-        """Fine path steps every step size must be a multiple of: 2 in the
-        scheme's `half_increments` modes."""
-        return 2 if self.inner_mode in SCHEMES[self.scheme].half_increments else 1
+        """Fine path steps every step size must be a multiple of: 2 where a
+        step reads its two half-interval increments (bab)."""
+        return 2 if self.reads_halves else 1
 
     @property
     def reads_halves(self) -> bool:
-        """Whether a step reads the increments of its two half intervals:
-        bab always, iter_before only for its second iterate in half_steps."""
-        traits = SCHEMES[self.scheme]
-        return (self.inner_mode in traits.half_increments
-                and (not traits.iterations or self.iterations > 1))
+        """Whether a step reads the increments of its two half intervals in
+        place of the full one: bab."""
+        return SCHEMES[self.scheme].halves
 
     @property
     def carries_companion(self) -> bool:
         """Whether the second iterate is refreshed from an aba companion
-        carried alongside: iter_before at I=2 in whole_step."""
-        return self.iterations > 1 and self.inner_mode in SCHEMES[self.scheme].companion
+        carried alongside: iter_before at I=2."""
+        return SCHEMES[self.scheme].companion and self.iterations > 1
 
 
 @dataclass(frozen=True)
@@ -144,28 +139,28 @@ def _check_contraction(residuals, stacklevel: int = 3) -> None:
             return
 
 
-def _ab(u, dt, dw, halves, companion, cfg, dx, speed):
+def _ab(u, dt, dw, companion, cfg, dx, speed):
     v = _eo_step(u, dt, cfg.flux, cfg.bc, dx, speed)
     return stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep), (), companion
 
 
-def _aba(u, dt, dw, halves, companion, cfg, dx, speed):
+def _aba(u, dt, dw, companion, cfg, dx, speed):
     h = 0.5 * dt
     v = _eo_step(u, h, cfg.flux, cfg.bc, dx, speed)
     v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
     return _eo_step(v, h, cfg.flux, cfg.bc, dx), (), companion
 
 
-def _bab(u, dt, dw, halves, companion, cfg, dx, speed):
+def _bab(u, dt, dw, companion, cfg, dx, speed):
     h = 0.5 * dt
-    dw_first, dw_second = halves
+    dw_first, dw_second = dw
     v = stochastic_update(u, u, cfg.sigma, dw_first, h, cfg.stochastic_substep)
     v = _eo_step(v, dt, cfg.flux, cfg.bc, dx)
     v = stochastic_update(v, v, cfg.sigma, dw_second, h, cfg.stochastic_substep)
     return v, (), companion
 
 
-def _iter_after(u, dt, dw, halves, companion, cfg, dx, speed):
+def _iter_after(u, dt, dw, companion, cfg, dx, speed):
     base = _eo_step(u, dt, cfg.flux, cfg.bc, dx, speed)
     lin = u
     residuals: list[float] = []
@@ -192,16 +187,14 @@ def _linearized(sigma: NoiseAmplitude, fields, extra=None) -> np.ndarray:
     return stack
 
 
-def _voc_terms(fields, dt: float, cfg: SchemeConfig,
+def _voc_terms(u, dt: float, cfg: SchemeConfig,
                dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Variation-of-constants terms of the k linearization fields in
-    `fields`: each field and its amplitude propagated over dt, and its
-    correction product twice, as (k, n_cells) arrays.  The fields,
-    amplitudes and corrections go through one transport call, the
-    corrections' second pass through another."""
-    k = len(fields)
-    moved = _eo_step(_linearized(cfg.sigma, fields), dt, cfg.flux, cfg.bc, dx)
-    return moved[:k], moved[k:2 * k], _eo_step(moved[2 * k:], dt, cfg.flux, cfg.bc, dx)
+    """Variation-of-constants terms of the linearization at u: u and its
+    amplitude propagated over dt, and its correction product twice.  The
+    field, amplitude and correction go through one transport call, the
+    correction's second pass through another."""
+    moved = _eo_step(_linearized(cfg.sigma, (u,)), dt, cfg.flux, cfg.bc, dx)
+    return moved[0], moved[1], _eo_step(moved[2], dt, cfg.flux, cfg.bc, dx)
 
 
 def _voc_milstein(field: np.ndarray, amp: np.ndarray, corr: np.ndarray, dw: float,
@@ -216,8 +209,8 @@ def _voc_milstein(field: np.ndarray, amp: np.ndarray, corr: np.ndarray, dw: floa
     return new
 
 
-def _iter_before_whole(u, companion, dt, dw, cfg, dx):
-    """Iterates 1 and 2 of whole-step iter_before, linearized at u and at the
+def _iter_before_companion(u, companion, dt, dw, cfg, dx):
+    """Iterates 1 and 2 of iter_before, linearized at u and at the
     companion, and the companion's own aba step over dt.  The companion's
     two half transports ride in the two transport calls of the iterates,
     with their own dt.  The new values and companion are copies of their
@@ -234,28 +227,14 @@ def _iter_before_whole(u, companion, dt, dw, cfg, dx):
     return c2.copy(), (_mean_abs(c2 - c1),), twice[0].copy()
 
 
-def _iter_before(u, dt, dw, halves, companion, cfg, dx, speed):
+def _iter_before(u, dt, dw, companion, cfg, dx, speed):
     if cfg.carries_companion:
-        return _iter_before_whole(u, companion, dt, dw, cfg, dx)
-    (c1,) = _voc_milstein(*_voc_terms((u,), dt, cfg, dx), dw, dt)
-    if not cfg.reads_halves:
-        return c1, (), companion
-    h = 0.5 * dt
-    dw1, dw2 = halves
-    mid, _, _ = _aba(u, h, dw1, None, None, cfg, dx, speed)
-    (field_u, field_m), (amp_u, amp_m), (corr_u, corr_m) = _voc_terms(
-        (u, mid), h, cfg, dx)
-    c2 = (
-        field_u + field_m
-        + amp_u * dw1 + amp_m * dw2
-        + 0.5 * corr_u * (dw1 * dw1 - h)
-        + 0.5 * corr_m * (dw2 * dw2 - h)
-    )
-    return c2, (_mean_abs(c2 - c1),), companion
+        return _iter_before_companion(u, companion, dt, dw, cfg, dx)
+    return _voc_milstein(*_voc_terms(u, dt, cfg, dx), dw, dt), (), companion
 
 
-def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
-    (base,), (amp,), (corr,) = _voc_terms((u,), dt, cfg, dx)
+def _iter_before_trapezoid(u, dt, dw, companion, cfg, dx, speed):
+    base, amp, corr = _voc_terms(u, dt, cfg, dx)
     c1 = _voc_milstein(base, amp, corr, dw, dt)
     sigma = cfg.sigma
     # every iterate starts from base - (1/2) sigma(c1)^2 dt, in that order
@@ -279,13 +258,13 @@ def _iter_before_trapezoid(u, dt, dw, halves, companion, cfg, dx, speed):
     return prev, residuals, companion
 
 
-def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw=None,
-            halves=None, companion=None) -> StepRecord:
+def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw,
+            companion=None) -> StepRecord:
     """The record of one step of `kernel` from `state`; dt must be positive
     and finite."""
     check_positive(dt, "dt")
     with np.errstate(over="ignore", invalid="ignore"):
-        values, residuals, _ = kernel(state.values, dt, dw, halves, companion, cfg,
+        values, residuals, _ = kernel(state.values, dt, dw, companion, cfg,
                                       state.grid.dx, None)
     _check_contraction(residuals, stacklevel=4)  # the public step's caller
     return StepRecord(state.with_values(values, state.time + dt), dt, tuple(residuals))
@@ -306,7 +285,7 @@ def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
              cfg: SchemeConfig) -> StepRecord:
     """Symmetrized noise around a full transport step; the two noise substeps
     consume the genuine increments of the two half intervals."""
-    return _record(_bab, state, dt, cfg, halves=(dw_first, dw_second))
+    return _record(_bab, state, dt, cfg, (dw_first, dw_second))
 
 
 def iter_after_step(state: FieldState, dt: float, dw: float,
@@ -323,29 +302,22 @@ def iter_after_step(state: FieldState, dt: float, dw: float,
 
 
 def iter_before_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig,
-                     aba_state: FieldState | None = None,
-                     halves: tuple[float, float] | None = None) -> StepRecord:
+                     aba_state: FieldState | None = None) -> StepRecord:
     """One or two variation-of-constants iterates with the full-interval
-    increment dw and, where the step reads them, the two half-interval
-    increments `halves`.
+    increment dw.
 
     iterations=1: the Milstein form linearized at the start state.
-    iterations=2, whole_step: the same form re-evaluated from the aba
-        companion state carried alongside the trajectory (the start state on
-        the first step or standalone use).
-    iterations=2, half_steps: the two-half-interval sum, pairing the start
-        state with the first half increment and an aba half-step solution with
-        the second.
+    iterations=2: the same form re-evaluated from the aba companion state
+        carried alongside the trajectory (the start state on the first step
+        or standalone use).
 
-    The step runs the kernel `integrate` runs.  At iterations=2 whole_step
-    that kernel also takes the companion's own aba step, whose result is
-    dropped here (`aba_step` returns it).  So the step also raises that aba
-    step's CflViolation, which `integrate` records as `cfl_rejected`.
+    The step runs the kernel `integrate` runs.  At iterations=2 that kernel
+    also takes the companion's own aba step, whose result is dropped here
+    (`aba_step` returns it).  So the step also raises that aba step's
+    CflViolation, which `integrate` records as `cfl_rejected`.
     """
-    if cfg.reads_halves and (halves is None or None in halves):
-        raise ConfigError("half_steps mode needs both half-interval increments")
     companion = state if aba_state is None else aba_state
-    return _record(_iter_before, state, dt, cfg, dw, halves, companion.values)
+    return _record(_iter_before, state, dt, cfg, dw, companion.values)
 
 
 def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
@@ -416,45 +388,39 @@ class Trajectory:
 class SchemeTraits:
     """One row of the scheme table, the one place each scheme fact lives.
 
-    `kernel(u, dt, dw, halves, companion, cfg, dx, speed)
+    `kernel(u, dt, dw, companion, cfg, dx, speed)
     -> (values, residuals, companion)` is the scheme's step on raw float64
     cell values u, which it never writes: `dw` is the full-interval
-    increment, `halves` the two half-interval ones, `companion` the aba
-    companion's values (None where the scheme carries none), and `speed`
-    max|f'(u)| where the caller knows it (else None).  It returns the new
-    values, the iterate residuals (one per sweep beyond the first) and the
-    companion after its own aba step.  Floating-point warnings are the
-    caller's to silence.
-    `full_increment` says whether a step consumes the full-interval
-    increment (bab consumes only the halves).
+    increment, or the pair of half-interval ones where the scheme reads
+    `halves`, `companion` the aba companion's values (None where the scheme
+    carries none), and `speed` max|f'(u)| where the caller knows it (else
+    None).  It returns the new values, the iterate residuals (one per sweep
+    beyond the first) and the companion after its own aba step.
+    Floating-point warnings are the caller's to silence.
     `iterations` are the counts it takes (empty: not iterative).
-    `half_increments` are the inner modes in which dt spans an even number
-    of fine steps, since a step may consume its two half-interval
-    increments; `companion` those in which the second iterate is refreshed
-    from an aba solution carried alongside.  An iterative scheme reads
-    either only from its second iterate on (`SchemeConfig.reads_halves`,
-    `SchemeConfig.carries_companion`).
+    `halves` says whether a step reads the increments of its two half
+    intervals in place of the full one, so that dt spans an even number of
+    fine steps (bab).  `companion` says whether the second iterate is
+    refreshed from an aba solution carried alongside, so only from I=2 on
+    (`SchemeConfig.carries_companion`).
 
-    `stochastic_substep: em` reaches only ab, aba, bab and the aba solutions
-    inside iter_before (whole-step companion, half-steps midpoint); the
-    iterative updates themselves are always Milstein.
+    `stochastic_substep: em` reaches only ab, aba, bab and the aba companion
+    inside iter_before; the iterative updates themselves are always
+    Milstein.
     """
 
     kernel: Callable
-    full_increment: bool = True
     iterations: range = range(0)
-    half_increments: tuple[str, ...] = ()
-    companion: tuple[str, ...] = ()
+    halves: bool = False
+    companion: bool = False
 
 
 SCHEMES = {
     "ab": SchemeTraits(_ab),
     "aba": SchemeTraits(_aba),
-    "bab": SchemeTraits(_bab, full_increment=False, half_increments=_INNER_MODES),
+    "bab": SchemeTraits(_bab, halves=True),
     "iter_after": SchemeTraits(_iter_after, iterations=range(1, MAX_ITERATIONS + 1)),
-    "iter_before": SchemeTraits(_iter_before, iterations=range(1, 3),
-                                half_increments=("half_steps",),
-                                companion=("whole_step",)),
+    "iter_before": SchemeTraits(_iter_before, iterations=range(1, 3), companion=True),
     "iter_before_trapezoid": SchemeTraits(_iter_before_trapezoid,
                                           iterations=range(2, MAX_ITERATIONS + 1)),
 }
@@ -466,15 +432,13 @@ def scheme_traits(name: str) -> SchemeTraits:
     return SCHEMES[name]
 
 
-def _step_increments(path: NoisePath, k: int, m: int, steps: int, full: bool,
-                     halves: bool) -> tuple[list, list]:
-    """The full-interval increments and the half-interval pairs of `steps`
-    steps of m fine steps each from fine step k, one list entry per step
-    (None where the scheme reads none)."""
-    dws = path.block_sums(k, m, steps).tolist() if full else [None] * steps
-    pairs = (path.block_sums(k, m // 2, 2 * steps).reshape(steps, 2).tolist() if halves
-             else [None] * steps)
-    return dws, pairs
+def _step_increments(path: NoisePath, k: int, m: int, steps: int, halves: bool) -> list:
+    """The increments of `steps` steps of m fine steps each from fine step
+    k, one list entry per step: the full-interval increment, or with
+    `halves` the pair of half-interval ones."""
+    if halves:
+        return path.block_sums(k, m // 2, 2 * steps).reshape(steps, 2).tolist()
+    return path.block_sums(k, m, steps).tolist()
 
 
 def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
@@ -502,12 +466,10 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     if n_total > path.n_steps:
         raise ConfigError(f"path covers only [0, {path.t_end}], t_end {t_end} is beyond it")
 
-    traits = SCHEMES[cfg.scheme]
-    kernel, flux, sigma, dx = traits.kernel, cfg.flux, cfg.sigma, c0.grid.dx
-    threshold = cfg.blowup_threshold
-    full, halves = traits.full_increment, cfg.reads_halves
+    kernel, flux, sigma = SCHEMES[cfg.scheme].kernel, cfg.flux, cfg.sigma
+    dx, threshold, halves = c0.grid.dx, cfg.blowup_threshold, cfg.reads_halves
     if m_fixed is not None:
-        dws, pairs = _step_increments(path, 0, m_fixed, n_total // m_fixed, full, halves)
+        dws = _step_increments(path, 0, m_fixed, n_total // m_fixed, halves)
     u, time, peak = c0.values, c0.time, c0.peak
     absu = np.abs(u)
     companion = u if cfg.carries_companion else None
@@ -530,12 +492,12 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
                 if m <= 0:
                     blowup_time, blowup_reason = time, "dt_underflow"
                     break
-                dws, pairs = _step_increments(path, k, m, 1, full, halves)
+                dws = _step_increments(path, k, m, 1, halves)
             j = 0 if m_fixed is None else n_steps
             step_dt = m * fine
             try:
-                u, residuals, companion = kernel(u, step_dt, dws[j], pairs[j], companion,
-                                                 cfg, dx, speed)
+                u, residuals, companion = kernel(u, step_dt, dws[j], companion, cfg, dx,
+                                                 speed)
             except CflViolation:
                 blowup_time, blowup_reason = time, "cfl_rejected"
                 break

@@ -162,6 +162,25 @@ def test_unstable_dt_is_reported_as_config_error(tmp_path, capsys):
     cfg.write_text("{dt_ladder: [0.02], dt_fine: 0.01, t_end: 0.1}\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "x")]) == 1
     assert "noise-free baseline" in capsys.readouterr().err
+    # validate builds the same baselines, so it refuses what run refuses
+    assert main(["validate", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "noise-free baseline" in captured.err and not captured.out
+
+
+def test_inner_mode_is_an_unknown_key_for_validate_and_run(tmp_path, capsys):
+    # the key that selected iter_before's removed half-step variant is now
+    # refused by name, before anything runs or is written
+    cfg = tmp_path / "old.yaml"
+    cfg.write_text(QUICK_DOC + "inner_mode: whole_step\n")
+    out = tmp_path / "x"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:")
+        assert "inner_mode" in captured.err and "Traceback" not in captured.err
+        assert not captured.out
+    assert not out.exists()
 
 
 def snapshot(out):

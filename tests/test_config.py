@@ -6,6 +6,7 @@ import pickle
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -50,7 +51,6 @@ cfl: {mode: deterministic_only, safety: 0.8, xi_bound: 2.5}
 adaptive_dt: true
 blowup_threshold: 1.0e4
 stochastic_substep: em
-inner_mode: whole_step
 output_dir: out
 """
 
@@ -116,6 +116,9 @@ def test_unknown_keys_are_rejected_by_name():
         parse_config("cfl: {courant: 0.9}")
     with pytest.raises(ConfigError, match="sweeps"):
         parse_config("schemes: [{name: iter_after, sweeps: 3}]")
+    # iter_before has one form, so no key selects a variant of it
+    with pytest.raises(ConfigError, match="unknown key.*inner_mode"):
+        parse_config("inner_mode: whole_step")
 
 
 def test_numbers_must_be_numeric():
@@ -215,6 +218,19 @@ def test_path_resolution_must_divide_the_ladder():
         parse_config("{schemes: [bab], dt_ladder: [0.01], dt_fine: 0.01, t_end: 0.1}")
 
 
+def test_only_bab_needs_an_even_number_of_fine_steps():
+    # iter_before has one whole-step form, so at either count its dt may be
+    # a single fine step; only bab reads two half-interval increments
+    doc = "{{schemes: [{}], dt_ladder: [0.01], dt_fine: 0.01, t_end: 0.1}}"
+    for schemes in ("ab", "aba", "{name: iter_after, iterations: [1, 3]}",
+                    "{name: iter_before, iterations: [1, 2]}",
+                    "{name: iter_before_trapezoid, iterations: [2]}"):
+        cfg = parse_config(doc.format(schemes))
+        assert all(cfg.make_scheme(*cell).quantum == 1 for cell in cfg.cells())
+    with pytest.raises(ConfigError):
+        parse_config(doc.format("{name: iter_before, iterations: [1, 2]}, bab"))
+
+
 def test_t_end_must_be_a_multiple_of_every_dt():
     with pytest.raises(ConfigError):
         parse_config("{dt_ladder: [0.005], t_end: 0.017}")
@@ -244,7 +260,8 @@ def test_seeds_must_fit_the_philox_key():
         parse_config(f"seeds: [1, {top + 1}]")
     with pytest.raises(ConfigError, match="below 2\\*\\*128"):
         parse_config(f"seeds: {{base: {top}, count: 2}}")
-    for seed in (top + 1, math.nan, math.inf, -math.inf):
+    # a bool is not a whole number, so True is not seed 1
+    for seed in (top + 1, math.nan, math.inf, -math.inf, True, np.True_):
         with pytest.raises(ConfigError, match="below 2\\*\\*128"):
             RunConfig(seeds=(seed,))
 
@@ -275,8 +292,9 @@ def test_scheme_entries():
 
 def test_counts_are_gated_as_given_before_a_cell_takes_them_as_ints():
     # RunConfig builds each cell's SchemeConfig from the count as given, so
-    # neither `int` nor the non-iterative cell's 0 can pass a bad count
-    for bad in (2.5, 0.5, 0, -3, 9):
+    # neither `int` nor the non-iterative cell's 0 can pass a bad count, and
+    # True is not the count 1
+    for bad in (2.5, 0.5, 0, -3, 9, True):
         with pytest.raises(ConfigError, match="iter_after takes iterations 1..8"):
             RunConfig(schemes=(SchemeSpec("iter_after", (bad,)),))
     cfg = RunConfig(schemes=(SchemeSpec("iter_after", (2.0,)), SchemeSpec("ab")))

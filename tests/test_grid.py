@@ -41,8 +41,9 @@ def test_grid_rejects_bad_bounds_and_cell_counts():
         SpatialGrid(0.0, 1.0, 1)
     with pytest.raises(ConfigError):
         SpatialGrid(0.0, np.inf, 10)
-    # the range is compared before `int`, so NaN and infinities are refused
-    for n in (np.nan, np.inf, -np.inf, 1.5, 1):
+    # the range is compared before `int`, so NaN and infinities are refused;
+    # a bool is not a whole number
+    for n in (np.nan, np.inf, -np.inf, 1.5, 1, True):
         with pytest.raises(ConfigError, match="n_cells"):
             SpatialGrid(0.0, 1.0, n)
     # an integral float is stored as that integer, so every kind samples on it

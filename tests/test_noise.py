@@ -301,8 +301,9 @@ def test_coarsen_validation():
         coarsen(path, 3)
     with pytest.raises(ConfigError):
         coarsen(path, 0)
-    # the range is compared before `int`, so NaN and infinities are refused
-    for factor in (np.nan, np.inf, -np.inf, 1.5):
+    # the range is compared before `int`, so NaN and infinities are refused;
+    # a bool is not a whole number, so True is not the factor 1
+    for factor in (np.nan, np.inf, -np.inf, 1.5, True):
         with pytest.raises(ConfigError, match="coarsening factor"):
             coarsen(path, factor)
     # an integral float is taken as that integer

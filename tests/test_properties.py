@@ -178,11 +178,11 @@ def _public_step(state, path, k, m, cfg, companion):
     companion, where the scheme carries one, takes its own aba step."""
     dt, mid = m * path.dt_fine, k + m // 2
     dw = path.increment_over(k, k + m)
-    halves = (path.increment_over(k, mid), path.increment_over(mid, k + m))
     if cfg.scheme == "bab":
-        return bab_step(state, dt, *halves, cfg), companion
+        return bab_step(state, dt, path.increment_over(k, mid),
+                        path.increment_over(mid, k + m), cfg), companion
     if cfg.scheme == "iter_before":
-        rec = iter_before_step(state, dt, dw, cfg, aba_state=companion, halves=halves)
+        rec = iter_before_step(state, dt, dw, cfg, aba_state=companion)
         if companion is not None:
             companion = aba_step(companion, dt, dw, cfg).state_after
         return rec, companion
@@ -238,9 +238,7 @@ def _scheme_cfgs(draw):
         bc=draw(st.sampled_from(list(BoundaryKind))),
         iterations=draw(st.sampled_from(SCHEMES[scheme].iterations or range(1, 2))),
         stochastic_substep=draw(st.sampled_from(["em", "milstein"])),
-        inner_mode=draw(st.sampled_from(["whole_step", "half_steps"])),
-        # small thresholds trip "threshold"; iter_before I=2 half_steps does
-        # on its own
+        # small thresholds trip "threshold"
         blowup_threshold=draw(st.one_of(st.floats(0.3, 5.0), st.just(1e6))),
     )
 

@@ -69,8 +69,6 @@ def test_scheme_config_validation():
     with pytest.raises(ConfigError):
         SchemeConfig("ab", stochastic_substep="heun")
     with pytest.raises(ConfigError):
-        SchemeConfig("iter_before", inner_mode="thirds")
-    with pytest.raises(ConfigError):
         SchemeConfig("iter_after", iterations=0)
     with pytest.raises(ConfigError):
         SchemeConfig("iter_after", iterations=9)
@@ -80,7 +78,7 @@ def test_scheme_config_validation():
         SchemeConfig("iter_before_trapezoid", iterations=1)
     with pytest.raises(ConfigError):
         SchemeConfig("ab", blowup_threshold=0.0)
-    for bad in (2.5, math.nan, math.inf):
+    for bad in (2.5, math.nan, math.inf, True, np.True_):
         with pytest.raises(ConfigError, match="iterations"):
             SchemeConfig("iter_after", iterations=bad)
     # an integral float is stored as its int, as SpatialGrid does n_cells
@@ -98,32 +96,24 @@ def test_scheme_config_validation():
 def test_scheme_config_flags():
     assert set(SCHEMES) == {"ab", "aba", "bab", "iter_after", "iter_before",
                             "iter_before_trapezoid"}
-    assert SchemeConfig("bab").quantum == 2
-    assert SchemeConfig("iter_before", inner_mode="half_steps").quantum == 2
-    assert SchemeConfig("iter_before").quantum == 1
-    # quantum 2 for every half_steps iter_before, though only its second
-    # iterate reads the halves
-    assert SchemeConfig("iter_before", iterations=1, inner_mode="half_steps").quantum == 2
-    assert [name for name, row in SCHEMES.items() if row.companion] == ["iter_before"]
-    assert SCHEMES["iter_before"].companion == ("whole_step",)
     assert list(SCHEMES["iter_after"].iterations) == list(range(1, 9))
     assert list(SCHEMES["iter_before"].iterations) == [1, 2]
     assert list(SCHEMES["iter_before_trapezoid"].iterations) == list(range(2, 9))
     assert not SCHEMES["aba"].iterations
-    # what a step reads
-    modes = ("whole_step", "half_steps")
-    for mode in modes:
-        assert SchemeConfig("bab", iterations=1, inner_mode=mode).reads_halves
-        first_only = SchemeConfig("iter_before", iterations=1, inner_mode=mode)
-        assert not (first_only.reads_halves or first_only.carries_companion)
-    whole = SchemeConfig("iter_before", iterations=2)
-    halves = SchemeConfig("iter_before", iterations=2, inner_mode="half_steps")
-    assert whole.carries_companion and not whole.reads_halves
-    assert halves.reads_halves and not halves.carries_companion
-    for name in ("ab", "aba", "iter_after", "iter_before_trapezoid"):
-        for mode in modes:
-            cfg = SchemeConfig(name, inner_mode=mode)
-            assert not (cfg.reads_halves or cfg.carries_companion)
+    # what a step reads, every scheme at every count it takes:
+    # (quantum, reads_halves, carries_companion)
+    flags = {}
+    for name, row in SCHEMES.items():
+        for i in row.iterations or (1,):
+            cfg = SchemeConfig(name, iterations=i)
+            flags[name, i] = (cfg.quantum, cfg.reads_halves, cfg.carries_companion)
+    want = {("ab", 1): (1, False, False), ("aba", 1): (1, False, False),
+            ("bab", 1): (2, True, False)}
+    want.update({("iter_after", i): (1, False, False) for i in range(1, 9)})
+    want.update({("iter_before", 1): (1, False, False),
+                 ("iter_before", 2): (1, False, True)})
+    want.update({("iter_before_trapezoid", i): (1, False, False) for i in range(2, 9)})
+    assert flags == want
 
 
 # ----------------------------------------------------- non-iterative maps
@@ -338,28 +328,6 @@ def test_iter_before_step_raises_the_companion_aba_steps_cfl_violation():
     assert str(step_error.value) == str(aba_error.value)
 
 
-def test_iter_before_half_steps_zero_flux_sums_two_milstein_half_steps():
-    grid4 = SpatialGrid(0.0, 1.0, 4)
-    state = FieldState(grid4, np.array([0.4, -0.2, 0.7, 0.1]))
-    dw = 0.11
-    cfg = cfg_for("iter_before", iterations=2, inner_mode="half_steps",
-                  flux=FluxFunction("zero"))
-    got = iter_before_step(state, 0.01, 2 * dw, cfg, halves=(dw, dw))
-    first = milstein_step(state.values, cfg.sigma, dw, 0.005)
-    second = milstein_step(first, cfg.sigma, dw, 0.005)
-    assert np.allclose(got.state_after.values, first + second, rtol=1e-13)
-
-
-def test_iter_before_half_steps_requires_both_half_increments():
-    rng = np.random.default_rng(30)
-    state = random_state(rng)
-    cfg = cfg_for("iter_before", iterations=2, inner_mode="half_steps")
-    with pytest.raises(ConfigError):
-        iter_before_step(state, 0.01, 0.1, cfg)
-    with pytest.raises(ConfigError):
-        iter_before_step(state, 0.01, 0.1, cfg, halves=(0.05, None))
-
-
 def test_trapezoid_noise_off_is_pure_transport():
     rng = np.random.default_rng(32)
     state = random_state(rng)
@@ -433,9 +401,8 @@ def step_ends(c0, cfg, path, dt, n_steps):
 def test_integrate_zero_horizon():
     c0 = sine_state()
     path = generate_path(1, 0.1, 0.001)
-    # bab and half_steps also sum half-interval increments
-    for cfg in (cfg_for("ab"), cfg_for("bab"),
-                cfg_for("iter_before", iterations=2, inner_mode="half_steps")):
+    # bab also sums half-interval increments, iter_before carries a companion
+    for cfg in (cfg_for("ab"), cfg_for("bab"), cfg_for("iter_before", iterations=2)):
         traj = integrate(c0, 0.0, cfg, path, dt=0.01)
         assert traj.n_steps == 0
         assert traj.final_state is c0
@@ -589,7 +556,7 @@ def test_integrate_carries_the_aba_companion_across_steps():
     # the kernel's new values and companion own their data: no dead stack
     # rows stay alive between steps
     values, _, carried = SCHEMES["iter_before"].kernel(
-        c0.values, 0.01, dw1, None, c0.values, cfg, c0.grid.dx, None)
+        c0.values, 0.01, dw1, c0.values, cfg, c0.grid.dx, None)
     assert values.base is None and carried.base is None
     assert np.array_equal(values, step1.state_after.values)
     assert np.array_equal(carried, companion.values)
@@ -597,31 +564,29 @@ def test_integrate_carries_the_aba_companion_across_steps():
 
 def test_only_ab_aba_bab_and_aba_companions_follow_the_em_substep():
     # iter_after, iter_before and iter_before_trapezoid linearize the noise in
-    # Milstein form whatever stochastic_substep says; the aba solutions inside
-    # iter_before (whole-step companion, half-steps midpoint) do follow it
+    # Milstein form whatever stochastic_substep says; the aba companion inside
+    # iter_before does follow it
     c0 = sine_state(32)
     path = generate_path(19, 0.02, 0.001)
-    cases = {  # (scheme, iterations, inner_mode): first step where em differs
-        ("ab", 1, "whole_step"): 0,
-        ("aba", 1, "whole_step"): 0,
-        ("bab", 1, "whole_step"): 0,
-        ("iter_after", 3, "whole_step"): None,
-        ("iter_before", 1, "whole_step"): None,
-        ("iter_before", 2, "whole_step"): 1,
-        ("iter_before", 2, "half_steps"): 0,
-        ("iter_before_trapezoid", 3, "whole_step"): None,
+    cases = {  # (scheme, iterations): first step where em differs
+        ("ab", 1): 0,
+        ("aba", 1): 0,
+        ("bab", 1): 0,
+        ("iter_after", 3): None,
+        ("iter_before", 1): None,
+        ("iter_before", 2): 1,
+        ("iter_before_trapezoid", 3): None,
     }
-    for (scheme, iterations, inner_mode), first_diff in cases.items():
+    for (scheme, iterations), first_diff in cases.items():
         ends = [
             step_ends(c0, cfg_for(scheme, iterations=iterations,
-                                  inner_mode=inner_mode,
                                   stochastic_substep=substep), path, 0.01, 2)
             for substep in ("em", "milstein")
         ]
         equal = [np.array_equal(a.final_state.values, b.final_state.values)
                  for a, b in zip(*ends)]
         expected = [first_diff is None or i < first_diff for i in range(2)]
-        assert equal == expected, (scheme, iterations, inner_mode)
+        assert equal == expected, (scheme, iterations)
 
 
 def given_path(increments):
@@ -658,18 +623,17 @@ def test_integrate_threshold_is_strict():
     assert traj.n_steps == 1
 
 
-@pytest.mark.parametrize("scheme, iterations, inner_mode, calls", [
+@pytest.mark.parametrize("scheme, iterations, calls", [
     # start state and companion stacked, the companion's aba halves riding along
-    ("iter_before", 2, "whole_step", 2),
-    ("iter_before", 1, "whole_step", 2),
-    ("iter_before", 2, "half_steps", 6),
-    ("iter_before_trapezoid", 3, "whole_step", 2),
+    ("iter_before", 2, 2),
+    ("iter_before", 1, 2),
+    ("iter_before_trapezoid", 3, 2),
 ])
 def test_iterative_steps_batch_their_independent_transports(
-        monkeypatch, scheme, iterations, inner_mode, calls):
+        monkeypatch, scheme, iterations, calls):
     c0 = sine_state(32)
     path = generate_path(21, 0.02, 0.001)
-    cfg = cfg_for(scheme, iterations=iterations, inner_mode=inner_mode)
+    cfg = cfg_for(scheme, iterations=iterations)
     expected = step_ends(c0, cfg, path, 0.01, 2)
     count = []
 
@@ -684,23 +648,6 @@ def test_iterative_steps_batch_their_independent_transports(
     assert [t.n_steps for t in ends] == [1, 2]
     for got, want in zip(ends, expected):
         assert np.array_equal(got.final_state.values, want.final_state.values)
-
-
-def test_governed_single_iterate_half_steps_sums_no_halves(monkeypatch):
-    # an I=1 step reads only its full-interval increment: one block sum a step
-    calls = []
-
-    def block_sums(self, *args):
-        calls.append(args)
-        return real(self, *args)
-
-    real = NoisePath.block_sums
-    monkeypatch.setattr(NoisePath, "block_sums", block_sums)
-    cfg = cfg_for("iter_before", iterations=1, inner_mode="half_steps")
-    traj = integrate(sine_state(32), 0.1, cfg, generate_path(27, 0.1, 1e-4),
-                     cfl=CflPolicy(CflMode.COMBINED, dt_max=0.01))
-    assert traj.n_steps > 1 and not traj.blown_up
-    assert len(calls) == traj.n_steps
 
 
 def test_integrate_scans_each_step_once(monkeypatch):
@@ -739,20 +686,18 @@ def test_integrate_scans_each_step_once(monkeypatch):
     assert np.array_equal(traj.final_state.values, computed[-1])
 
 
-@pytest.mark.parametrize("scheme, iterations, inner_mode", [
-    ("ab", 1, "whole_step"),
-    ("bab", 1, "whole_step"),
-    ("iter_after", 3, "whole_step"),
-    ("iter_before", 2, "whole_step"),
-    ("iter_before", 2, "half_steps"),
-    ("iter_before_trapezoid", 2, "whole_step"),
+@pytest.mark.parametrize("scheme, iterations", [
+    ("ab", 1),
+    ("bab", 1),
+    ("iter_after", 3),
+    ("iter_before", 2),
+    ("iter_before_trapezoid", 2),
 ])
-def test_integrate_builds_one_state_per_trajectory(monkeypatch, scheme, iterations,
-                                                   inner_mode):
+def test_integrate_builds_one_state_per_trajectory(monkeypatch, scheme, iterations):
     # the steps run on raw arrays; only the last step's state is built
     c0 = sine_state(32)
     path, fine_path = generate_path(27, 0.1, 0.001), generate_path(27, 0.1, 1e-4)
-    cfg = cfg_for(scheme, iterations=iterations, inner_mode=inner_mode)
+    cfg = cfg_for(scheme, iterations=iterations)
     built = []
 
     def post_init(self):
@@ -852,30 +797,25 @@ _TRAPEZOID_DRIFT = pytest.mark.xfail(
     "1/2 sigma(c1)^2 dt term moves the mass by 1/2 lam^2 t_end")
 
 
-@pytest.mark.parametrize("scheme, iterations, inner_mode", [
-    ("ab", 1, "whole_step"),
-    ("aba", 1, "whole_step"),
-    ("bab", 1, "whole_step"),
-    ("iter_after", 1, "whole_step"),
-    ("iter_after", 2, "whole_step"),
-    ("iter_after", 4, "whole_step"),
-    ("iter_before", 1, "whole_step"),
-    ("iter_before", 2, "whole_step"),
-    ("iter_before", 1, "half_steps"),
-    pytest.param("iter_before_trapezoid", 2, "whole_step", marks=_TRAPEZOID_DRIFT),
-    pytest.param("iter_before_trapezoid", 4, "whole_step", marks=_TRAPEZOID_DRIFT),
-    pytest.param("iter_before", 2, "half_steps", marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 4: half_steps I=2 adds two "
-        "transported states, so every seed blows up")),
+@pytest.mark.parametrize("scheme, iterations", [
+    ("ab", 1),
+    ("aba", 1),
+    ("bab", 1),
+    ("iter_after", 1),
+    ("iter_after", 2),
+    ("iter_after", 4),
+    ("iter_before", 1),
+    ("iter_before", 2),
+    pytest.param("iter_before_trapezoid", 2, marks=_TRAPEZOID_DRIFT),
+    pytest.param("iter_before_trapezoid", 4, marks=_TRAPEZOID_DRIFT),
 ])
-def test_constant_noise_moves_the_mass_by_lambda_w(scheme, iterations, inner_mode):
+def test_constant_noise_moves_the_mass_by_lambda_w(scheme, iterations):
     # the mass ledger under constant noise (ROADMAP item 9): periodic EO
     # transport conserves the cell mean, so it must end at m(0) + lam W(T);
     # measured at most 5.6e-16 over these seeds and meshes
     lam, t_end = 0.5, 0.1
     cfg = SchemeConfig(scheme, sigma=NoiseAmplitude("constant", lam),
-                       bc=BoundaryKind.PERIODIC, iterations=iterations,
-                       inner_mode=inner_mode)
+                       bc=BoundaryKind.PERIODIC, iterations=iterations)
     paths = [generate_path(seed, t_end, 6.25e-5) for seed in range(10)]
     for n_cells in (50, 100):
         c0 = make_initial_state(SpatialGrid(0.0, 1.0, n_cells),
