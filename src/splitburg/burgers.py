@@ -4,6 +4,10 @@ One step of u_t + f(u)_x = 0 on a uniform mesh with the Engquist-Osher
 interface flux, plus step-size recommendations for the explicit stability
 bounds (deterministic wave-speed bound, noise-amplitude bound, and their
 combination).
+
+`transport(flux, bc, dx)` is the one owner of that step: every scheme
+kernel, `scl_step` and so the noise-free baseline move their fields through
+the `move` it returns, and nothing outside this module calls `_eo_step`.
 """
 
 from __future__ import annotations
@@ -154,6 +158,19 @@ def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
     return np.subtract(values, new, out=new)
 
 
+def transport(flux: FluxFunction, bc: BoundaryKind, dx: float):
+    """The transport of fields on a mesh of width dx with `flux`, closed by
+    `bc`: `move(values, dt, speed=None)`, bitwise `_eo_step(values, dt,
+    flux, bc, dx, speed)` for one field or a stack with one dt per row,
+    CflViolation included.  A second transport method belongs here, so that
+    every caller gets it at once."""
+
+    def move(values: np.ndarray, dt, speed: float | None = None) -> np.ndarray:
+        return _eo_step(values, dt, flux, bc, dx, speed)
+
+    return move
+
+
 def scl_step(state: FieldState, dt: float, flux: FluxFunction,
              bc: BoundaryKind) -> FieldState:
     """Advance a state by one explicit conservation-law step of size dt.
@@ -164,8 +181,8 @@ def scl_step(state: FieldState, dt: float, flux: FluxFunction,
     """
     check_positive(dt, "dt")
     with np.errstate(over="ignore", invalid="ignore"):
-        new = _eo_step(state.values, dt, flux, bc, state.grid.dx,
-                       flux.peak_speed(state.peak))
+        new = transport(flux, bc, state.grid.dx)(state.values, dt,
+                                                 flux.peak_speed(state.peak))
     return state.with_values(new, state.time + dt)
 
 

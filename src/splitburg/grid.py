@@ -153,7 +153,8 @@ class InitialCondition:
         table              linear interpolation of sampled (x, u) pairs
 
     The field defaults (u_left 1.0, u_right 0.0, value 0.0) are the only
-    copy: a config document that leaves a key out gets them too.
+    copy: a config document that leaves a key out gets them too.  Every
+    number, the table samples included, must be finite, whatever the kind.
     """
 
     kind: str
@@ -165,6 +166,9 @@ class InitialCondition:
 
     def __post_init__(self) -> None:
         check_kind(self.kind, _IC_KINDS, "initial condition")
+        for name in ("value", "u_left", "u_right", "x_table", "u_table"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"initial condition {name} must be finite")
         if self.kind == "table":
             if len(self.x_table) != len(self.u_table) or len(self.x_table) < 2:
                 raise ConfigError("table initial condition needs >= 2 (x, u) pairs")

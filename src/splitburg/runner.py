@@ -188,15 +188,15 @@ def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
     """Noise-free solution advanced to t_end with the same fixed dt and mesh.
 
     This is the baseline the summary errors are measured against; it is
-    computed once per dt level and shared by every scheme cell.
+    computed once per dt level and shared by every scheme cell.  Its steps
+    are `scl_step`s with the flux and boundary `make_scheme` gives the
+    cells, so it is moved by the same `burgers.transport` as they are.
     """
     state = cfg.make_state()
-    flux = cfg.make_flux()
-    bc = cfg.make_bc()
     n_total, m = step_counts(cfg.t_end, cfg.dt_fine, dt)
     try:
         for _ in range(n_total // m):
-            state = scl_step(state, dt, flux, bc)
+            state = scl_step(state, dt, cfg.make_flux(), cfg.make_bc())
     except CflViolation as exc:
         raise ConfigError(
             f"dt {dt:g} is unstable for the noise-free baseline: {exc}"

@@ -23,9 +23,13 @@ Iterative one-step maps:
                            iterate and the start state
 
 Each scheme's step is a kernel on raw float64 cell values (the `SCHEMES`
-table), and `SchemeConfig` says what a step of it reads: the half-interval
-increments (`reads_halves`), an aba companion (`carries_companion`) and the
-fine steps its size is a multiple of (`quantum`).  The public `*_step`
+table), and `SchemeConfig` says what a step of it reads: an aba companion
+(`carries_companion`) and the fine steps its size is a multiple of
+(`quantum`, 2 where it reads the two half-interval increments).  A kernel
+moves its fields only through the `burgers.transport` it is handed, which
+`integrate` builds once per trajectory and `_record` once per public step
+from the configuration's flux and boundary and the grid's dx, so no kernel
+reads those three itself.  The public `*_step`
 functions run the very kernels `integrate` runs, wrapped in states and
 records and taking plain float increments (bab's two); iter_before's also
 takes the aba companion's step and drops its result.  The kernels form the
@@ -53,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .burgers import CflPolicy, FluxFunction, _eo_step, _governed_dt
+from .burgers import CflPolicy, FluxFunction, _governed_dt, transport
 from .errors import CflViolation, ConfigError, check_kind, check_positive, check_whole
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, step_counts, stochastic_update
@@ -99,14 +103,9 @@ class SchemeConfig:
     @property
     def quantum(self) -> int:
         """Fine path steps every step size must be a multiple of: 2 where a
-        step reads its two half-interval increments (bab)."""
-        return 2 if self.reads_halves else 1
-
-    @property
-    def reads_halves(self) -> bool:
-        """Whether a step reads the increments of its two half intervals in
-        place of the full one: bab."""
-        return SCHEMES[self.scheme].halves
+        step reads the increments of its two half intervals in place of the
+        full one (bab)."""
+        return 2 if SCHEMES[self.scheme].halves else 1
 
     @property
     def carries_companion(self) -> bool:
@@ -139,29 +138,29 @@ def _check_contraction(residuals, stacklevel: int = 3) -> None:
             return
 
 
-def _ab(u, dt, dw, companion, cfg, dx, speed):
-    v = _eo_step(u, dt, cfg.flux, cfg.bc, dx, speed)
+def _ab(u, dt, dw, companion, cfg, move, speed):
+    v = move(u, dt, speed)
     return stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep), (), companion
 
 
-def _aba(u, dt, dw, companion, cfg, dx, speed):
+def _aba(u, dt, dw, companion, cfg, move, speed):
     h = 0.5 * dt
-    v = _eo_step(u, h, cfg.flux, cfg.bc, dx, speed)
+    v = move(u, h, speed)
     v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
-    return _eo_step(v, h, cfg.flux, cfg.bc, dx), (), companion
+    return move(v, h), (), companion
 
 
-def _bab(u, dt, dw, companion, cfg, dx, speed):
+def _bab(u, dt, dw, companion, cfg, move, speed):
     h = 0.5 * dt
     dw_first, dw_second = dw
     v = stochastic_update(u, u, cfg.sigma, dw_first, h, cfg.stochastic_substep)
-    v = _eo_step(v, dt, cfg.flux, cfg.bc, dx)
+    v = move(v, dt)
     v = stochastic_update(v, v, cfg.sigma, dw_second, h, cfg.stochastic_substep)
     return v, (), companion
 
 
-def _iter_after(u, dt, dw, companion, cfg, dx, speed):
-    base = _eo_step(u, dt, cfg.flux, cfg.bc, dx, speed)
+def _iter_after(u, dt, dw, companion, cfg, move, speed):
+    base = move(u, dt, speed)
     lin = u
     residuals: list[float] = []
     for sweep in range(1, cfg.iterations + 1):
@@ -188,13 +187,13 @@ def _linearized(sigma: NoiseAmplitude, fields, extra=None) -> np.ndarray:
 
 
 def _voc_terms(u, dt: float, cfg: SchemeConfig,
-               dx: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               move: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variation-of-constants terms of the linearization at u: u and its
     amplitude propagated over dt, and its correction product twice.  The
     field, amplitude and correction go through one transport call, the
     correction's second pass through another."""
-    moved = _eo_step(_linearized(cfg.sigma, (u,)), dt, cfg.flux, cfg.bc, dx)
-    return moved[0], moved[1], _eo_step(moved[2], dt, cfg.flux, cfg.bc, dx)
+    moved = move(_linearized(cfg.sigma, (u,)), dt)
+    return moved[0], moved[1], move(moved[2], dt)
 
 
 def _voc_milstein(field: np.ndarray, amp: np.ndarray, corr: np.ndarray, dw: float,
@@ -209,7 +208,7 @@ def _voc_milstein(field: np.ndarray, amp: np.ndarray, corr: np.ndarray, dw: floa
     return new
 
 
-def _iter_before_companion(u, companion, dt, dw, cfg, dx):
+def _iter_before_companion(u, companion, dt, dw, cfg, move):
     """Iterates 1 and 2 of iter_before, linearized at u and at the
     companion, and the companion's own aba step over dt.  The companion's
     two half transports ride in the two transport calls of the iterates,
@@ -217,24 +216,24 @@ def _iter_before_companion(u, companion, dt, dw, cfg, dx):
     rows, so the stacks they come from die with the step."""
     h = 0.5 * dt
     # rows u, companion, amp x2, companion's first half transport, corr x2
-    moved = _eo_step(_linearized(cfg.sigma, (u, companion), companion),
-                     (dt, dt, dt, dt, h, dt, dt), cfg.flux, cfg.bc, dx)
+    moved = move(_linearized(cfg.sigma, (u, companion), companion),
+                 (dt, dt, dt, dt, h, dt, dt))
     mid = moved[4]
     moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt, cfg.stochastic_substep)
     # rows: the companion's second half transport, corr x2
-    twice = _eo_step(moved[4:7], (h, dt, dt), cfg.flux, cfg.bc, dx)
+    twice = move(moved[4:7], (h, dt, dt))
     c1, c2 = _voc_milstein(moved[0:2], moved[2:4], twice[1:3], dw, dt)
     return c2.copy(), (_mean_abs(c2 - c1),), twice[0].copy()
 
 
-def _iter_before(u, dt, dw, companion, cfg, dx, speed):
+def _iter_before(u, dt, dw, companion, cfg, move, speed):
     if cfg.carries_companion:
-        return _iter_before_companion(u, companion, dt, dw, cfg, dx)
-    return _voc_milstein(*_voc_terms(u, dt, cfg, dx), dw, dt), (), companion
+        return _iter_before_companion(u, companion, dt, dw, cfg, move)
+    return _voc_milstein(*_voc_terms(u, dt, cfg, move), dw, dt), (), companion
 
 
-def _iter_before_trapezoid(u, dt, dw, companion, cfg, dx, speed):
-    base, amp, corr = _voc_terms(u, dt, cfg, dx)
+def _iter_before_trapezoid(u, dt, dw, companion, cfg, move, speed):
+    base, amp, corr = _voc_terms(u, dt, cfg, move)
     c1 = _voc_milstein(base, amp, corr, dw, dt)
     sigma = cfg.sigma
     # every iterate starts from base - (1/2) sigma(c1)^2 dt, in that order
@@ -263,9 +262,9 @@ def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw,
     """The record of one step of `kernel` from `state`; dt must be positive
     and finite."""
     check_positive(dt, "dt")
+    move = transport(cfg.flux, cfg.bc, state.grid.dx)
     with np.errstate(over="ignore", invalid="ignore"):
-        values, residuals, _ = kernel(state.values, dt, dw, companion, cfg,
-                                      state.grid.dx, None)
+        values, residuals, _ = kernel(state.values, dt, dw, companion, cfg, move, None)
     _check_contraction(residuals, stacklevel=4)  # the public step's caller
     return StepRecord(state.with_values(values, state.time + dt), dt, tuple(residuals))
 
@@ -388,15 +387,16 @@ class Trajectory:
 class SchemeTraits:
     """One row of the scheme table, the one place each scheme fact lives.
 
-    `kernel(u, dt, dw, companion, cfg, dx, speed)
+    `kernel(u, dt, dw, companion, cfg, move, speed)
     -> (values, residuals, companion)` is the scheme's step on raw float64
     cell values u, which it never writes: `dw` is the full-interval
     increment, or the pair of half-interval ones where the scheme reads
     `halves`, `companion` the aba companion's values (None where the scheme
-    carries none), and `speed` max|f'(u)| where the caller knows it (else
-    None).  It returns the new values, the iterate residuals (one per sweep
-    beyond the first) and the companion after its own aba step.
-    Floating-point warnings are the caller's to silence.
+    carries none), `move` the `burgers.transport` of u's mesh, through
+    which the kernel does every transport, and `speed` max|f'(u)| where the
+    caller knows it (else None).  It returns the new values, the iterate
+    residuals (one per sweep beyond the first) and the companion after its
+    own aba step.  Floating-point warnings are the caller's to silence.
     `iterations` are the counts it takes (empty: not iterative).
     `halves` says whether a step reads the increments of its two half
     intervals in place of the full one, so that dt spans an even number of
@@ -467,7 +467,8 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
         raise ConfigError(f"path covers only [0, {path.t_end}], t_end {t_end} is beyond it")
 
     kernel, flux, sigma = SCHEMES[cfg.scheme].kernel, cfg.flux, cfg.sigma
-    dx, threshold, halves = c0.grid.dx, cfg.blowup_threshold, cfg.reads_halves
+    dx, threshold, halves = c0.grid.dx, cfg.blowup_threshold, quantum == 2
+    move = transport(flux, cfg.bc, dx)
     if m_fixed is not None:
         dws = _step_increments(path, 0, m_fixed, n_total // m_fixed, halves)
     u, time, peak = c0.values, c0.time, c0.peak
@@ -496,7 +497,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             j = 0 if m_fixed is None else n_steps
             step_dt = m * fine
             try:
-                u, residuals, companion = kernel(u, step_dt, dws[j], companion, cfg, dx,
+                u, residuals, companion = kernel(u, step_dt, dws[j], companion, cfg, move,
                                                  speed)
             except CflViolation:
                 blowup_time, blowup_reason = time, "cfl_rejected"

@@ -59,6 +59,28 @@ def test_validate_rejects_a_non_finite_number_without_a_traceback(tmp_path, caps
     assert "Traceback" not in err
 
 
+#: the benchmark's workload files and the matrix shape their header comments
+#: state; a config-schema change they depend on fails here, not first in the
+#: benchmark
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+WORKLOAD_SHAPES = {
+    "ensemble": (10, 3, 50),
+    "wide_mesh": (3, 2, 4),
+    "adaptive": (4, 2, 10),
+}
+
+
+def test_the_benchmark_workloads_validate_with_their_stated_shapes(capsys):
+    files = sorted(WORKLOADS.glob("*.yaml"))
+    assert {f.stem for f in files} == set(WORKLOAD_SHAPES)
+    for path in files:
+        cells, levels, seeds = WORKLOAD_SHAPES[path.stem]
+        assert main(["validate", str(path)]) == 0, path.stem
+        out = capsys.readouterr().out
+        assert out == (f"configuration OK: {cells} scheme cell(s) x {levels} dt "
+                       f"level(s) x {seeds} seed(s)\n"), path.stem
+
+
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "absent.yaml")]) == 1
     assert "config error" in capsys.readouterr().err

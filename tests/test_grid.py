@@ -191,6 +191,25 @@ def test_table_validation():
         InitialCondition.table([0.0], [1.0])
     with pytest.raises(ConfigError):
         InitialCondition.table([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
+    # a NaN sample passes the ordering check (its comparisons are false) and
+    # an infinite one interpolates to an all-inf state: both are refused
+    with pytest.raises(ConfigError, match="x_table must be finite"):
+        InitialCondition.table([0.0, np.nan, 1.0], [0.0, 1.0, 2.0])
+    with pytest.raises(ConfigError, match="x_table must be finite"):
+        InitialCondition.table([0.0, 0.5, np.inf], [0.0, 1.0, 2.0])
+    with pytest.raises(ConfigError, match="u_table must be finite"):
+        InitialCondition.table([0.0, 0.5, 1.0], [0.0, np.inf, 2.0])
+    with pytest.raises(ConfigError, match="u_table must be finite"):
+        InitialCondition.table([0.0, 0.5, 1.0], [0.0, -np.inf, np.nan])
+    # one non-finite case per scalar field, whatever the kind
+    with pytest.raises(ConfigError, match="value must be finite"):
+        InitialCondition.constant(np.nan)
+    with pytest.raises(ConfigError, match="u_left must be finite"):
+        InitialCondition.riemann_step(np.inf, 0.0)
+    with pytest.raises(ConfigError, match="u_right must be finite"):
+        InitialCondition.riemann_step(1.0, -np.inf)
+    with pytest.raises(ConfigError, match="value must be finite"):
+        InitialCondition("sine_bump", value=np.nan)
 
 
 def test_unknown_initial_condition_kind():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from splitburg import BoundaryKind, CflViolation, FluxFunction  # noqa: E402
-from splitburg.burgers import _eo_step  # noqa: E402
+from splitburg.burgers import _eo_step, transport  # noqa: E402
 from splitburg.grid import _mean_abs  # noqa: E402
 
 # values that include exact zeros, both signs and a wide range of magnitudes
@@ -85,8 +85,10 @@ def _edge_arrays(shape):
 )
 def test_eo_step_is_its_textbook_expression_bit_for_bit(values, dts, per_row, known_speed,
                                                         flux, bc):
-    # values - dt/dx * diff(F(pad(values))), one dt per row or one for all
+    # values - dt/dx * diff(F(pad(values))), one dt per row or one for all;
+    # the transport owner's move is the kernel, bit for bit and raise for raise
     flux, dx = FluxFunction(flux), 1.0 / values.shape[-1]
+    move = transport(flux, bc, dx)
     rows = values.reshape(-1, values.shape[-1])
     row_dts = dts[:len(rows)] if per_row and values.ndim == 2 else [dts[0]] * len(rows)
     dt = np.array(row_dts) if per_row and values.ndim == 2 else dts[0]
@@ -107,10 +109,13 @@ def test_eo_step_is_its_textbook_expression_bit_for_bit(values, dts, per_row, kn
             event("rejected by the stability check")
             with pytest.raises(CflViolation):
                 _eo_step(values, dt, flux, bc, dx, speed)
+            with pytest.raises(CflViolation):
+                move(values, dt, speed)
         else:
             got = _eo_step(values, dt, flux, bc, dx, speed)
             assert got.shape == values.shape
             assert got.tobytes() == want.tobytes()
+            assert move(values, dt, speed).tobytes() == want.tobytes()
     assert values.tobytes() == before
 
 

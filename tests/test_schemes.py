@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import splitburg.burgers as burgers_mod
 import splitburg.schemes as schemes_mod
 from splitburg import (
     BoundaryKind,
@@ -37,6 +38,7 @@ from splitburg import (
     milstein_step,
     scl_step,
 )
+from splitburg.burgers import transport
 from splitburg.schemes import SCHEMES
 
 GRID = SpatialGrid(0.0, 1.0, 16)
@@ -101,18 +103,17 @@ def test_scheme_config_flags():
     assert list(SCHEMES["iter_before_trapezoid"].iterations) == list(range(2, 9))
     assert not SCHEMES["aba"].iterations
     # what a step reads, every scheme at every count it takes:
-    # (quantum, reads_halves, carries_companion)
+    # (quantum, carries_companion); a quantum of 2 means the step reads its
+    # two half-interval increments
     flags = {}
     for name, row in SCHEMES.items():
         for i in row.iterations or (1,):
             cfg = SchemeConfig(name, iterations=i)
-            flags[name, i] = (cfg.quantum, cfg.reads_halves, cfg.carries_companion)
-    want = {("ab", 1): (1, False, False), ("aba", 1): (1, False, False),
-            ("bab", 1): (2, True, False)}
-    want.update({("iter_after", i): (1, False, False) for i in range(1, 9)})
-    want.update({("iter_before", 1): (1, False, False),
-                 ("iter_before", 2): (1, False, True)})
-    want.update({("iter_before_trapezoid", i): (1, False, False) for i in range(2, 9)})
+            flags[name, i] = (cfg.quantum, cfg.carries_companion)
+    want = {("ab", 1): (1, False), ("aba", 1): (1, False), ("bab", 1): (2, False)}
+    want.update({("iter_after", i): (1, False) for i in range(1, 9)})
+    want.update({("iter_before", 1): (1, False), ("iter_before", 2): (1, True)})
+    want.update({("iter_before_trapezoid", i): (1, False) for i in range(2, 9)})
     assert flags == want
 
 
@@ -555,8 +556,9 @@ def test_integrate_carries_the_aba_companion_across_steps():
     assert np.array_equal(ends[1].final_state.values, step2.state_after.values)
     # the kernel's new values and companion own their data: no dead stack
     # rows stay alive between steps
+    move = transport(cfg.flux, cfg.bc, c0.grid.dx)
     values, _, carried = SCHEMES["iter_before"].kernel(
-        c0.values, 0.01, dw1, c0.values, cfg, c0.grid.dx, None)
+        c0.values, 0.01, dw1, c0.values, cfg, move, None)
     assert values.base is None and carried.base is None
     assert np.array_equal(values, step1.state_after.values)
     assert np.array_equal(carried, companion.values)
@@ -641,8 +643,9 @@ def test_iterative_steps_batch_their_independent_transports(
         count.append(1)
         return real(*args)
 
-    real = schemes_mod._eo_step
-    monkeypatch.setattr(schemes_mod, "_eo_step", counting)
+    # every transport goes through the owner, one `_eo_step` call each
+    real = burgers_mod._eo_step
+    monkeypatch.setattr(burgers_mod, "_eo_step", counting)
     ends = step_ends(c0, cfg, path, 0.01, 2)
     assert len(count) == (1 + 2) * calls  # one step, then two
     assert [t.n_steps for t in ends] == [1, 2]
