@@ -5,6 +5,10 @@ interface flux, plus step-size recommendations for the explicit stability
 bounds (deterministic wave-speed bound, noise-amplitude bound, and their
 combination).
 
+Every flux kind is f(u) = a * u^2 (a = 1/2, 1 or 0), so `FluxFunction` is
+one formula with the kind's coefficient: the flux (a * u) * u, the speed
+f'(u) = 2a * u and the peak speed (2a) * max|u|, with no branch on the kind.
+
 `transport(flux, bc, dx)` is the one owner of that step: every scheme
 kernel, `scl_step` and so the noise-free baseline move their fields through
 the `move` it returns, and nothing outside this module calls `_eo_step`.
@@ -13,13 +17,13 @@ the `move` it returns, and nothing outside this module calls `_eo_step`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 
 import numpy as np
 
-from .errors import CflViolation, ConfigError, check_kind, check_positive
+from .errors import CflViolation, ConfigError, check_kind, check_number, check_positive
 from .grid import BoundaryKind, FieldState
 from .noise import NoiseAmplitude
 
@@ -27,46 +31,43 @@ from .noise import NoiseAmplitude
 #: dt_max governs when every cell is excluded
 VELOCITY_FLOOR = 1e-12
 
-_FLUX_KINDS = ("burgers_half", "burgers_square", "zero")
+#: each flux kind's coefficient a in f(u) = a * u^2
+_FLUX_COEFFICIENTS = {"burgers_half": 0.5, "burgers_square": 1.0, "zero": 0.0}
 
 
 @dataclass(frozen=True)
 class FluxFunction:
-    """Convex flux with minimum at 0 (the form the Engquist-Osher split needs).
+    """Convex flux f(u) = a * u^2 with minimum at 0 (the form the
+    Engquist-Osher split needs), its coefficient a fixed by the kind.
 
-    burgers_half:   f(u) = u^2 / 2   (advection speed f'(u) = u)
-    burgers_square: f(u) = u^2       (advection speed f'(u) = 2u)
-    zero:           f(u) = 0         (transport switched off; test hook)
+    burgers_half:   a = 1/2, f(u) = u^2 / 2   (advection speed f'(u) = u)
+    burgers_square: a = 1,   f(u) = u^2       (advection speed f'(u) = 2u)
+    zero:           a = 0,   f(u) = 0         (transport switched off; test hook)
+
+    Every kind is homogeneous of degree 2, and nothing below branches on it.
     """
 
     kind: str = "burgers_half"
+    a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        check_kind(self.kind, _FLUX_KINDS, "flux kind")
+        check_kind(self.kind, _FLUX_COEFFICIENTS, "flux kind")
+        object.__setattr__(self, "a", _FLUX_COEFFICIENTS[self.kind])
 
     def __call__(self, u, out=None):
-        """f(u) elementwise: the one place that forms the flux.  With `out`
-        (numpy's buffer convention) it is computed into that array of u's
-        shape, which must not alias u, bitwise the same as the allocating
-        call.  burgers_half is (0.5 * u) * u in that order: for subnormal
-        u * u it is not 0.5 * (u * u)."""
-        if self.kind == "burgers_half":
-            f = np.multiply(u, 0.5, out=out)
-            f *= u
-            return f
-        if self.kind == "burgers_square":
-            return np.multiply(u, u, out=out)
-        if out is None:
-            return np.zeros(np.shape(u))
-        out[...] = 0.0
-        return out
+        """f(u) = (a * u) * u elementwise, in that order: the one place that
+        forms the flux.  With `out` (numpy's buffer convention) it is
+        computed into that array of u's shape, which must not alias u,
+        bitwise the same as the allocating call.  For subnormal u * u,
+        (0.5 * u) * u is not 0.5 * (u * u); for a = 0 a finite u gives +0.0
+        and an infinite or NaN one NaN."""
+        f = np.multiply(u, self.a, out=out)
+        f *= u
+        return f
 
     def deriv(self, u):
-        if self.kind == "burgers_half":
-            return u
-        if self.kind == "burgers_square":
-            return 2.0 * u
-        return np.zeros_like(np.asarray(u, dtype=np.float64))
+        """f'(u) = 2a * u elementwise."""
+        return np.multiply(u, 2.0 * self.a)
 
     def max_speed(self, u) -> float:
         """Largest |f'(u)| over the given values."""
@@ -74,13 +75,9 @@ class FluxFunction:
         return float(d.max()) if d.size else 0.0
 
     def peak_speed(self, peak: float) -> float:
-        """Largest |f'(u)| over values whose largest |u| is `peak`; exact,
-        since |f'(u)| is |u|, 2|u| or 0."""
-        if self.kind == "burgers_half":
-            return peak
-        if self.kind == "burgers_square":
-            return 2.0 * peak
-        return 0.0
+        """Largest |f'(u)| over values whose largest |u| is `peak`: exactly
+        2a * peak, since |f'(u)| = 2a |u|."""
+        return 2.0 * self.a * peak
 
 
 def engquist_osher_flux(u_left, u_right, flux: FluxFunction = FluxFunction()):
@@ -216,8 +213,7 @@ class CflPolicy:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.safety <= 1.0):
-            raise ConfigError(f"safety must lie in (0, 1], got {self.safety}")
+        check_number(self.safety, lambda s: 0.0 < s <= 1.0, "safety", "lie in (0, 1]")
         check_positive(self.xi_bound, "xi_bound")
         if self.dt_max is not None:
             check_positive(self.dt_max, "dt_max")

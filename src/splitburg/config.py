@@ -5,8 +5,10 @@ rejected by name at every level, numeric fields must parse as finite numbers
 (plain scientific notation like `1e6` is fine even though YAML 1.1 tokenizes
 it as a string), and the dt ladder, path resolution, scheme cells, seeds and
 horizon are cross-checked here (each dt ladder entry's path alignment by
-`noise.step_counts`, repeated cells and seeds by `errors.check_unique`) so
-every downstream step can assume an aligned, well-formed study.
+`noise.step_counts`, the path length against `noise.MAX_PATH_STEPS` by
+`noise.check_path_steps`, repeated cells and seeds by `errors.check_unique`)
+so every downstream step can assume an aligned, well-formed study that it
+can draw the noise for.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .grid import (
     SpatialGrid,
     make_initial_state,
 )
-from .noise import NoiseAmplitude, check_seed, step_counts
+from .noise import NoiseAmplitude, check_path_steps, check_seed, step_counts
 from .schemes import DEFAULT_BLOWUP_THRESHOLD, SchemeConfig, scheme_traits
 
 DEFAULT_SEED_BASE = 1
@@ -112,6 +114,8 @@ class RunConfig:
             if m % ms[-1]:
                 raise ConfigError(f"dt ladder entry {dt} is not an integer "
                                   f"multiple of the finest {self.dt_ladder[-1]}")
+        # every task draws its seed's path, so one over the cap fails them all
+        check_path_steps(step_counts(self.t_end, self.dt_fine)[0], error=ConfigError)
 
         if not self.seeds:
             raise ConfigError("at least one seed is required")

@@ -1,6 +1,8 @@
 """Shared exception types, and the one gate of each validation rule: a
-positive and finite number, a named kind, a whole number in a range, and
-entries without repeats."""
+number that meets a test (positive and finite among them), a named kind, a
+whole number in a range, and entries without repeats.  A gate refuses a
+value that is not a number, such as None or a string, with the same
+ConfigError as a number that breaks its rule."""
 
 import math
 from collections import Counter
@@ -12,11 +14,36 @@ class ConfigError(ValueError):
     """A run configuration or operation argument is invalid."""
 
 
+def check_number(value, holds, name: str, rule: str) -> None:
+    """Raise ConfigError "`name` must `rule`" unless `holds(value)` is true;
+    a value that `holds` cannot compare or test as a number is refused the
+    same way, not with a TypeError."""
+    try:
+        if holds(value):
+            return
+    except TypeError:
+        pass
+    raise ConfigError(f"{name} must {rule}, got {value!r}")
+
+
+def is_positive(value) -> bool:
+    """0 < value < inf, so NaN and infinities fail."""
+    return 0.0 < value < math.inf
+
+
+def is_non_negative(value) -> bool:
+    """0 <= value < inf, so NaN and infinities fail."""
+    return 0.0 <= value < math.inf
+
+
+def is_finite(value) -> bool:
+    """Every entry of a number or a sequence of numbers is finite."""
+    return bool(np.all(np.isfinite(value)))
+
+
 def check_positive(value, name: str) -> None:
-    """Raise ConfigError naming `name` unless 0 < value < inf, so NaN and
-    infinities are refused."""
-    if not 0.0 < value < math.inf:
-        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    """Raise ConfigError naming `name` unless 0 < value < inf."""
+    check_number(value, is_positive, name, "be positive and finite")
 
 
 def check_kind(value, allowed, what: str) -> None:

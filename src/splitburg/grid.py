@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, check_kind, check_whole
+from .errors import ConfigError, check_kind, check_number, check_whole, is_finite
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class SpatialGrid:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
-            raise ConfigError("grid bounds must be finite")
+        for name in ("x_min", "x_max"):
+            check_number(getattr(self, name), is_finite, name, "be finite")
         if self.x_max <= self.x_min:
             raise ConfigError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
         object.__setattr__(self, "n_cells", check_whole(
@@ -167,8 +167,8 @@ class InitialCondition:
     def __post_init__(self) -> None:
         check_kind(self.kind, _IC_KINDS, "initial condition")
         for name in ("value", "u_left", "u_right", "x_table", "u_table"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError(f"initial condition {name} must be finite")
+            check_number(getattr(self, name), is_finite, f"initial condition {name}",
+                         "be finite")
         if self.kind == "table":
             if len(self.x_table) != len(self.u_table) or len(self.x_table) < 2:
                 raise ConfigError("table initial condition needs >= 2 (x, u) pairs")

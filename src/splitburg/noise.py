@@ -30,6 +30,18 @@ Cephes' three regions evaluates its own rational function, by Cephes' own
 `polevl`/`p1evl` recurrences, on that region's entries only.  It is bitwise
 equal to `scipy.special.ndtri`.  Drawing a path therefore loads
 neither `numpy.random` nor any scipy module.
+
+`check_path_steps` is the one cap on the fine increments of a path
+(`MAX_PATH_STEPS`): `generate_path` raises a ResourceLimit past it, and a
+`RunConfig` whose paths would pass it is a ConfigError.
+
+`apply_increment` is the one formula of a noise increment,
+base + amp dW [+ ((corr / 2) * slope) (dW^2 - dt)]: Euler-Maruyama without
+`corr`, Milstein with it.  `stochastic_update` (and so `em_step` and
+`milstein_step`) calls it with the amplitude sigma at a linearization state,
+and the variation-of-constants and trapezoid iterates of `schemes` call it
+with their own amplitude and correction fields, so every stochastic update
+of every scheme is one call of it.
 """
 
 from __future__ import annotations
@@ -39,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimit, check_kind, check_positive, check_whole
+from .errors import (ConfigError, ResourceLimit, check_kind, check_number, check_positive,
+                     check_whole, is_non_negative)
 from .grid import FieldState
 
 _NOISE_KINDS = ("linear", "constant")
@@ -72,8 +85,7 @@ class NoiseAmplitude:
 
     def __post_init__(self) -> None:
         check_kind(self.kind, _NOISE_KINDS, "noise kind")
-        if not 0.0 <= self.lam < math.inf:
-            raise ConfigError(f"lam must be non-negative and finite, got {self.lam}")
+        check_number(self.lam, is_non_negative, "lam", "be non-negative and finite")
 
     def __call__(self, c, out=None):
         """sigma(c), broadcast to c's shape: the one place that forms the
@@ -310,6 +322,15 @@ def check_seed(seed) -> int:
                        "seeds must be non-negative integers below 2**128")
 
 
+def check_path_steps(n: int, max_steps: int = MAX_PATH_STEPS,
+                     error: type = ResourceLimit) -> None:
+    """Raise `error` when a path of n fine increments exceeds the cap of
+    `max_steps`: the one cap check, a ResourceLimit when a path is drawn and
+    a ConfigError (`RunConfig`) when a study asks for one it could not draw."""
+    if n > max_steps:
+        raise error(f"path of {n} increments exceeds the cap of {max_steps}")
+
+
 def generate_path(seed: int, t_end: float, dt_fine: float,
                   max_steps: int = MAX_PATH_STEPS) -> NoisePath:
     """Draw the fine-resolution increments of stream `seed` over [0, t_end].
@@ -320,10 +341,7 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
     """
     seed = check_seed(seed)
     n = step_counts(t_end, dt_fine)[0]
-    if n > max_steps:
-        raise ResourceLimit(
-            f"path of {n} increments exceeds the cap of {max_steps}"
-        )
+    check_path_steps(n, max_steps)
     draws = _philox_draws(seed, n)
     uniforms = (draws.astype(np.float64) + 0.5) / 2**53
     xi = _ndtri(uniforms)
@@ -342,28 +360,42 @@ def coarsen(path: NoisePath, factor: int) -> np.ndarray:
     return path.block_sums(0, factor, n // factor)
 
 
+def apply_increment(base: np.ndarray, amp: np.ndarray, dw: float, dt: float = 0.0,
+                    corr: np.ndarray | None = None, slope: float = 1.0) -> np.ndarray:
+    """base + amp dW [+ ((corr * 1/2) * slope) (dW^2 - dt)] as a new array:
+    the one formula of a noise increment.  Without `corr` it is the
+    Euler-Maruyama increment, with it the Milstein one, `corr` standing for
+    sigma (with `slope` sigma') or for a transported sigma sigma' (slope 1).
+
+    The result is bitwise that expression's: the same operations in the
+    same order, operands at most commuted, never reassociated or folded.
+    `amp` and `corr` are temporaries the caller hands over; `corr` is
+    overwritten, and may be `amp` itself, since it is written only after
+    `amp` is read.  `base` is never written.
+    """
+    new = amp * dw
+    np.add(base, new, out=new)
+    if corr is None:
+        return new
+    corr *= 0.5
+    corr *= slope
+    corr *= dw * dw - dt
+    new += corr
+    return new
+
+
 def stochastic_update(base: np.ndarray, lin: np.ndarray, sigma: NoiseAmplitude,
                       dw: float, dt: float, kind: str) -> np.ndarray:
     """EM (kind "em") or Milstein update of the float64 array `base`,
     linearized at `lin`:
-    base + sigma(lin) dW [+ (1/2) sigma(lin) sigma'(lin) (dW^2 - dt)].
-
-    The result is bitwise that expression's: the same operations in the
-    same order, operands at most commuted, never reassociated or folded.
-    `sigma(lin)` forms the amplitude, one value per cell for either noise
-    kind.  The kernel writes only arrays it allocates, the result and the
-    amplitude; `base` and `lin` are never written.
+    base + sigma(lin) dW [+ (1/2) sigma(lin) sigma'(lin) (dW^2 - dt)],
+    by `apply_increment` on the amplitude `sigma(lin)`, which forms one
+    value per cell for either noise kind.  It writes only arrays it
+    allocates, the result and the amplitude; `base` and `lin` are never
+    written.
     """
     amp = sigma(lin)
-    new = amp * dw
-    np.add(base, new, out=new)
-    if kind == "em":
-        return new
-    amp *= 0.5
-    amp *= sigma.slope
-    amp *= dw * dw - dt
-    new += amp
-    return new
+    return apply_increment(base, amp, dw, dt, None if kind == "em" else amp, sigma.slope)
 
 
 def _update_at_itself(c, sigma: NoiseAmplitude, dw: float, dt: float, kind: str):
@@ -400,6 +432,5 @@ def exact_linear_sde(c0, lam: float, w_t: float, t: float):
     finite; t must be non-negative and finite too.
     """
     lam = NoiseAmplitude("linear", lam).lam
-    if not 0.0 <= t < math.inf:
-        raise ConfigError(f"t must be non-negative and finite, got {t}")
+    check_number(t, is_non_negative, "t", "be non-negative and finite")
     return c0 * np.exp(lam * w_t - 0.5 * lam * lam * t)

@@ -190,13 +190,14 @@ def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
     This is the baseline the summary errors are measured against; it is
     computed once per dt level and shared by every scheme cell.  Its steps
     are `scl_step`s with the flux and boundary `make_scheme` gives the
-    cells, so it is moved by the same `burgers.transport` as they are.
+    cells, built once per baseline, so it is moved by the same
+    `burgers.transport` as they are.
     """
-    state = cfg.make_state()
+    state, flux, bc = cfg.make_state(), cfg.make_flux(), cfg.make_bc()
     n_total, m = step_counts(cfg.t_end, cfg.dt_fine, dt)
     try:
         for _ in range(n_total // m):
-            state = scl_step(state, dt, cfg.make_flux(), cfg.make_bc())
+            state = scl_step(state, dt, flux, bc)
     except CflViolation as exc:
         raise ConfigError(
             f"dt {dt:g} is unstable for the noise-free baseline: {exc}"

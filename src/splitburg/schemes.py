@@ -35,7 +35,14 @@ records and taking plain float increments (bab's two); iter_before's also
 takes the aba companion's step and drops its result.  The kernels form the
 noise amplitude only by calling `NoiseAmplitude`, which computes sigma(c)
 into a buffer they pass where they have one, so none branches on the noise
-kind.
+kind, and they apply every noise increment through the one formula
+`noise.apply_increment`: by `stochastic_update` where the amplitude is sigma
+at a state, and directly where it is a transported amplitude with its
+transported correction (the variation-of-constants iterates) or sigma at the
+trapezoid's midpoint (its Euler-Maruyama iterates).  A step of ab, aba or
+iter_before at I=1 makes one increment, bab two, iter_before at I=2 two (its
+aba companion's and the iterates' stacked), and iter_after and
+iter_before_trapezoid one per iterate.
 `integrate` drives a kernel along a reproducible noise path, with
 either a fixed step size or a stability-bound-governed one, truncating on
 blow-up; `noise.step_counts` counts its fine steps and checks their
@@ -60,7 +67,7 @@ import numpy as np
 from .burgers import CflPolicy, FluxFunction, _governed_dt, transport
 from .errors import CflViolation, ConfigError, check_kind, check_positive, check_whole
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
-from .noise import NoiseAmplitude, NoisePath, step_counts, stochastic_update
+from .noise import NoiseAmplitude, NoisePath, apply_increment, step_counts, stochastic_update
 
 _SUBSTEPS = ("em", "milstein")
 
@@ -196,18 +203,6 @@ def _voc_terms(u, dt: float, cfg: SchemeConfig,
     return moved[0], moved[1], move(moved[2], dt)
 
 
-def _voc_milstein(field: np.ndarray, amp: np.ndarray, corr: np.ndarray, dw: float,
-                  dt: float) -> np.ndarray:
-    """field + amp dW + (1/2) corr (dW^2 - dt), bitwise, as a new array.
-    `corr` is a temporary its caller hands over: it is overwritten."""
-    new = amp * dw
-    np.add(field, new, out=new)
-    corr *= 0.5
-    corr *= dw * dw - dt
-    new += corr
-    return new
-
-
 def _iter_before_companion(u, companion, dt, dw, cfg, move):
     """Iterates 1 and 2 of iter_before, linearized at u and at the
     companion, and the companion's own aba step over dt.  The companion's
@@ -222,19 +217,20 @@ def _iter_before_companion(u, companion, dt, dw, cfg, move):
     moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt, cfg.stochastic_substep)
     # rows: the companion's second half transport, corr x2
     twice = move(moved[4:7], (h, dt, dt))
-    c1, c2 = _voc_milstein(moved[0:2], moved[2:4], twice[1:3], dw, dt)
+    c1, c2 = apply_increment(moved[0:2], moved[2:4], dw, dt, twice[1:3])
     return c2.copy(), (_mean_abs(c2 - c1),), twice[0].copy()
 
 
 def _iter_before(u, dt, dw, companion, cfg, move, speed):
     if cfg.carries_companion:
         return _iter_before_companion(u, companion, dt, dw, cfg, move)
-    return _voc_milstein(*_voc_terms(u, dt, cfg, move), dw, dt), (), companion
+    base, amp, corr = _voc_terms(u, dt, cfg, move)
+    return apply_increment(base, amp, dw, dt, corr), (), companion
 
 
 def _iter_before_trapezoid(u, dt, dw, companion, cfg, move, speed):
     base, amp, corr = _voc_terms(u, dt, cfg, move)
-    c1 = _voc_milstein(base, amp, corr, dw, dt)
+    c1 = apply_increment(base, amp, dw, dt, corr)
     sigma = cfg.sigma
     # every iterate starts from base - (1/2) sigma(c1)^2 dt, in that order
     drift = sigma(c1, out=np.empty_like(c1))
@@ -246,12 +242,10 @@ def _iter_before_trapezoid(u, dt, dw, companion, cfg, move, speed):
     prev = c1
     residuals: list[float] = []
     for _ in range(2, cfg.iterations + 1):
-        # + sigma((prev + u) / 2) dW
-        nxt = prev + u
-        nxt *= 0.5
-        sigma(nxt, out=nxt)
-        nxt *= dw
-        np.add(drift, nxt, out=nxt)
+        # the EM increment of sigma((prev + u) / 2)
+        mid = prev + u
+        mid *= 0.5
+        nxt = apply_increment(drift, sigma(mid, out=mid), dw)
         residuals.append(_mean_abs(nxt - prev))
         prev = nxt
     return prev, residuals, companion

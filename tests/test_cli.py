@@ -1,5 +1,6 @@
 """Command line interface: subcommands, exit codes, and output routing."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import splitburg
 import splitburg.cli as cli_mod
 import splitburg.runner as runner_mod
 from splitburg.cli import OUT_ENV_VAR, main
+from splitburg.noise import generate_path
 
 QUICK_DOC = """
 grid: {n_cells: 40}
@@ -145,12 +147,13 @@ def test_cell_failure_exits_2_but_still_writes(config_file, tmp_path,
 
 
 EVERY_CELL_FAILS = {
-    # each task asks for a path of 10^8 increments, over the cap
-    "resource_limit": ("schemes: [ab]\ndt_fine: 1.0e-9\nt_end: 0.1\n", [
-        "cell failure: ab dt=0.01 seed=1: ResourceLimit: path of 100000000 "
-        "increments exceeds the cap of 10000000",
-        "cell failure: ab dt=0.01 seed=2: ResourceLimit: path of 100000000 "
-        "increments exceeds the cap of 10000000",
+    # each task asks for a path of 10^3 increments, over the cap of 100 the
+    # test draws paths under (a study over the real cap is a config error)
+    "resource_limit": ("schemes: [ab]\ndt_fine: 1.0e-4\nt_end: 0.1\n", [
+        "cell failure: ab dt=0.01 seed=1: ResourceLimit: path of 1000 "
+        "increments exceeds the cap of 100",
+        "cell failure: ab dt=0.01 seed=2: ResourceLimit: path of 1000 "
+        "increments exceeds the cap of 100",
         "cell without usable samples: ab dt=0.01: every worker task failed",
     ]),
     # every seed blows up
@@ -166,8 +169,10 @@ EVERY_CELL_FAILS = {
 
 @pytest.mark.parametrize("study", sorted(EVERY_CELL_FAILS))
 def test_a_run_where_every_cell_fails_says_why_and_writes_no_summary(
-        study, tmp_path, capsys):
+        study, tmp_path, capsys, monkeypatch):
     doc, expected = EVERY_CELL_FAILS[study]
+    monkeypatch.setattr(runner_mod, "generate_path",
+                        functools.partial(generate_path, max_steps=100))
     cfg = tmp_path / "fails.yaml"
     cfg.write_text("grid: {n_cells: 20}\ndt_ladder: [0.01]\nseeds: [1, 2]\n" + doc)
     out = tmp_path / "out"
@@ -177,6 +182,25 @@ def test_a_run_where_every_cell_fails_says_why_and_writes_no_summary(
         "run failed: ValueError: no result rows to write"]
     assert captured.out == ""
     assert not (out / "summary.csv").exists()
+
+
+def test_a_path_over_the_cap_is_a_config_error_for_validate_and_run(
+        tmp_path, capsys, monkeypatch):
+    # 10^8 fine increments a seed: no task could draw its path, so the study
+    # is refused before any baseline or task runs
+    calls = []
+    monkeypatch.setattr(cli_mod, "reference_endpoint", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli_mod, "run_matrix", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text("dt_ladder: [0.001]\ndt_fine: 1.0e-9\nt_end: 0.1\n")
+    out = tmp_path / "x"
+    for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: path of 100000000 increments "
+                                "exceeds the cap of 10000000\n")
+        assert not captured.out
+    assert not calls and not out.exists()
 
 
 def test_unstable_dt_is_reported_as_config_error(tmp_path, capsys):

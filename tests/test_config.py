@@ -317,6 +317,24 @@ def test_whole_number_gates_refuse_what_is_not_a_number():
         SchemeConfig("iter_after", iterations="2")
 
 
+@pytest.mark.parametrize("build, field", [
+    (lambda: InitialCondition("constant", value=None), "value"),
+    (lambda: InitialCondition.table([0, "a", 1], [0.0, 1.0, 0.0]), "x_table"),
+    (lambda: InitialCondition.table([0.0, 0.5, 1.0], [0.0, None, 0.0]), "u_table"),
+    (lambda: SpatialGrid("0", 1.0, 10), "x_min"),
+    (lambda: SpatialGrid(0.0, None, 10), "x_max"),
+    (lambda: NoiseAmplitude("linear", None), "lam"),
+    (lambda: CflPolicy(safety="0.5"), "safety"),
+    (lambda: CflPolicy(dt_max="0.1"), "dt_max"),
+    (lambda: SchemeConfig("ab", blowup_threshold="1e6"), "blowup_threshold"),
+])
+def test_number_gates_refuse_what_is_not_a_number(build, field):
+    # the gates of errors.py compare, so a value that does not compare as a
+    # number is the field's ConfigError there, not a TypeError
+    with pytest.raises(ConfigError, match=f"{field} must .*, got "):
+        build()
+
+
 def test_seeds_are_stored_as_ints(tmp_path):
     # integral float seeds name their files as the int study does
     doc = "{grid: {n_cells: 10}, dt_ladder: [0.01], dt_fine: 0.005, t_end: 0.02}"

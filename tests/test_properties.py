@@ -55,7 +55,7 @@ def test_eo_step_on_a_stack_equals_one_call_per_row(stack, dts, per_row, flux, b
 
 from splitburg import NoiseAmplitude, engquist_osher_flux  # noqa: E402
 from splitburg.burgers import _check_cfl  # noqa: E402
-from splitburg.noise import stochastic_update  # noqa: E402
+from splitburg.noise import apply_increment, stochastic_update  # noqa: E402
 
 # the edges of float64 besides CELL_VALUES: subnormals, numbers whose square
 # (or half square) is subnormal, the largest finite numbers, infinities and
@@ -121,7 +121,7 @@ def test_eo_step_is_its_textbook_expression_bit_for_bit(values, dts, per_row, kn
 
 @settings(max_examples=300, deadline=None)
 @given(
-    base=st.integers(1, 12).flatmap(lambda n: st.tuples(_edge_arrays(n), _edge_arrays(n))),
+    terms=st.integers(1, 12).flatmap(lambda n: st.tuples(*[_edge_arrays(n)] * 3)),
     same=st.booleans(),
     kind=st.sampled_from(["linear", "constant"]),
     lam=st.sampled_from([0.0, 0.5, 0.7, 1.3, 2.0]),
@@ -129,11 +129,12 @@ def test_eo_step_is_its_textbook_expression_bit_for_bit(values, dts, per_row, kn
     dt=st.floats(1e-5, 0.1),
     substep=st.sampled_from(["em", "milstein"]),
 )
-def test_stochastic_update_is_its_textbook_expression_bit_for_bit(base, same, kind, lam,
+def test_stochastic_update_is_its_textbook_expression_bit_for_bit(terms, same, kind, lam,
                                                                   dw, dt, substep):
-    base, lin = base
+    base, lin, extra = terms
     lin = base if same else lin
     sigma = NoiseAmplitude(kind, lam)
+    slope = sigma.slope
     before = base.tobytes() + lin.tobytes()
     with np.errstate(all="ignore"):
         want = base + sigma(lin) * dw
@@ -146,10 +147,47 @@ def test_stochastic_update_is_its_textbook_expression_bit_for_bit(base, same, ki
         fresh = sigma(lin, out=np.empty_like(lin))
         buf = lin.copy()
         aliased = sigma(buf, out=buf)
+        # the one core on given terms: a correction of its own, the
+        # amplitude itself as the correction, and none (Euler-Maruyama)
+        cores = []
+        for corr_of in (lambda a: extra.copy(), lambda a: a, lambda a: None):
+            given = lin.copy()
+            corr = corr_of(given)
+            expected = base + lin * dw
+            if corr is not None:
+                expected = expected + ((corr * 0.5) * slope) * (dw * dw - dt)
+            cores.append((apply_increment(base, given, dw, dt, corr, slope), expected))
     assert got.tobytes() == want.tobytes()
     assert fresh.tobytes() == amp
     assert aliased is buf and buf.tobytes() == amp
+    for core, expected in cores:
+        assert core.tobytes() == expected.tobytes()
     assert base.tobytes() + lin.tobytes() == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    u=st.one_of(st.integers(1, 12).map(lambda n: (n,)),
+                st.tuples(st.integers(1, 4), st.integers(1, 12))).flatmap(_edge_arrays),
+    kind=st.sampled_from(["burgers_half", "burgers_square", "zero"]),
+)
+def test_every_flux_kind_is_a_times_u_squared_bit_for_bit(u, kind):
+    # one formula, (a * u) * u with a = 1/2, 1 or 0, allocating or into a
+    # buffer; the zero flux of an infinite or NaN u is NaN
+    flux = FluxFunction(kind)
+    a = {"burgers_half": 0.5, "burgers_square": 1.0, "zero": 0.0}[kind]
+    before = u.tobytes()
+    with np.errstate(all="ignore"):
+        want = (a * u) * u
+        got = flux(u)
+        buf = np.empty_like(u)
+        into = flux(u, out=buf)
+    assert flux.a == a
+    assert got.tobytes() == want.tobytes()
+    assert into is buf and buf.tobytes() == want.tobytes()
+    assert u.tobytes() == before
+    if kind == "zero":
+        assert np.array_equal(np.isnan(got), ~np.isfinite(u))
 
 
 # --- the streamed integrator equals stepping by hand -----------------------

@@ -65,6 +65,26 @@ def test_reference_endpoint_is_the_noise_free_run():
     assert np.array_equal(ref.values, traj.final_state.values)
 
 
+def test_reference_endpoint_builds_its_flux_and_boundary_once(monkeypatch):
+    cfg = small_cfg()
+    want = reference_endpoint(cfg, 0.01)
+    built = Counter()
+    for name in ("make_flux", "make_bc"):
+        real = getattr(type(cfg), name)
+        monkeypatch.setattr(type(cfg), name,
+                            lambda self, name=name, real=real: built.update([name])
+                            or real(self))
+    steps = Counter()
+    real_step = runner_mod.scl_step
+    monkeypatch.setattr(runner_mod, "scl_step",
+                        lambda *a: steps.update(["scl_step"]) or real_step(*a))
+    got = reference_endpoint(cfg, 0.01)
+    # five steps, one flux and one boundary between them
+    assert steps == {"scl_step": 5}
+    assert built == {"make_flux": 1, "make_bc": 1}
+    assert np.array_equal(got.values, want.values)
+
+
 def test_reference_endpoint_rejects_unstable_dt():
     cfg = parse_config("{dt_ladder: [0.02], dt_fine: 0.01, t_end: 0.1}")
     with pytest.raises(ConfigError, match="noise-free baseline"):

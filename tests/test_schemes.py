@@ -3,11 +3,13 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import splitburg.burgers as burgers_mod
+import splitburg.noise as noise_mod
 import splitburg.schemes as schemes_mod
 from splitburg import (
     BoundaryKind,
@@ -625,29 +627,38 @@ def test_integrate_threshold_is_strict():
     assert traj.n_steps == 1
 
 
-@pytest.mark.parametrize("scheme, iterations, calls", [
-    # start state and companion stacked, the companion's aba halves riding along
-    ("iter_before", 2, 2),
-    ("iter_before", 1, 2),
-    ("iter_before_trapezoid", 3, 2),
+@pytest.mark.parametrize("scheme, iterations, moves, increments", [
+    ("ab", 1, 1, 1),
+    ("aba", 1, 2, 1),
+    ("bab", 1, 1, 2),
+    ("iter_after", 3, 1, 3),
+    # start state and companion stacked, the companion's aba halves riding
+    # along; its own aba noise substep is the second increment
+    ("iter_before", 2, 2, 2),
+    ("iter_before", 1, 2, 1),
+    ("iter_before_trapezoid", 3, 2, 3),
 ])
 def test_iterative_steps_batch_their_independent_transports(
-        monkeypatch, scheme, iterations, calls):
+        monkeypatch, scheme, iterations, moves, increments):
+    # per step: `moves` transport calls and `increments` noise increments,
+    # every one of them through `noise.apply_increment`
     c0 = sine_state(32)
     path = generate_path(21, 0.02, 0.001)
     cfg = cfg_for(scheme, iterations=iterations)
     expected = step_ends(c0, cfg, path, 0.01, 2)
-    count = []
+    count = Counter()
 
-    def counting(*args):
-        count.append(1)
-        return real(*args)
+    def counting(name, real):
+        return lambda *args: count.update([name]) or real(*args)
 
     # every transport goes through the owner, one `_eo_step` call each
-    real = burgers_mod._eo_step
-    monkeypatch.setattr(burgers_mod, "_eo_step", counting)
+    monkeypatch.setattr(burgers_mod, "_eo_step", counting("move", burgers_mod._eo_step))
+    core = counting("increment", noise_mod.apply_increment)
+    monkeypatch.setattr(noise_mod, "apply_increment", core)
+    monkeypatch.setattr(schemes_mod, "apply_increment", core)
     ends = step_ends(c0, cfg, path, 0.01, 2)
-    assert len(count) == (1 + 2) * calls  # one step, then two
+    # one step, then two
+    assert count == {"move": (1 + 2) * moves, "increment": (1 + 2) * increments}
     assert [t.n_steps for t in ends] == [1, 2]
     for got, want in zip(ends, expected):
         assert np.array_equal(got.final_state.values, want.final_state.values)
