@@ -190,7 +190,6 @@ class EnsembleReport:
 
     weak: float
     strong: float
-    variance: np.ndarray
     variance_mean: float
     n_seeds_used: int
     blowup_count: int
@@ -205,15 +204,10 @@ def summarize(samples: Sequence[EnsembleSample], reference: FieldState) -> Ensem
         raise RuntimeError(
             f"estimator inconsistency: weak {weak} exceeds strong {strong}"
         )
-    if len(good) >= 2:
-        per_cell, mean_var = ensemble_variance(samples)
-    else:
-        per_cell = np.zeros_like(good[0].endpoint.values)
-        mean_var = 0.0
+    mean_var = ensemble_variance(samples)[1] if len(good) >= 2 else 0.0
     return EnsembleReport(
         weak=weak,
         strong=strong,
-        variance=per_cell,
         variance_mean=mean_var,
         n_seeds_used=len(good),
         blowup_count=len(samples) - len(good),

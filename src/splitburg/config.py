@@ -87,7 +87,6 @@ class RunConfig:
     xi_bound: float = CflPolicy.xi_bound
     adaptive_dt: bool = False
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
-    stochastic_substep: str = SchemeConfig.stochastic_substep
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
@@ -104,6 +103,8 @@ class RunConfig:
 
         if not self.dt_ladder:
             raise ConfigError("dt ladder must not be empty")
+        for dt in self.dt_ladder:
+            check_positive(dt, "dt_ladder")
         if any(b >= a for a, b in zip(self.dt_ladder, self.dt_ladder[1:])):
             raise ConfigError("dt ladder must be strictly decreasing")
         check_positive(self.t_end, "t_end")
@@ -157,7 +158,6 @@ class RunConfig:
             bc=self.make_bc(),
             # a cell's 0 means "no iterations"; SchemeConfig wants one
             iterations=iterations if scheme_traits(name).iterations else 1,
-            stochastic_substep=self.stochastic_substep,
             blowup_threshold=self.blowup_threshold,
         )
 
@@ -268,19 +268,13 @@ def _parse_seeds(section) -> tuple[int, ...]:
     if isinstance(section, list):
         return tuple(_as_int(s, "seeds") for s in section)
     if isinstance(section, dict):
-        if "list" in section:
-            _reject_unknown(section, {"list"}, "seeds")
-            entries = section["list"]
-            if not isinstance(entries, list):
-                raise ConfigError("seeds.list must be a list")
-            return tuple(_as_int(s, "seeds.list") for s in entries)
         _reject_unknown(section, {"base", "count"}, "seeds")
         base = _as_int(section.get("base", DEFAULT_SEED_BASE), "seeds.base")
         count = _as_int(section.get("count", DEFAULT_SEED_COUNT), "seeds.count")
         if count < 1:
             raise ConfigError(f"seeds.count must be >= 1, got {count}")
         return tuple(range(base, base + count))
-    raise ConfigError("seeds must be a list or a {base, count} / {list} mapping")
+    raise ConfigError("seeds must be a list or a {base, count} mapping")
 
 
 #: YAML key (or section.key) -> (RunConfig field, coercion) of every scalar
@@ -299,7 +293,6 @@ _SCALARS = {
     "cfl.xi_bound": ("xi_bound", _as_float),
     "adaptive_dt": ("adaptive_dt", _as_bool),
     "blowup_threshold": ("blowup_threshold", _as_float),
-    "stochastic_substep": ("stochastic_substep", _as_str),
     "output_dir": ("output_dir", _as_str),
 }
 

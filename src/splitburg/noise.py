@@ -37,16 +37,17 @@ neither `numpy.random` nor any scipy module.
 
 `apply_increment` is the one formula of a noise increment,
 base + amp dW [+ ((corr / 2) * slope) (dW^2 - dt)]: Euler-Maruyama without
-`corr`, Milstein with it.  `stochastic_update` (and so `em_step` and
-`milstein_step`) calls it with the amplitude sigma at a linearization state,
-and the variation-of-constants and trapezoid iterates of `schemes` call it
-with their own amplitude and correction fields, so every stochastic update
-of every scheme is one call of it.
+`corr`, Milstein with it.  `stochastic_update` (and so `milstein_step`)
+calls it in Milstein form with the amplitude sigma at a linearization
+state, `em_step` without `corr`, and the variation-of-constants and
+trapezoid iterates of `schemes` with their own amplitude and correction
+fields, so every stochastic update of every scheme is one call of it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -385,26 +386,25 @@ def apply_increment(base: np.ndarray, amp: np.ndarray, dw: float, dt: float = 0.
 
 
 def stochastic_update(base: np.ndarray, lin: np.ndarray, sigma: NoiseAmplitude,
-                      dw: float, dt: float, kind: str) -> np.ndarray:
-    """EM (kind "em") or Milstein update of the float64 array `base`,
-    linearized at `lin`:
-    base + sigma(lin) dW [+ (1/2) sigma(lin) sigma'(lin) (dW^2 - dt)],
+                      dw: float, dt: float) -> np.ndarray:
+    """Milstein update of the float64 array `base`, linearized at `lin`:
+    base + sigma(lin) dW + (1/2) sigma(lin) sigma'(lin) (dW^2 - dt),
     by `apply_increment` on the amplitude `sigma(lin)`, which forms one
     value per cell for either noise kind.  It writes only arrays it
     allocates, the result and the amplitude; `base` and `lin` are never
     written.
     """
     amp = sigma(lin)
-    return apply_increment(base, amp, dw, dt, None if kind == "em" else amp, sigma.slope)
+    return apply_increment(base, amp, dw, dt, amp, sigma.slope)
 
 
-def _update_at_itself(c, sigma: NoiseAmplitude, dw: float, dt: float, kind: str):
-    """`stochastic_update` of scalar, list or array values linearized at
-    themselves; a scalar gives a scalar."""
+def _at_itself(c, update: Callable[[np.ndarray], np.ndarray]):
+    """`update` of scalar, list or array values c, handed them as a float64
+    array of at least one dimension; a scalar gives a scalar."""
     u = np.asarray(c, dtype=np.float64)
     if u.ndim:
-        return stochastic_update(u, u, sigma, dw, dt, kind)
-    return stochastic_update(u[None], u[None], sigma, dw, dt, kind)[0]
+        return update(u)
+    return update(u[None])[0]
 
 
 def em_step(c, sigma: NoiseAmplitude, dw: float):
@@ -415,14 +415,14 @@ def em_step(c, sigma: NoiseAmplitude, dw: float):
     """
     if isinstance(c, FieldState):
         return c.with_values(em_step(c.values, sigma, dw))
-    return _update_at_itself(c, sigma, dw, 0.0, "em")
+    return _at_itself(c, lambda u: apply_increment(u, sigma(u), dw))
 
 
 def milstein_step(c, sigma: NoiseAmplitude, dw: float, dt: float):
     """Milstein update c + sigma(c) dW + (1/2) sigma(c) sigma'(c) (dW^2 - dt)."""
     if isinstance(c, FieldState):
         return c.with_values(milstein_step(c.values, sigma, dw, dt))
-    return _update_at_itself(c, sigma, dw, dt, "milstein")
+    return _at_itself(c, lambda u: stochastic_update(u, u, sigma, dw, dt))
 
 
 def exact_linear_sde(c0, lam: float, w_t: float, t: float):

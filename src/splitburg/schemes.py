@@ -3,9 +3,12 @@ equation dc + f(c)_x dt = sigma(c) dW.
 
 Non-iterative one-step maps:
 
-    ab   transport over dt, then the noise substep with the full increment
-    aba  half transport, noise substep (full increment), half transport
-    bab  half-increment noise, full transport, second half-increment noise
+    ab   transport over dt, then the Milstein noise substep with the full
+         increment
+    aba  half transport, Milstein noise substep (full increment), half
+         transport
+    bab  half-increment Milstein noise, full transport, second
+         half-increment Milstein noise
 
 Iterative one-step maps:
 
@@ -36,13 +39,14 @@ takes the aba companion's step and drops its result.  The kernels form the
 noise amplitude only by calling `NoiseAmplitude`, which computes sigma(c)
 into a buffer they pass where they have one, so none branches on the noise
 kind, and they apply every noise increment through the one formula
-`noise.apply_increment`: by `stochastic_update` where the amplitude is sigma
-at a state, and directly where it is a transported amplitude with its
-transported correction (the variation-of-constants iterates) or sigma at the
-trapezoid's midpoint (its Euler-Maruyama iterates).  A step of ab, aba or
-iter_before at I=1 makes one increment, bab two, iter_before at I=2 two (its
-aba companion's and the iterates' stacked), and iter_after and
-iter_before_trapezoid one per iterate.
+`noise.apply_increment`, in Milstein form: by `stochastic_update` where the
+amplitude is sigma at a state, and directly where it is a transported
+amplitude with its transported correction (the variation-of-constants
+iterates).  The one Euler-Maruyama increment is the trapezoid's later
+iterates', whose amplitude is sigma at its midpoint, as the scheme defines.
+A step of ab, aba or iter_before at I=1 makes one increment, bab two,
+iter_before at I=2 two (its aba companion's and the iterates' stacked), and
+iter_after and iter_before_trapezoid one per iterate.
 `integrate` drives a kernel along a reproducible noise path, with
 either a fixed step size or a stability-bound-governed one, truncating on
 blow-up; `noise.step_counts` counts its fine steps and checks their
@@ -69,8 +73,6 @@ from .errors import CflViolation, ConfigError, check_kind, check_positive, check
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, apply_increment, step_counts, stochastic_update
 
-_SUBSTEPS = ("em", "milstein")
-
 #: hard cap on fixed-point sweeps
 MAX_ITERATIONS = 8
 
@@ -96,12 +98,10 @@ class SchemeConfig:
     sigma: NoiseAmplitude = NoiseAmplitude()
     bc: BoundaryKind = BoundaryKind.ZERO_DIRICHLET
     iterations: int = 2
-    stochastic_substep: str = "milstein"
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
 
     def __post_init__(self) -> None:
         allowed = scheme_traits(self.scheme).iterations or range(1, MAX_ITERATIONS + 1)
-        check_kind(self.stochastic_substep, _SUBSTEPS, "stochastic substep")
         object.__setattr__(self, "iterations", check_whole(
             self.iterations, allowed.start, allowed.stop,
             f"{self.scheme} takes iterations {allowed.start}..{allowed.stop - 1}"))
@@ -147,22 +147,22 @@ def _check_contraction(residuals, stacklevel: int = 3) -> None:
 
 def _ab(u, dt, dw, companion, cfg, move, speed):
     v = move(u, dt, speed)
-    return stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep), (), companion
+    return stochastic_update(v, v, cfg.sigma, dw, dt), (), companion
 
 
 def _aba(u, dt, dw, companion, cfg, move, speed):
     h = 0.5 * dt
     v = move(u, h, speed)
-    v = stochastic_update(v, v, cfg.sigma, dw, dt, cfg.stochastic_substep)
+    v = stochastic_update(v, v, cfg.sigma, dw, dt)
     return move(v, h), (), companion
 
 
 def _bab(u, dt, dw, companion, cfg, move, speed):
     h = 0.5 * dt
     dw_first, dw_second = dw
-    v = stochastic_update(u, u, cfg.sigma, dw_first, h, cfg.stochastic_substep)
+    v = stochastic_update(u, u, cfg.sigma, dw_first, h)
     v = move(v, dt)
-    v = stochastic_update(v, v, cfg.sigma, dw_second, h, cfg.stochastic_substep)
+    v = stochastic_update(v, v, cfg.sigma, dw_second, h)
     return v, (), companion
 
 
@@ -171,7 +171,7 @@ def _iter_after(u, dt, dw, companion, cfg, move, speed):
     lin = u
     residuals: list[float] = []
     for sweep in range(1, cfg.iterations + 1):
-        nxt = stochastic_update(base, lin, cfg.sigma, dw, dt, "milstein")
+        nxt = stochastic_update(base, lin, cfg.sigma, dw, dt)
         if sweep >= 2:
             residuals.append(_mean_abs(nxt - lin))
         lin = nxt
@@ -214,7 +214,7 @@ def _iter_before_companion(u, companion, dt, dw, cfg, move):
     moved = move(_linearized(cfg.sigma, (u, companion), companion),
                  (dt, dt, dt, dt, h, dt, dt))
     mid = moved[4]
-    moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt, cfg.stochastic_substep)
+    moved[4] = stochastic_update(mid, mid, cfg.sigma, dw, dt)
     # rows: the companion's second half transport, corr x2
     twice = move(moved[4:7], (h, dt, dt))
     c1, c2 = apply_increment(moved[0:2], moved[2:4], dw, dt, twice[1:3])
@@ -264,7 +264,7 @@ def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw,
 
 
 def ab_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
-    """Transport over dt, then the configured noise substep with increment dw."""
+    """Transport over dt, then the Milstein noise substep with increment dw."""
     return _record(_ab, state, dt, cfg, dw)
 
 
@@ -397,10 +397,6 @@ class SchemeTraits:
     fine steps (bab).  `companion` says whether the second iterate is
     refreshed from an aba solution carried alongside, so only from I=2 on
     (`SchemeConfig.carries_companion`).
-
-    `stochastic_substep: em` reaches only ab, aba, bab and the aba companion
-    inside iter_before; the iterative updates themselves are always
-    Milstein.
     """
 
     kernel: Callable

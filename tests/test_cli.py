@@ -214,17 +214,23 @@ def test_unstable_dt_is_reported_as_config_error(tmp_path, capsys):
     assert "noise-free baseline" in captured.err and not captured.out
 
 
-def test_inner_mode_is_an_unknown_key_for_validate_and_run(tmp_path, capsys):
-    # the key that selected iter_before's removed half-step variant is now
-    # refused by name, before anything runs or is written
+@pytest.mark.parametrize("key, value", [
+    # selected iter_before's removed half-step variant
+    ("inner_mode", "whole_step"),
+    # switched ab, aba, bab and the aba companion to Euler-Maruyama
+    ("stochastic_substep", "em"),
+])
+def test_a_removed_key_is_unknown_for_validate_and_run(key, value, tmp_path, capsys):
+    # a key that selected a removed scheme variant is refused by name,
+    # before anything runs or is written
     cfg = tmp_path / "old.yaml"
-    cfg.write_text(QUICK_DOC + "inner_mode: whole_step\n")
+    cfg.write_text(QUICK_DOC + f"{key}: {value}\n")
     out = tmp_path / "x"
     for argv in (["validate", str(cfg)], ["run", str(cfg), "--out", str(out)]):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("config error:")
-        assert "inner_mode" in captured.err and "Traceback" not in captured.err
+        assert key in captured.err and "Traceback" not in captured.err
         assert not captured.out
     assert not out.exists()
 

@@ -50,7 +50,6 @@ seeds: {base: 10, count: 5}
 cfl: {mode: deterministic_only, safety: 0.8, xi_bound: 2.5}
 adaptive_dt: true
 blowup_threshold: 1.0e4
-stochastic_substep: em
 output_dir: out
 """
 
@@ -97,7 +96,8 @@ def test_full_document_round_trip():
         parse_config("cfl: {dt_max: 0.01}")
     assert cfg.adaptive_dt
     assert cfg.blowup_threshold == 1.0e4
-    assert cfg.stochastic_substep == "em"
+    # every scheme's noise increment is Milstein: there is no substep key
+    assert not hasattr(cfg, "stochastic_substep")
 
 
 def test_config_is_picklable():
@@ -196,9 +196,14 @@ def test_dt_ladder_validation():
     with pytest.raises(ConfigError):
         parse_config("dt_ladder: [0.01, 0.004]")  # 0.004 does not divide 0.01
     with pytest.raises(ConfigError):
-        parse_config("dt_ladder: [-0.01]")
-    with pytest.raises(ConfigError):
         parse_config("dt_ladder: []")
+    # a non-positive entry is blamed on the ladder, not on the dt_fine
+    # derived from it or on the ladder's order
+    for doc in ("dt_ladder: [-0.01]", "dt_ladder: [0.0]", "dt_ladder: {levels: 1}",
+                "dt_ladder: {base: -0.01, levels: 2}", "dt_ladder: [0.01, -0.005]",
+                "{dt_ladder: [0.01, 0.0], dt_fine: 0.0025}"):
+        with pytest.raises(ConfigError, match="dt_ladder must be positive"):
+            parse_config(doc)
 
 
 def test_dt_ladder_base_levels_form():
@@ -240,7 +245,6 @@ def test_t_end_must_be_a_multiple_of_every_dt():
 
 def test_seed_validation():
     assert parse_config("seeds: [3, 1, 8]").seeds == (3, 1, 8)
-    assert parse_config("seeds: {list: [5, 6]}").seeds == (5, 6)
     with pytest.raises(ConfigError, match="duplicate"):
         parse_config("seeds: [7, 7]")
     with pytest.raises(ConfigError):
@@ -249,6 +253,9 @@ def test_seed_validation():
         parse_config("seeds: {base: 1, count: 0}")
     with pytest.raises(ConfigError):
         parse_config("seeds: []")
+    # a list of seeds is spelled as a list, not as a mapping
+    with pytest.raises(ConfigError, match="unknown key.*'list'.*in seeds"):
+        parse_config("seeds: {list: [5, 6]}")
 
 
 def test_seeds_must_fit_the_philox_key():

@@ -4,9 +4,9 @@ Each study goes through `run_matrix` + `emit_csv`, and through the CLI,
 which streams each outcome to its files as it arrives, at --jobs 1 and at
 --jobs 2; the sha256 digests of summary.csv (without wall_time), profiles/
 and residuals/ are compared with the same pinned values.  Together the
-studies run all six schemes, both stochastic substeps, fixed and adaptive
-steps, both boundary kinds and both noise kinds, and one of them has cells
-in which every seed blows up.
+studies run all six schemes, fixed and adaptive steps, both boundary kinds
+and both noise kinds, and one of them has cells in which every seed blows
+up.
 
 The last bits of the outputs depend on the numpy build and on the SIMD
 targets numpy dispatches to (the generator and the inverse normal CDF are
@@ -48,11 +48,10 @@ dt_fine: 0.0025
 t_end: 0.05
 seeds: [3, 4]
 """,
-    "em_periodic_constant": ALL_SCHEMES + """
+    "periodic_constant": ALL_SCHEMES + """
 grid: {n_cells: 24}
 boundary: periodic
 noise: {kind: constant, lam: 0.3}
-stochastic_substep: em
 dt_ladder: [0.01, 0.005]
 dt_fine: 0.0025
 t_end: 0.05
@@ -68,12 +67,11 @@ dt_fine: 0.0005
 t_end: 0.03
 seeds: [7]
 """,
-    "adaptive_em_whole_step_periodic": ALL_SCHEMES + """
+    "adaptive_whole_step_periodic_riemann": ALL_SCHEMES + """
 grid: {n_cells: 48}
 boundary: periodic
 initial_condition: {kind: riemann_step, u_left: 3.0, u_right: 0.1}
 noise: {kind: linear, lam: 0.4}
-stochastic_substep: em
 adaptive_dt: true
 cfl: {mode: deterministic_only, safety: 0.5}
 dt_ladder: [0.006]
@@ -101,30 +99,30 @@ seeds: [5, 6]
 NUMERICS = "numpy 2.4.6, SIMD X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 
 GOLDEN = {
-    "adaptive_em_whole_step_periodic": {
-        "summary.csv": "871de25f700afa6f8abd2ed983dd66d397c7b952ece1877135018064fa73ca7a",
-        "profiles": "1c271e5ad57e4f67e811f813159f50894b7f8bef9ed2abea2a7c068e71305c47",
-        "residuals": "f2d862e8d662d66775f95bd1ae32e0b8b8e9a19738082bcacfa3fa9e00943c73",
-    },
     "adaptive_milstein_linear": {
         "summary.csv": "d66d22fecd5dbf1aefb72d731734c67d2cb3f6c307e3ae626015c1d8344b2421",
         "profiles": "bde87b95c312c31dd0cb64b434f4f7716558a091de434e9513fecdfa62d546fe",
         "residuals": "fba6adda38297b81054497a5de344da4b47729b546f5a3d6f1745e7d8f8b3b56",
+    },
+    "adaptive_whole_step_periodic_riemann": {
+        "summary.csv": "51de3051af22d3024dd5c04093d16b2568bc4677c5cc9bd2d376c1b732676299",
+        "profiles": "7fe4b96744e4a85fff60227b1896d6092e91e238ed2cb5b87542b5625e2ce7d5",
+        "residuals": "3d616b01b7cad614b51173b49923c22de289c1762a5499fac816a05ba97a13e7",
     },
     "blown_cells_periodic_riemann": {
         "summary.csv": "f57b679719903583402ae4531aa4b8f05d9c3b79674632b7f345a16e68e04814",
         "profiles": "d40dff5c90effa59e586e6e2b39bda1483d6f65343a2412c74f0db32a0f7af19",
         "residuals": "0c8db497c97f465d609d0f66ff8197398af75f3c027ad3631407a63b0a3d6271",
     },
-    "em_periodic_constant": {
-        "summary.csv": "a82f255b29a1650aa6f4508e4d4ac8a7412ead87f0c7e6627bb51637de6be714",
-        "profiles": "fb14b434ae5ce718d6880e1150d9a88e9569239f89c81412d35c1978115f6a48",
-        "residuals": "d3de1608608d56a9d0419052d2d24a47b839fd697fa9c5422b63dd6d8249be04",
-    },
     "milstein_whole_step_dirichlet_linear": {
         "summary.csv": "99336bc0af8dc2d655ba955911b40c9654527cf8281a589c86cdf9ad5e7f2478",
         "profiles": "272c6bfa9e50b67d3fad89c1e615a7dd2ce0e61443ee1bb2429ab24c684466ec",
         "residuals": "8a4b399f03e8dd313733c9bb977ba9ccbf0b0acf9f864e1cb8b7827597b7cfe2",
+    },
+    "periodic_constant": {
+        "summary.csv": "a82f255b29a1650aa6f4508e4d4ac8a7412ead87f0c7e6627bb51637de6be714",
+        "profiles": "fb14b434ae5ce718d6880e1150d9a88e9569239f89c81412d35c1978115f6a48",
+        "residuals": "d3de1608608d56a9d0419052d2d24a47b839fd697fa9c5422b63dd6d8249be04",
     },
 }
 

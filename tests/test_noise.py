@@ -109,10 +109,8 @@ def test_stochastic_update_linearizes_at_a_separate_point():
     sigma = NoiseAmplitude("linear", 0.5)
     base, lin = np.array([1.0, 2.0]), np.array([4.0, -2.0])
     # amplitudes 2 and -1, correction (1/2) sigma sigma' (dW^2 - dt) = 0.5*amp*0.5*0.03
-    assert np.allclose(stochastic_update(base, lin, sigma, 0.2, 0.01, "milstein"),
+    assert np.allclose(stochastic_update(base, lin, sigma, 0.2, 0.01),
                        [1.4 + 0.015, 1.8 - 0.0075], rtol=1e-15)
-    assert np.array_equal(stochastic_update(base, lin, sigma, 0.2, 0.01, "em"),
-                          base + sigma(lin) * 0.2)
 
 
 def test_path_increments_have_the_right_moments():

@@ -53,7 +53,14 @@ def test_eo_step_on_a_stack_equals_one_call_per_row(stack, dts, per_row, flux, b
 
 # --- the in-place kernels equal their textbook expressions, bit for bit ----
 
-from splitburg import NoiseAmplitude, engquist_osher_flux  # noqa: E402
+from splitburg import (  # noqa: E402
+    FieldState,
+    NoiseAmplitude,
+    SpatialGrid,
+    em_step,
+    engquist_osher_flux,
+    milstein_step,
+)
 from splitburg.burgers import _check_cfl  # noqa: E402
 from splitburg.noise import apply_increment, stochastic_update  # noqa: E402
 
@@ -127,20 +134,29 @@ def test_eo_step_is_its_textbook_expression_bit_for_bit(values, dts, per_row, kn
     lam=st.sampled_from([0.0, 0.5, 0.7, 1.3, 2.0]),
     dw=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-0.5, 0.5)),
     dt=st.floats(1e-5, 0.1),
-    substep=st.sampled_from(["em", "milstein"]),
 )
 def test_stochastic_update_is_its_textbook_expression_bit_for_bit(terms, same, kind, lam,
-                                                                  dw, dt, substep):
+                                                                  dw, dt):
     base, lin, extra = terms
     lin = base if same else lin
     sigma = NoiseAmplitude(kind, lam)
     slope = sigma.slope
     before = base.tobytes() + lin.tobytes()
     with np.errstate(all="ignore"):
-        want = base + sigma(lin) * dw
-        if substep == "milstein":
-            want = want + 0.5 * sigma(lin) * sigma.slope * (dw * dw - dt)
-        got = stochastic_update(base, lin, sigma, dw, dt, substep)
+        want = base + sigma(lin) * dw + ((sigma(lin) * 0.5) * slope) * (dw * dw - dt)
+        got = stochastic_update(base, lin, sigma, dw, dt)
+        # em_step and milstein_step at the values themselves, given as a
+        # scalar, a list, an array or a FieldState
+        em_want = base + sigma(base) * dw
+        mil_want = base + sigma(base) * dw + ((sigma(base) * 0.5) * slope) * (dw * dw - dt)
+        listed = base.tolist()
+        forms = [(base[0], em_want[:1], mil_want[:1]), (listed, em_want, mil_want),
+                 (base, em_want, mil_want)]
+        if base.size >= 2:
+            state = FieldState(SpatialGrid(0.0, 1.0, base.size), base, 0.25)
+            forms.append((state, em_want, mil_want))
+        at_itself = [(form, em_step(form, sigma, dw), milstein_step(form, sigma, dw, dt),
+                      em, mil) for form, em, mil in forms]
         # sigma into a caller's buffer, fresh or aliasing a copy of its
         # input, is bitwise the allocating call broadcast to lin's shape
         amp = np.broadcast_to(sigma(lin), lin.shape).tobytes()
@@ -162,6 +178,14 @@ def test_stochastic_update_is_its_textbook_expression_bit_for_bit(terms, same, k
     assert aliased is buf and buf.tobytes() == amp
     for core, expected in cores:
         assert core.tobytes() == expected.tobytes()
+    for form, em, mil, em_want, mil_want in at_itself:
+        if isinstance(form, FieldState):
+            assert em.time == mil.time == form.time
+            em, mil, form = em.values, mil.values, form.values
+        assert np.ndim(em) == np.ndim(mil) == np.ndim(form)
+        assert np.asarray(em).tobytes() == em_want.tobytes()
+        assert np.asarray(mil).tobytes() == mil_want.tobytes()
+    assert np.array(listed).tobytes() == base.tobytes()
     assert base.tobytes() + lin.tobytes() == before
 
 
@@ -197,7 +221,6 @@ from splitburg import (  # noqa: E402
     CflPolicy,
     InitialCondition,
     SchemeConfig,
-    SpatialGrid,
     ab_step,
     aba_step,
     bab_step,
@@ -280,7 +303,6 @@ def _scheme_cfgs(draw):
                              draw(st.floats(0.0, 2.0))),
         bc=draw(st.sampled_from(list(BoundaryKind))),
         iterations=draw(st.sampled_from(SCHEMES[scheme].iterations or range(1, 2))),
-        stochastic_substep=draw(st.sampled_from(["em", "milstein"])),
         # small thresholds trip "threshold"
         blowup_threshold=draw(st.one_of(st.floats(0.3, 5.0), st.just(1e6))),
     )

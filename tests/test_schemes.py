@@ -71,8 +71,6 @@ def test_scheme_config_validation():
     with pytest.raises(ConfigError):
         SchemeConfig("strang")
     with pytest.raises(ConfigError):
-        SchemeConfig("ab", stochastic_substep="heun")
-    with pytest.raises(ConfigError):
         SchemeConfig("iter_after", iterations=0)
     with pytest.raises(ConfigError):
         SchemeConfig("iter_after", iterations=9)
@@ -133,16 +131,6 @@ def test_ab_step_is_the_manual_composition_bitwise():
         assert np.array_equal(got.state_after.values, expected.values)
         assert got.state_after.time == pytest.approx(state.time + 0.01)
         assert got.iterate_residuals == ()
-
-
-def test_ab_step_with_em_substep():
-    rng = np.random.default_rng(4)
-    state = random_state(rng)
-    dw = 0.07
-    cfg = cfg_for("ab", stochastic_substep="em")
-    got = ab_step(state, 0.01, dw, cfg)
-    expected = em_step(transported(state, 0.01, cfg), cfg.sigma, dw)
-    assert np.array_equal(got.state_after.values, expected.values)
 
 
 def test_ab_step_noise_off_equals_transport():
@@ -512,10 +500,10 @@ def test_integrate_adaptive_reaches_the_horizon(monkeypatch):
     policy = CflPolicy(CflMode.DETERMINISTIC_ONLY, safety=0.9, dt_max=0.05)
     step_dts = []
 
-    def update(values, lin, sigma, dw, dt, substep):
+    def update(values, lin, sigma, dw, dt):
         # ab makes one noise substep per step, over the whole step
         step_dts.append(dt)
-        return real_update(values, lin, sigma, dw, dt, substep)
+        return real_update(values, lin, sigma, dw, dt)
 
     real_update = schemes_mod.stochastic_update
     monkeypatch.setattr(schemes_mod, "stochastic_update", update)
@@ -566,33 +554,6 @@ def test_integrate_carries_the_aba_companion_across_steps():
     assert np.array_equal(carried, companion.values)
 
 
-def test_only_ab_aba_bab_and_aba_companions_follow_the_em_substep():
-    # iter_after, iter_before and iter_before_trapezoid linearize the noise in
-    # Milstein form whatever stochastic_substep says; the aba companion inside
-    # iter_before does follow it
-    c0 = sine_state(32)
-    path = generate_path(19, 0.02, 0.001)
-    cases = {  # (scheme, iterations): first step where em differs
-        ("ab", 1): 0,
-        ("aba", 1): 0,
-        ("bab", 1): 0,
-        ("iter_after", 3): None,
-        ("iter_before", 1): None,
-        ("iter_before", 2): 1,
-        ("iter_before_trapezoid", 3): None,
-    }
-    for (scheme, iterations), first_diff in cases.items():
-        ends = [
-            step_ends(c0, cfg_for(scheme, iterations=iterations,
-                                  stochastic_substep=substep), path, 0.01, 2)
-            for substep in ("em", "milstein")
-        ]
-        equal = [np.array_equal(a.final_state.values, b.final_state.values)
-                 for a, b in zip(*ends)]
-        expected = [first_diff is None or i < first_diff for i in range(2)]
-        assert equal == expected, (scheme, iterations)
-
-
 def given_path(increments):
     """A path with these increments at dt_fine 0.01."""
     return NoisePath(0, 0.01, np.asarray(increments, dtype=np.float64))
@@ -601,11 +562,11 @@ def given_path(increments):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("last_dw, bad", [(1e10, np.inf), (np.nan, np.nan)])
 def test_integrate_ends_non_finite_at_the_overflowing_step(last_dw, bad):
-    # zero flux, c + c dW: 1e300 doubles on the first step, then overflows
-    # (or turns NaN) on the second, below the threshold all the while
+    # zero flux, c + c dW + (1/2) c (dW^2 - dt): 1e300 grows 2.495-fold on
+    # the first step, then overflows (or turns NaN) on the second, below the
+    # threshold all the while
     c0 = FieldState(SpatialGrid(0.0, 1.0, 4), np.full(4, 1e300))
-    cfg = cfg_for("ab", lam=1.0, flux=FluxFunction("zero"),
-                  stochastic_substep="em", blowup_threshold=1e305)
+    cfg = cfg_for("ab", lam=1.0, flux=FluxFunction("zero"), blowup_threshold=1e305)
     traj = integrate(c0, 0.03, cfg, given_path([1.0, last_dw, 1.0]), dt=0.01)
     assert traj.blowup_reason == "non_finite"
     assert traj.blowup_time == traj.final_state.time == pytest.approx(0.02)
