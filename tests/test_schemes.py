@@ -554,6 +554,33 @@ def test_integrate_carries_the_aba_companion_across_steps():
     assert np.array_equal(carried, companion.values)
 
 
+@pytest.mark.parametrize("scheme, iterations", [
+    ("ab", 1), ("aba", 1), ("bab", 1), ("iter_after", 1),
+    ("iter_before", 1), ("iter_before", 2),
+])
+def test_every_splitting_noise_substep_is_milstein(scheme, iterations):
+    # with zero flux the transport is the identity, so each step is its noise
+    # substeps alone: the Milstein increment, also in iter_before's aba
+    # companion, which the second step linearizes at
+    c0 = sine_state(32)
+    path = generate_path(19, 0.02, 0.001)
+    cfg = cfg_for(scheme, iterations=iterations, flux=FluxFunction("zero"))
+    ends = step_ends(c0, cfg, path, 0.01, 2)
+    want, em = c0.values, c0.values
+    for k in (0, 10):
+        if scheme == "bab":
+            for j in (k, k + 5):
+                dw = path.increment_over(j, j + 5)
+                want = milstein_step(want, cfg.sigma, dw, 0.005)
+                em = em_step(em, cfg.sigma, dw)
+        else:
+            dw = path.increment_over(k, k + 10)
+            want = milstein_step(want, cfg.sigma, dw, 0.01)
+            em = em_step(em, cfg.sigma, dw)
+    assert np.array_equal(ends[1].final_state.values, want)
+    assert not np.allclose(want, em, rtol=1e-6, atol=0.0)
+
+
 def given_path(increments):
     """A path with these increments at dt_fine 0.01."""
     return NoisePath(0, 0.01, np.asarray(increments, dtype=np.float64))
