@@ -52,16 +52,10 @@ from .runner import (
 from .schemes import (
     ContractionWarning,
     SchemeConfig,
-    StepRecord,
     Trajectory,
-    ab_step,
-    aba_step,
-    bab_step,
-    detect_blowup,
     integrate,
     iter_after_step,
-    iter_before_step,
-    iter_before_trapezoid_step,
+    step,
 )
 
 __version__ = "0.1.0"
@@ -91,15 +85,10 @@ __all__ = [
     "SchemeSpec",
     "SeedOutcome",
     "SpatialGrid",
-    "StepRecord",
     "Trajectory",
-    "ab_step",
-    "aba_step",
-    "bab_step",
     "cell_label",
     "cfl_dt",
     "coarsen",
-    "detect_blowup",
     "em_step",
     "emit_csv",
     "engquist_osher_flux",
@@ -109,8 +98,6 @@ __all__ = [
     "generate_path",
     "integrate",
     "iter_after_step",
-    "iter_before_step",
-    "iter_before_trapezoid_step",
     "l1_distance",
     "make_initial_state",
     "milstein_step",
@@ -119,6 +106,7 @@ __all__ = [
     "reference_endpoint",
     "run_matrix",
     "scl_step",
+    "step",
     "strong_error",
     "summarize",
     "weak_error",

@@ -5,6 +5,7 @@ value that is not a number, such as None or a string, with the same
 ConfigError as a number that breaks its rule."""
 
 import math
+import numbers
 from collections import Counter
 
 import numpy as np
@@ -37,8 +38,10 @@ def is_non_negative(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    """Every entry of a number or a sequence of numbers is finite."""
-    return bool(np.all(np.isfinite(value)))
+    """A finite real number: not NaN, an infinity, a bool (Python's or
+    numpy's), a complex number or a sequence, whatever its entries."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def check_positive(value, name: str) -> None:

@@ -106,8 +106,8 @@ class FieldState:
 
     Values are stored read-only.  The constructor always copies them, so a
     state never aliases a caller's buffer, and `peak`, the largest |value|,
-    comes from the one scan every state makes of its copy.  `blown_up` marks
-    a diverged state: one with a non-finite entry (non-finite `peak`).
+    comes from the one scan every state makes of its copy.  Whether a state
+    has blown up is `schemes._blowup_reason`'s to say from that peak.
     """
 
     grid: SpatialGrid
@@ -124,10 +124,6 @@ class FieldState:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "peak", _scan(vals)[1])
-
-    @property
-    def blown_up(self) -> bool:
-        return not math.isfinite(self.peak)
 
     def __setstate__(self, state: dict) -> None:
         # unpickled arrays come back writable; `peak` holds only while the
@@ -154,7 +150,9 @@ class InitialCondition:
 
     The field defaults (u_left 1.0, u_right 0.0, value 0.0) are the only
     copy: a config document that leaves a key out gets them too.  Every
-    number, the table samples included, must be finite, whatever the kind.
+    number, the table samples included, must be finite, whatever the kind,
+    and `value`, `u_left` and `u_right` are real scalars: a sequence or a
+    bool is refused, not broadcast or read as 0 or 1.
     """
 
     kind: str
@@ -166,9 +164,12 @@ class InitialCondition:
 
     def __post_init__(self) -> None:
         check_kind(self.kind, _IC_KINDS, "initial condition")
-        for name in ("value", "u_left", "u_right", "x_table", "u_table"):
+        for name in ("value", "u_left", "u_right"):
             check_number(getattr(self, name), is_finite, f"initial condition {name}",
                          "be finite")
+        for name in ("x_table", "u_table"):
+            check_number(getattr(self, name), lambda t: all(map(is_finite, t)),
+                         f"initial condition {name}", "be finite")
         if self.kind == "table":
             if len(self.x_table) != len(self.u_table) or len(self.x_table) < 2:
                 raise ConfigError("table initial condition needs >= 2 (x, u) pairs")

@@ -1,67 +1,77 @@
 """Time integrators composing transport and noise for the stochastic Burgers
 equation dc + f(c)_x dt = sigma(c) dW.
 
+T(t) is the transport over t and M(v, dW, t) = v + sigma(v) dW
++ (1/2) sigma(v) sigma'(v) (dW^2 - t) the Milstein noise substep.  dW is the
+increment over the step's interval, dW_1 and dW_2 those of its two halves.
+
 Non-iterative one-step maps:
 
-    ab   transport over dt, then the Milstein noise substep with the full
-         increment
-    aba  half transport, Milstein noise substep (full increment), half
-         transport
-    bab  half-increment Milstein noise, full transport, second
-         half-increment Milstein noise
+    ab   c' = M(T(dt) c, dW, dt): transport over dt, then the noise substep
+    aba  c' = T(dt/2) M(T(dt/2) c, dW, dt): half transport, the noise
+         substep with the full increment, half transport
+    bab  c' = M(T(dt) M(c, dW_1, dt/2), dW_2, dt/2): the two noise
+         substeps take the genuine increments of the two half intervals
 
 Iterative one-step maps:
 
     iter_after             fixed-point sweeps of the Milstein update around the
                            transported state; sweep i re-evaluates the noise
                            amplitude at iterate i-1 (sweep 1 is exactly the
-                           one-shot Milstein-composed step)
+                           one-shot Milstein-composed step; the formula is
+                           `iter_after_step`'s)
     iter_before            variation-of-constants form: the transport propagator
-                           is also applied to the noise-amplitude fields; the
-                           second iterate refreshes the linearization state from
-                           an aba companion solution carried alongside
-    iter_before_trapezoid  averaged-amplitude variant: after the first
-                           variation-of-constants pass, subsequent iterates use
-                           sigma evaluated at the midpoint of the previous
-                           iterate and the start state
+                           is also applied to the noise-amplitude fields.  With
+                               V(a) = T(dt) a + (T(dt) sigma(a)) dW
+                                      + (1/2) (T(dt) T(dt) sigma sigma'(a)) (dW^2 - dt)
+                           iterate 1 is c_1 = V(c), linearized at the start
+                           state, and iterate 2 is c_2 = V(a), re-evaluated at
+                           the aba companion a carried alongside (the start
+                           state on the first step)
+    iter_before_trapezoid  averaged-amplitude variant: after the first pass
+                           c_1 = V(c), iterate i >= 2 is
+                               c_i = T(dt) c - (1/2) sigma(c_1)^2 dt
+                                     + sigma((c_{i-1} + c) / 2) dW
+                           with the quadratic term frozen at c_1
 
 Each scheme's step is a kernel on raw float64 cell values (the `SCHEMES`
 table), and `SchemeConfig` says what a step of it reads: an aba companion
 (`carries_companion`) and the fine steps its size is a multiple of
 (`quantum`, 2 where it reads the two half-interval increments).  A kernel
 moves its fields only through the `burgers.transport` it is handed, which
-`integrate` builds once per trajectory and `_record` once per public step
-from the configuration's flux and boundary and the grid's dx, so no kernel
-reads those three itself.  The public `*_step`
-functions run the very kernels `integrate` runs, wrapped in states and
-records and taking plain float increments (bab's two); iter_before's also
-takes the aba companion's step and drops its result.  The kernels form the
-noise amplitude only by calling `NoiseAmplitude`, which computes sigma(c)
-into a buffer they pass where they have one, so none branches on the noise
-kind, and they apply every noise increment through the one formula
-`noise.apply_increment`, in Milstein form: by `stochastic_update` where the
-amplitude is sigma at a state, and directly where it is a transported
-amplitude with its transported correction (the variation-of-constants
-iterates).  The one Euler-Maruyama increment is the trapezoid's later
-iterates', whose amplitude is sigma at its midpoint, as the scheme defines.
-A step of ab, aba or iter_before at I=1 makes one increment, bab two,
-iter_before at I=2 two (its aba companion's and the iterates' stacked), and
-iter_after and iter_before_trapezoid one per iterate.
+`integrate` builds once per trajectory and `step` once per call from the
+configuration's flux and boundary and the grid's dx, so no kernel reads
+those three itself.  `step`, the one public one-step map, runs the very
+kernel `integrate` runs, wrapped in a state and a record; iter_before's
+also takes the aba companion's step and drops its result.  The kernels
+form the noise amplitude only by calling `NoiseAmplitude`, which computes
+sigma(c) into a buffer they pass where they have one, so none branches on
+the noise kind, and they apply every noise increment through the one
+formula `noise.apply_increment`, in Milstein form: by `stochastic_update`
+where the amplitude is sigma at a state, and directly where it is a
+transported amplitude with its transported correction (the
+variation-of-constants iterates).  The one Euler-Maruyama increment is the
+trapezoid's later iterates', whose amplitude is sigma at its midpoint, as
+the scheme defines.  A step of ab, aba or iter_before at I=1 makes one
+increment, bab two, iter_before at I=2 two (its aba companion's and the
+iterates' stacked), and iter_after and iter_before_trapezoid one per
+iterate.
 `integrate` drives a kernel along a reproducible noise path, with
 either a fixed step size or a stability-bound-governed one, truncating on
-blow-up; `noise.step_counts` counts its fine steps and checks their
-alignment.  It streams and builds no per-step records at all: a trajectory
-holds its current values, the aba companion's values where the scheme
-carries one, a step counter and the rows of its residual trace, and only
-the last step's record is built, for `Trajectory`, its state a copy of the
-values through `FieldState.with_values`.  Memory per trajectory is
-O(cells), not O(steps x cells).  The state after step k of a fixed-dt
-trajectory is the endpoint of integrating over k steps on the same path.
+blow-up, which `_blowup_reason` alone decides from a state's peak |value|;
+`noise.step_counts` counts its fine steps and checks their alignment.  It
+streams and builds no per-step records at all: a trajectory holds its
+current values, the aba companion's values where the scheme carries one, a
+step counter and the rows of its residual trace, and only the last step's
+record is built, for `Trajectory`, its state a copy of the values through
+`FieldState.with_values`.  Memory per trajectory is O(cells), not
+O(steps x cells).  The state after step k of a fixed-dt trajectory is the
+endpoint of integrating over k steps on the same path.
 """
-
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -132,10 +142,14 @@ class StepRecord:
     iterate_residuals: tuple[float, ...] = ()
 
 
-def _check_contraction(residuals, stacklevel: int = 3) -> None:
-    """Warn, from `stacklevel` frames up, when the residuals stop decreasing."""
+def _check_contraction(residuals) -> None:
+    """Warn when the residuals stop decreasing, from the first frame outside
+    this module: the caller of `integrate` or of a public step."""
     for a, b in zip(residuals, residuals[1:]):
         if b >= a and b > 0.0:
+            frame, stacklevel = sys._getframe(1), 2
+            while frame.f_code.co_filename == __file__:
+                frame, stacklevel = frame.f_back, stacklevel + 1
             warnings.warn(
                 "iterate residuals are not decreasing; the step size likely "
                 "exceeds the contraction range",
@@ -251,34 +265,35 @@ def _iter_before_trapezoid(u, dt, dw, companion, cfg, move, speed):
     return prev, residuals, companion
 
 
-def _record(kernel, state: FieldState, dt: float, cfg: SchemeConfig, dw,
-            companion=None) -> StepRecord:
-    """The record of one step of `kernel` from `state`; dt must be positive
-    and finite."""
+def step(state: FieldState, dt: float, dw, cfg: SchemeConfig,
+         companion: FieldState | None = None) -> StepRecord:
+    """One step of `cfg.scheme` from `state` over dt, which must be positive
+    and finite: the kernel `integrate` runs, on a transport built for this
+    call, its result wrapped in a state and a record.
+
+    `dw` is the full-interval increment, or where the scheme reads `halves`
+    (bab) the pair of half-interval ones.  `companion` is the aba companion
+    state of a cell that carries one (iter_before at I=2), the start state
+    by default.  The kernel also takes the companion's own aba step, whose
+    result is dropped here, so the step raises that aba step's CflViolation
+    too, which `integrate` records as `cfl_rejected`.  An increment or a
+    companion that does not fit the cell is a ConfigError naming the scheme.
+    """
     check_positive(dt, "dt")
+    row = SCHEMES[cfg.scheme]
+    if np.shape(dw) != ((2,) if row.halves else ()):
+        want = "the pair of half-interval increments" if row.halves else "one increment"
+        raise ConfigError(f"{cfg.scheme} takes {want}, got {dw!r}")
+    if cfg.carries_companion:
+        companion = (state if companion is None else companion).values
+    elif companion is not None:
+        raise ConfigError(f"{cfg.scheme} at iterations {cfg.iterations} carries no "
+                          "aba companion")
     move = transport(cfg.flux, cfg.bc, state.grid.dx)
     with np.errstate(over="ignore", invalid="ignore"):
-        values, residuals, _ = kernel(state.values, dt, dw, companion, cfg, move, None)
-    _check_contraction(residuals, stacklevel=4)  # the public step's caller
+        values, residuals, _ = row.kernel(state.values, dt, dw, companion, cfg, move, None)
+    _check_contraction(residuals)
     return StepRecord(state.with_values(values, state.time + dt), dt, tuple(residuals))
-
-
-def ab_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
-    """Transport over dt, then the Milstein noise substep with increment dw."""
-    return _record(_ab, state, dt, cfg, dw)
-
-
-def aba_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig) -> StepRecord:
-    """Symmetrized transport around a single noise substep consuming the
-    full-interval increment."""
-    return _record(_aba, state, dt, cfg, dw)
-
-
-def bab_step(state: FieldState, dt: float, dw_first: float, dw_second: float,
-             cfg: SchemeConfig) -> StepRecord:
-    """Symmetrized noise around a full transport step; the two noise substeps
-    consume the genuine increments of the two half intervals."""
-    return _record(_bab, state, dt, cfg, (dw_first, dw_second))
 
 
 def iter_after_step(state: FieldState, dt: float, dw: float,
@@ -290,38 +305,12 @@ def iter_after_step(state: FieldState, dt: float, dw: float,
     with c_0 = c, so one sweep is exactly the one-shot Milstein-composed step.
     The transported state is computed once; only the noise linearization is
     refreshed, which is what contracts (or fails to, above the admissible dt).
+    This is `step` on an iter_after cell; a config naming another scheme is
+    a ConfigError.
     """
-    return _record(_iter_after, state, dt, cfg, dw)
-
-
-def iter_before_step(state: FieldState, dt: float, dw: float, cfg: SchemeConfig,
-                     aba_state: FieldState | None = None) -> StepRecord:
-    """One or two variation-of-constants iterates with the full-interval
-    increment dw.
-
-    iterations=1: the Milstein form linearized at the start state.
-    iterations=2: the same form re-evaluated from the aba companion state
-        carried alongside the trajectory (the start state on the first step
-        or standalone use).
-
-    The step runs the kernel `integrate` runs.  At iterations=2 that kernel
-    also takes the companion's own aba step, whose result is dropped here
-    (`aba_step` returns it).  So the step also raises that aba step's
-    CflViolation, which `integrate` records as `cfl_rejected`.
-    """
-    companion = state if aba_state is None else aba_state
-    return _record(_iter_before, state, dt, cfg, dw, companion.values)
-
-
-def iter_before_trapezoid_step(state: FieldState, dt: float, dw: float,
-                               cfg: SchemeConfig) -> StepRecord:
-    """Averaged-amplitude iterates on top of one variation-of-constants pass.
-
-    Iterate i (i >= 2):
-        c_i = T(dt) c  -  (1/2) sigma(c_1)^2 dt  +  sigma((c_{i-1} + c) / 2) dW
-    with the quadratic term frozen at the first pass c_1.
-    """
-    return _record(_iter_before_trapezoid, state, dt, cfg, dw)
+    if cfg.scheme != "iter_after":
+        raise ConfigError(f"iter_after_step runs iter_after, not {cfg.scheme}")
+    return step(state, dt, dw, cfg)
 
 
 def _blowup_reason(peak: float, threshold: float) -> str | None:
@@ -330,15 +319,6 @@ def _blowup_reason(peak: float, threshold: float) -> str | None:
     if peak <= threshold:
         return None
     return "threshold" if math.isfinite(peak) else "non_finite"
-
-
-def detect_blowup(state: FieldState,
-                  threshold: float = DEFAULT_BLOWUP_THRESHOLD) -> bool:
-    """True when the state is non-finite or any |value| exceeds the threshold
-    (strictly).  The threshold must be positive and finite, or a non-finite
-    state would not exceed it."""
-    check_positive(threshold, "threshold")
-    return _blowup_reason(state.peak, threshold) is not None
 
 
 @dataclass(frozen=True)

@@ -347,6 +347,15 @@ def test_python_dash_m_exits_1_on_a_bad_config(tmp_path):
     assert done.stderr.startswith("config error:")
 
 
+def test_every_exported_name_resolves_once():
+    names = splitburg.__all__
+    assert [name for name in names if not hasattr(splitburg, name)] == []
+    assert len(set(names)) == len(names)
+    namespace = {}
+    exec("from splitburg import *", namespace)  # a stale name fails here
+    assert set(names) <= set(namespace)
+
+
 def test_importing_the_cli_loads_no_scipy_stats():
     # scipy.stats serves only analysis.fit_order and is most of the start-up
     done = run_python("-c", "import sys, splitburg.cli; "

@@ -22,7 +22,6 @@ from splitburg import (
     SchemeConfig,
     SchemeSpec,
     SpatialGrid,
-    detect_blowup,
     emit_csv,
     parse_config,
     parse_config_file,
@@ -167,8 +166,6 @@ def test_nan_fails_the_dataclass_gates():
             SchemeConfig("ab", blowup_threshold=bad)
         with pytest.raises(ConfigError, match="xi_bound"):
             CflPolicy(xi_bound=bad)
-        with pytest.raises(ConfigError, match="threshold"):
-            detect_blowup(RunConfig().make_state(), threshold=bad)
         for kwargs in ({"lam": bad}, {"blowup_threshold": bad}, {"xi_bound": bad}):
             with pytest.raises(ConfigError, match=next(iter(kwargs))):
                 RunConfig(**kwargs)

@@ -11,7 +11,6 @@ from splitburg import (
     FieldState,
     InitialCondition,
     SpatialGrid,
-    detect_blowup,
     l1_distance,
     make_initial_state,
 )
@@ -115,24 +114,25 @@ def test_field_state_shape_check():
 
 def test_field_state_flags_non_finite_values():
     grid = SpatialGrid(0.0, 1.0, 3)
-    assert not FieldState(grid, np.zeros(3)).blown_up
-    assert FieldState(grid, np.array([0.0, np.nan, 0.0])).blown_up
-    assert FieldState(grid, np.array([0.0, np.inf, 0.0])).blown_up
+    assert FieldState(grid, np.zeros(3)).peak == 0.0
+    assert np.isnan(FieldState(grid, np.array([0.0, np.nan, 0.0])).peak)
+    assert FieldState(grid, np.array([0.0, np.inf, 0.0])).peak == np.inf
 
 
 def test_blown_up_is_read_off_the_values_only():
     grid = SpatialGrid(0.0, 1.0, 3)
     zeros = FieldState(grid, np.zeros(3))
-    # no caller can flag a finite state as diverged
+    # no caller can flag a finite state as diverged: the peak |value| is
+    # the only mark, and it comes from the values
     with pytest.raises(TypeError):
         FieldState(grid, np.zeros(3), 0.0, True)
     with pytest.raises(TypeError):
         zeros.with_values(np.zeros(3), blown_up=True)
-    assert not detect_blowup(zeros)
-    assert not zeros.with_values(np.ones(3), 0.1).blown_up
-    assert zeros.with_values(np.array([0.0, np.nan, 1.0]), 0.1).blown_up
+    assert zeros.peak == 0.0
+    assert zeros.with_values(np.ones(3), 0.1).peak == 1.0
+    assert np.isnan(zeros.with_values(np.array([0.0, np.nan, 1.0]), 0.1).peak)
     bad = FieldState(grid, np.array([0.0, -np.inf, 0.0]))
-    assert pickle.loads(pickle.dumps(bad)).blown_up and detect_blowup(bad)
+    assert pickle.loads(pickle.dumps(bad)).peak == np.inf
 
 
 def test_with_values_keeps_time_unless_told():
@@ -210,6 +210,16 @@ def test_table_validation():
         InitialCondition.riemann_step(1.0, -np.inf)
     with pytest.raises(ConfigError, match="value must be finite"):
         InitialCondition("sine_bump", value=np.nan)
+    # the scalar fields are real numbers: a sequence would broadcast (or
+    # fail to) and a bool would be read as 0 or 1
+    for bad in ([1.0, 2.0], [1.0] * 10, (0.5,), np.array([1.0]), True, np.True_, 1j,
+                None, "1.0"):
+        with pytest.raises(ConfigError, match="u_left must be finite"):
+            InitialCondition("riemann_step", u_left=bad)
+        with pytest.raises(ConfigError, match="u_right must be finite"):
+            InitialCondition.riemann_step(1.0, bad)
+        with pytest.raises(ConfigError, match="value must be finite"):
+            InitialCondition.constant(bad)
 
 
 def test_unknown_initial_condition_kind():

@@ -216,21 +216,18 @@ def test_every_flux_kind_is_a_times_u_squared_bit_for_bit(u, kind):
 
 # --- the streamed integrator equals stepping by hand -----------------------
 
+from dataclasses import replace  # noqa: E402
+
 from splitburg import (  # noqa: E402
     CflMode,
     CflPolicy,
     InitialCondition,
     SchemeConfig,
-    ab_step,
-    aba_step,
-    bab_step,
     cfl_dt,
     generate_path,
     integrate,
-    iter_after_step,
-    iter_before_step,
-    iter_before_trapezoid_step,
     make_initial_state,
+    step,
 )
 from splitburg.schemes import SCHEMES  # noqa: E402
 
@@ -239,22 +236,17 @@ _GRID = SpatialGrid(0.0, 1.0, 12)
 
 
 def _public_step(state, path, k, m, cfg, companion):
-    """One step over fine steps [k, k + m) through the public step function
-    of `cfg.scheme`, with its increments summed from the path; the aba
-    companion, where the scheme carries one, takes its own aba step."""
+    """One step over fine steps [k, k + m) through the public `step`, with
+    its increments summed from the path; the aba companion, where the cell
+    carries one, takes its own aba step."""
     dt, mid = m * path.dt_fine, k + m // 2
     dw = path.increment_over(k, k + m)
-    if cfg.scheme == "bab":
-        return bab_step(state, dt, path.increment_over(k, mid),
-                        path.increment_over(mid, k + m), cfg), companion
-    if cfg.scheme == "iter_before":
-        rec = iter_before_step(state, dt, dw, cfg, aba_state=companion)
-        if companion is not None:
-            companion = aba_step(companion, dt, dw, cfg).state_after
-        return rec, companion
-    step = {"ab": ab_step, "aba": aba_step, "iter_after": iter_after_step,
-            "iter_before_trapezoid": iter_before_trapezoid_step}[cfg.scheme]
-    return step(state, dt, dw, cfg), companion
+    if cfg.quantum == 2:
+        dw = (path.increment_over(k, mid), path.increment_over(mid, k + m))
+    rec = step(state, dt, dw, cfg, companion)
+    if companion is not None:
+        companion = step(companion, dt, dw, replace(cfg, scheme="aba")).state_after
+    return rec, companion
 
 
 def _step_by_hand(c0, cfg, path, n_total, policy=None, m_fixed=None):
@@ -264,7 +256,7 @@ def _step_by_hand(c0, cfg, path, n_total, policy=None, m_fixed=None):
     Returns (final state, steps taken, (blow-up time, reason), residual
     rows)."""
     companion = c0 if cfg.carries_companion else None
-    state, rows, step, k = c0, [], 0, 0
+    state, rows, n_steps, k = c0, [], 0, 0
     while k < n_total:
         m = m_fixed
         if policy is not None:
@@ -273,21 +265,21 @@ def _step_by_hand(c0, cfg, path, n_total, policy=None, m_fixed=None):
             m = int(bound / path.dt_fine * (1.0 + 1e-12))
             m = min(m - m % cfg.quantum, n_total - k)
             if m <= 0:
-                return state, step, (state.time, "dt_underflow"), rows
+                return state, n_steps, (state.time, "dt_underflow"), rows
         try:
             rec, companion = _public_step(state, path, k, m, cfg, companion)
         except CflViolation:
-            return state, step, (state.time, "cfl_rejected"), rows
+            return state, n_steps, (state.time, "cfl_rejected"), rows
         state = rec.state_after
-        rows += [(step, state.time, sweep, residual)
+        rows += [(n_steps, state.time, sweep, residual)
                  for sweep, residual in enumerate(rec.iterate_residuals, start=2)]
-        step, k = step + 1, k + m
+        n_steps, k = n_steps + 1, k + m
         peak = float(np.max(np.abs(state.values)))
         if not np.isfinite(peak):
-            return state, step, (state.time, "non_finite"), rows
+            return state, n_steps, (state.time, "non_finite"), rows
         if peak > cfg.blowup_threshold:
-            return state, step, (state.time, "threshold"), rows
-    return state, step, (None, None), rows
+            return state, n_steps, (state.time, "threshold"), rows
+    return state, n_steps, (None, None), rows
 
 
 @st.composite

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,20 +26,15 @@ from splitburg import (
     NoisePath,
     SchemeConfig,
     SpatialGrid,
-    ab_step,
-    aba_step,
-    bab_step,
     coarsen,
-    detect_blowup,
     em_step,
     generate_path,
     integrate,
     iter_after_step,
-    iter_before_step,
-    iter_before_trapezoid_step,
     make_initial_state,
     milstein_step,
     scl_step,
+    step,
 )
 from splitburg.burgers import transport
 from splitburg.schemes import SCHEMES
@@ -126,7 +122,7 @@ def test_ab_step_is_the_manual_composition_bitwise():
         state = random_state(rng)
         dw = float(rng.normal(scale=0.1))
         cfg = cfg_for("ab")
-        got = ab_step(state, 0.01, dw, cfg)
+        got = step(state, 0.01, dw, cfg)
         expected = milstein_step(transported(state, 0.01, cfg), cfg.sigma, dw, 0.01)
         assert np.array_equal(got.state_after.values, expected.values)
         assert got.state_after.time == pytest.approx(state.time + 0.01)
@@ -137,14 +133,14 @@ def test_ab_step_noise_off_equals_transport():
     rng = np.random.default_rng(6)
     state = random_state(rng)
     cfg = cfg_for("ab", lam=0.0)
-    got = ab_step(state, 0.01, 0.33, cfg)
+    got = step(state, 0.01, 0.33, cfg)
     assert np.array_equal(got.state_after.values, transported(state, 0.01, cfg).values)
 
 
 def test_ab_step_zero_flux_is_a_pure_stochastic_step():
     cfg = cfg_for("ab", flux=FluxFunction("zero"))
     state = FieldState(GRID, np.linspace(-1.0, 1.0, 16))
-    got = ab_step(state, 0.01, 0.2, cfg)
+    got = step(state, 0.01, 0.2, cfg)
     expected = milstein_step(state.values, cfg.sigma, 0.2, 0.01)
     assert np.array_equal(got.state_after.values, expected)
 
@@ -155,7 +151,7 @@ def test_aba_step_is_the_manual_composition_bitwise():
         state = random_state(rng)
         dw = float(rng.normal(scale=0.1))
         cfg = cfg_for("aba")
-        got = aba_step(state, 0.01, dw, cfg)
+        got = step(state, 0.01, dw, cfg)
         half = transported(state, 0.005, cfg)
         mid = milstein_step(half, cfg.sigma, dw, 0.01)  # full-interval increment
         expected = transported(mid, 0.005, cfg)
@@ -165,7 +161,7 @@ def test_aba_step_is_the_manual_composition_bitwise():
 def test_aba_step_on_constants_is_a_pure_stochastic_step():
     cfg = cfg_for("aba", bc=BoundaryKind.PERIODIC)
     state = FieldState(GRID, np.full(16, 0.8))
-    got = aba_step(state, 0.01, 0.15, cfg)
+    got = step(state, 0.01, 0.15, cfg)
     expected = milstein_step(state.values, cfg.sigma, 0.15, 0.01)
     assert np.array_equal(got.state_after.values, expected)
 
@@ -176,7 +172,7 @@ def test_bab_step_is_the_manual_composition_bitwise():
         state = random_state(rng)
         dw1, dw2 = rng.normal(scale=0.07, size=2)
         cfg = cfg_for("bab")
-        got = bab_step(state, 0.01, dw1, dw2, cfg)
+        got = step(state, 0.01, (dw1, dw2), cfg)
         first = milstein_step(state.values, cfg.sigma, dw1, 0.005)
         moved = propagate_values(first, state, 0.01, cfg)
         expected = milstein_step(moved, cfg.sigma, dw2, 0.005)
@@ -186,7 +182,7 @@ def test_bab_step_is_the_manual_composition_bitwise():
 def test_bab_constant_noise_merges_the_half_increments():
     cfg = cfg_for("bab", sigma_kind="constant", lam=0.4, bc=BoundaryKind.PERIODIC)
     state = FieldState(GRID, np.full(16, 1.1))
-    got = bab_step(state, 0.01, 0.03, -0.05, cfg)
+    got = step(state, 0.01, (0.03, -0.05), cfg)
     merged = em_step(state.values, cfg.sigma, 0.03 + (-0.05))
     assert np.allclose(got.state_after.values, merged, rtol=1e-14)
 
@@ -195,8 +191,8 @@ def test_aba_and_bab_differ_on_a_generic_state():
     rng = np.random.default_rng(12)
     state = random_state(rng)
     dw1, dw2 = 0.08, -0.03
-    aba = aba_step(state, 0.01, dw1 + dw2, cfg_for("aba"))
-    bab = bab_step(state, 0.01, dw1, dw2, cfg_for("bab"))
+    aba = step(state, 0.01, dw1 + dw2, cfg_for("aba"))
+    bab = step(state, 0.01, (dw1, dw2), cfg_for("bab"))
     assert not np.array_equal(aba.state_after.values, bab.state_after.values)
 
 
@@ -246,8 +242,17 @@ def test_iter_after_warns_when_the_fixpoint_diverges():
     rng = np.random.default_rng(20)
     state = random_state(rng)
     cfg = cfg_for("iter_after", lam=1.0, iterations=3)
-    with pytest.warns(ContractionWarning):
-        iter_after_step(state, 0.01, 2.5, cfg)  # |dW| far above the contraction range
+    # |dW| far above the contraction range; however deep in the package the
+    # check runs, the warning names the line that called it
+    calls = (
+        lambda: step(state, 0.01, 2.5, cfg),
+        lambda: iter_after_step(state, 0.01, 2.5, cfg),
+        lambda: integrate(state, 0.01, cfg, given_path([2.5]), dt=0.01),
+    )
+    for call in calls:
+        with pytest.warns(ContractionWarning) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__]
 
 
 @pytest.mark.parametrize("sigma_kind", ["linear", "constant"])
@@ -257,7 +262,7 @@ def test_iter_before_single_iterate_formula_bitwise(sigma_kind):
         state = random_state(rng)
         dw = float(rng.normal(scale=0.1))
         cfg = cfg_for("iter_before", sigma_kind=sigma_kind, iterations=1)
-        got = iter_before_step(state, 0.01, dw, cfg)
+        got = step(state, 0.01, dw, cfg)
         u = state.values
         amp = np.asarray(cfg.sigma(u), dtype=np.float64)
         corr = amp * np.asarray(cfg.sigma.deriv(u), dtype=np.float64)
@@ -271,7 +276,7 @@ def test_iter_before_noise_off_is_pure_transport():
     state = random_state(rng)
     for iterations in (1, 2):
         cfg = cfg_for("iter_before", lam=0.0, iterations=iterations)
-        got = iter_before_step(state, 0.01, 0.6, cfg)
+        got = step(state, 0.01, 0.6, cfg)
         assert np.array_equal(
             got.state_after.values, transported(state, 0.01, cfg).values
         )
@@ -282,7 +287,7 @@ def test_iter_before_constant_noise_propagates_the_ones_direction():
     state = random_state(rng)
     dw = 0.12
     cfg = cfg_for("iter_before", sigma_kind="constant", lam=0.4, iterations=1)
-    got = iter_before_step(state, 0.01, dw, cfg)
+    got = step(state, 0.01, dw, cfg)
     base = transported(state, 0.01, cfg).values
     forced = propagate_values(np.full(16, 0.4), state, 0.01, cfg)
     assert np.allclose(got.state_after.values, base + forced * dw, rtol=1e-14)
@@ -294,14 +299,13 @@ def test_iter_before_second_iterate_reuses_the_companion_state():
     companion = random_state(rng)
     dw = 0.09
     cfg = cfg_for("iter_before", iterations=2)
-    got = iter_before_step(state, 0.01, dw, cfg, aba_state=companion)
+    got = step(state, 0.01, dw, cfg, companion)
     # the refreshed iterate evaluates the same formula at the companion values
-    alone = iter_before_step(companion, 0.01, dw,
-                             cfg_for("iter_before", iterations=1))
+    alone = step(companion, 0.01, dw, cfg_for("iter_before", iterations=1))
     assert np.array_equal(got.state_after.values, alone.state_after.values)
     assert len(got.iterate_residuals) == 1
     # without a companion the refresh re-evaluates at the start state
-    standalone = iter_before_step(state, 0.01, dw, cfg)
+    standalone = step(state, 0.01, dw, cfg)
     assert standalone.iterate_residuals == (0.0,)
 
 
@@ -313,9 +317,9 @@ def test_iter_before_step_raises_the_companion_aba_steps_cfl_violation():
     dt, dw = GRID.dx / companion.peak, 3.0
     cfg = cfg_for("iter_before", iterations=2)
     with pytest.raises(CflViolation) as aba_error:
-        aba_step(companion, dt, dw, cfg)
+        step(companion, dt, dw, replace(cfg, scheme="aba"))
     with pytest.raises(CflViolation) as step_error:
-        iter_before_step(state, dt, dw, cfg, aba_state=companion)
+        step(state, dt, dw, cfg, companion)
     assert str(step_error.value) == str(aba_error.value)
 
 
@@ -323,7 +327,7 @@ def test_trapezoid_noise_off_is_pure_transport():
     rng = np.random.default_rng(32)
     state = random_state(rng)
     cfg = cfg_for("iter_before_trapezoid", lam=0.0, iterations=3)
-    got = iter_before_trapezoid_step(state, 0.01, 0.5, cfg)
+    got = step(state, 0.01, 0.5, cfg)
     assert np.array_equal(got.state_after.values, transported(state, 0.01, cfg).values)
     assert len(got.iterate_residuals) == 2
 
@@ -333,7 +337,7 @@ def test_trapezoid_zero_increment_keeps_the_quadratic_drift():
     state = random_state(rng)
     cfg = cfg_for("iter_before_trapezoid", sigma_kind="constant", lam=0.4,
                   iterations=2)
-    got = iter_before_trapezoid_step(state, 0.01, 0.0, cfg)
+    got = step(state, 0.01, 0.0, cfg)
     expected = transported(state, 0.01, cfg).values - 0.5 * 0.4**2 * 0.01
     assert np.allclose(got.state_after.values, expected, rtol=1e-14)
 
@@ -344,7 +348,7 @@ def test_trapezoid_recursion_matches_a_hand_rollout(sigma_kind):
     state = random_state(rng)
     dw = 0.08
     cfg = cfg_for("iter_before_trapezoid", sigma_kind=sigma_kind, iterations=3)
-    got = iter_before_trapezoid_step(state, 0.01, dw, cfg)
+    got = step(state, 0.01, dw, cfg)
 
     u = state.values
     prop = lambda v: propagate_values(v, state, 0.01, cfg)
@@ -359,20 +363,6 @@ def test_trapezoid_recursion_matches_a_hand_rollout(sigma_kind):
     assert got.iterate_residuals == (
         float(np.mean(np.abs(c2 - c1))), float(np.mean(np.abs(c3 - c2)))
     )
-
-
-# ------------------------------------------------------------- blow-up
-
-
-def test_detect_blowup_boundaries():
-    state = FieldState(GRID, np.zeros(16))
-    assert not detect_blowup(state)
-    spiked = state.with_values(np.where(np.arange(16) == 3, 1e6, 0.0))
-    assert not detect_blowup(spiked)  # threshold is strict
-    assert detect_blowup(spiked.with_values(spiked.values * 1.001))
-    assert detect_blowup(state.with_values(np.where(np.arange(16) == 3, np.nan, 0.0)))
-    with pytest.raises(ConfigError):
-        detect_blowup(state, threshold=0.0)
 
 
 # ------------------------------------------------------------ integrate
@@ -443,7 +433,7 @@ def test_integrate_fixed_dt_consumes_the_coarsened_path():
         assert end.n_steps == i + 1
         assert end.last_record.dt_used == pytest.approx(0.01)
         assert end.final_state.time == pytest.approx(0.01 * (i + 1))
-        manual = ab_step(manual, 0.01, dw, cfg).state_after
+        manual = step(manual, 0.01, dw, cfg).state_after
         assert np.array_equal(end.final_state.values, manual.values)
     assert np.array_equal(traj.final_state.values, manual.values)
 
@@ -538,10 +528,9 @@ def test_integrate_carries_the_aba_companion_across_steps():
 
     dw1 = path.increment_over(0, 10)
     dw2 = path.increment_over(10, 20)
-    step1 = iter_before_step(c0, 0.01, dw1, cfg, aba_state=c0)
-    companion = aba_step(c0, 0.01, dw1, cfg).state_after
-    step2 = iter_before_step(step1.state_after, 0.01, dw2, cfg,
-                             aba_state=companion)
+    step1 = step(c0, 0.01, dw1, cfg, c0)
+    companion = step(c0, 0.01, dw1, replace(cfg, scheme="aba")).state_after
+    step2 = step(step1.state_after, 0.01, dw2, cfg, companion)
     assert np.array_equal(ends[0].final_state.values, step1.state_after.values)
     assert np.array_equal(ends[1].final_state.values, step2.state_after.values)
     # the kernel's new values and companion own their data: no dead stack
@@ -755,18 +744,44 @@ def test_step_functions_reject_non_positive_dt(dt):
     steps = (
         lambda: scl_step(state, dt, FluxFunction(), BoundaryKind.PERIODIC),
         lambda: scl_step(state, dt, FluxFunction("zero"), BoundaryKind.PERIODIC),
-        lambda: ab_step(state, dt, 0.1, cfg_for("ab")),
-        lambda: ab_step(state, dt, 0.1, cfg_for("ab", flux=FluxFunction("zero"))),
-        lambda: aba_step(state, dt, 0.1, cfg_for("aba")),
-        lambda: bab_step(state, dt, 0.05, 0.05, cfg_for("bab")),
+        lambda: step(state, dt, 0.1, cfg_for("ab")),
+        lambda: step(state, dt, 0.1, cfg_for("ab", flux=FluxFunction("zero"))),
+        lambda: step(state, dt, 0.1, cfg_for("aba")),
+        lambda: step(state, dt, (0.05, 0.05), cfg_for("bab")),
         lambda: iter_after_step(state, dt, 0.1, cfg_for("iter_after")),
-        lambda: iter_before_step(state, dt, 0.1, cfg_for("iter_before")),
-        lambda: iter_before_trapezoid_step(state, dt, 0.1,
-                                           cfg_for("iter_before_trapezoid")),
+        lambda: step(state, dt, 0.1, cfg_for("iter_before")),
+        lambda: step(state, dt, 0.1, cfg_for("iter_before_trapezoid")),
     )
-    for step in steps:
+    for call in steps:
         with pytest.raises(ConfigError, match="dt must be positive"):
-            step()
+            call()
+
+
+@pytest.mark.parametrize("public, scheme, iterations, dw, companion", [
+    # bab reads the pair of half-interval increments, every other scheme one
+    (step, "bab", 1, 0.1, False),
+    (step, "ab", 1, (0.05, 0.05), False),
+    (step, "aba", 1, (0.05, 0.05), False),
+    (step, "iter_after", 2, (0.05, 0.05), False),
+    (step, "iter_before", 2, (0.05, 0.05), False),
+    (step, "iter_before_trapezoid", 2, (0.05, 0.05), False),
+    # only iter_before at I=2 carries an aba companion
+    (step, "ab", 1, 0.1, True),
+    (step, "bab", 1, (0.05, 0.05), True),
+    (step, "iter_before", 1, 0.1, True),
+    (step, "iter_before_trapezoid", 2, 0.1, True),
+    # iter_after_step runs no other scheme's kernel
+    (iter_after_step, "ab", 1, 0.1, False),
+    (iter_after_step, "iter_before", 2, 0.1, False),
+    (iter_after_step, "bab", 1, (0.05, 0.05), False),
+])
+def test_step_refuses_arguments_that_do_not_fit_the_cell(public, scheme, iterations,
+                                                         dw, companion):
+    state = sine_state(16)
+    cfg = cfg_for(scheme, iterations=iterations)
+    extra = (state,) if companion else ()
+    with pytest.raises(ConfigError, match=rf"\b{scheme}\b"):
+        public(state, 0.01, dw, cfg, *extra)
 
 
 def test_iter_before_rejects_every_seed_at_lambda_two():
