@@ -10,8 +10,9 @@ one formula with the kind's coefficient: the flux (a * u) * u, the speed
 f'(u) = 2a * u and the peak speed (2a) * max|u|, with no branch on the kind.
 
 `transport(flux, bc, dx)` is the one owner of that step: every scheme
-kernel, `scl_step` and so the noise-free baseline move their fields through
-the `move` it returns, and nothing outside this module calls `_eo_step`.
+kernel, `scl_step` and the noise-free baseline (one owner per baseline) move
+their fields through the `move` it returns, and nothing outside this module
+calls `_eo_step`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import CflViolation, ConfigError, check_kind, check_number, check_positive
+from .errors import (CflViolation, ConfigError, check_kind, check_number, check_positive,
+                     is_positive)
 from .grid import BoundaryKind, FieldState
 from .noise import NoiseAmplitude
 
@@ -190,11 +192,8 @@ class CflMode(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "CflMode":
-        check_kind(name, _CFL_MODE_NAMES, "CFL mode")
+        check_kind(name, tuple(mode.value for mode in cls), "CFL mode")
         return cls(name)
-
-
-_CFL_MODE_NAMES = tuple(mode.value for mode in CflMode)
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,8 @@ class CflPolicy:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
-        check_number(self.safety, lambda s: 0.0 < s <= 1.0, "safety", "lie in (0, 1]")
+        check_number(self.safety, lambda s: is_positive(s) and s <= 1.0, "safety",
+                     "lie in (0, 1]")
         check_positive(self.xi_bound, "xi_bound")
         if self.dt_max is not None:
             check_positive(self.dt_max, "dt_max")

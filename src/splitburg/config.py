@@ -9,6 +9,14 @@ horizon are cross-checked here (each dt ladder entry's path alignment by
 `noise.check_path_steps`, repeated cells and seeds by `errors.check_unique`)
 so every downstream step can assume an aligned, well-formed study that it
 can draw the noise for.
+
+`RunConfig` owns every rule of a study, so a study built in code and one
+read from YAML are the same: it derives `dt_fine` as half the finest dt
+ladder entry when none is given (after the ladder's own checks, so a bad
+ladder is blamed on the ladder) and refuses an empty scheme list or dt
+ladder.  The parser only turns keys into fields; it keeps the rules that
+name YAML keys `RunConfig` does not have (`dt_ladder.levels`,
+`seeds.count`).
 """
 
 from __future__ import annotations
@@ -66,7 +74,8 @@ class RunConfig:
 
     A field that a runtime class also has takes its default from that class
     (`FluxFunction`, `NoiseAmplitude`, `CflPolicy`, `SchemeConfig`), so the
-    two cannot drift apart.
+    two cannot drift apart.  `dt_fine` left as None becomes half the finest
+    `dt_ladder` entry.
     """
 
     x_min: float = 0.0
@@ -79,7 +88,7 @@ class RunConfig:
     lam: float = NoiseAmplitude.lam
     schemes: tuple[SchemeSpec, ...] = (SchemeSpec("ab"),)
     dt_ladder: tuple[float, ...] = (0.005,)
-    dt_fine: float = 0.0025
+    dt_fine: float | None = None
     t_end: float = 0.1
     seeds: tuple[int, ...] = tuple(range(DEFAULT_SEED_BASE, DEFAULT_SEED_BASE + DEFAULT_SEED_COUNT))
     cfl_mode: str = CflPolicy.mode.value
@@ -107,6 +116,8 @@ class RunConfig:
             check_positive(dt, "dt_ladder")
         if any(b >= a for a, b in zip(self.dt_ladder, self.dt_ladder[1:])):
             raise ConfigError("dt ladder must be strictly decreasing")
+        if self.dt_fine is None:
+            object.__setattr__(self, "dt_fine", self.dt_ladder[-1] / 2.0)
         check_positive(self.t_end, "t_end")
         # the dt ladder entries in fine steps; step_counts checks each fits
         ms = [step_counts(self.t_end, self.dt_fine, dt, quantum)[1]
@@ -227,8 +238,8 @@ def _parse_ic(section) -> InitialCondition:
 
 
 def _parse_schemes(section) -> tuple[SchemeSpec, ...]:
-    if not isinstance(section, list) or not section:
-        raise ConfigError("schemes must be a non-empty list")
+    if not isinstance(section, list):
+        raise ConfigError("schemes must be a list")
     specs = []
     for entry in section:
         if isinstance(entry, str):
@@ -251,8 +262,6 @@ def _parse_schemes(section) -> tuple[SchemeSpec, ...]:
 
 def _parse_ladder(section) -> tuple[float, ...]:
     if isinstance(section, list):
-        if not section:
-            raise ConfigError("dt_ladder must not be empty")
         return tuple(_as_float(v, "dt_ladder") for v in section)
     if isinstance(section, dict):
         _reject_unknown(section, {"base", "levels"}, "dt_ladder")
@@ -304,7 +313,8 @@ _STRUCTURED = {
     "seeds": ("seeds", _parse_seeds),
 }
 
-_SECTIONS = ("grid", "noise", "cfl")
+#: the YAML sections that hold scalars, in `_SCALARS` order
+_SECTIONS = tuple(dict.fromkeys(key.partition(".")[0] for key in _SCALARS if "." in key))
 
 
 def parse_config(doc) -> RunConfig:
@@ -331,8 +341,6 @@ def parse_config(doc) -> RunConfig:
     for key, (field_name, parse) in _STRUCTURED.items():
         if key in doc:
             kwargs[field_name] = parse(doc[key])
-    if "dt_ladder" in kwargs:  # dt_fine defaults to half the finest level
-        kwargs["dt_fine"] = kwargs["dt_ladder"][-1] / 2.0
     for key, (field_name, coerce) in _SCALARS.items():
         section, _, leaf = key.rpartition(".")
         node = doc.get(section, {}) if section else doc

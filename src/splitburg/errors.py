@@ -1,14 +1,16 @@
 """Shared exception types, and the one gate of each validation rule: a
 number that meets a test (positive and finite among them), a named kind, a
-whole number in a range, and entries without repeats.  A gate refuses a
-value that is not a number, such as None or a string, with the same
-ConfigError as a number that breaks its rule."""
+whole number in a range, and entries without repeats.
+
+`is_finite` is the one definition of a number, and every numeric gate is
+built on it: a finite real that is not a bool (Python's or numpy's) and not
+an int too large for a float.  A gate refuses anything else, such as None, a
+string, `True` or 10**400, with the same ConfigError naming the field as a
+number that breaks its rule."""
 
 import math
 import numbers
 from collections import Counter
-
-import numpy as np
 
 
 class ConfigError(ValueError):
@@ -27,21 +29,26 @@ def check_number(value, holds, name: str, rule: str) -> None:
     raise ConfigError(f"{name} must {rule}, got {value!r}")
 
 
+def is_finite(value) -> bool:
+    """A finite real number: not NaN, an infinity, a bool (Python's or
+    numpy's), a complex number, a string, None or a sequence, whatever its
+    entries.  An int too large for a float gives False, not an
+    OverflowError."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
+
+
 def is_positive(value) -> bool:
-    """0 < value < inf, so NaN and infinities fail."""
-    return 0.0 < value < math.inf
+    """A finite number above 0 (`is_finite`)."""
+    return is_finite(value) and value > 0.0
 
 
 def is_non_negative(value) -> bool:
-    """0 <= value < inf, so NaN and infinities fail."""
-    return 0.0 <= value < math.inf
-
-
-def is_finite(value) -> bool:
-    """A finite real number: not NaN, an infinity, a bool (Python's or
-    numpy's), a complex number or a sequence, whatever its entries."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """A finite number at or above 0 (`is_finite`)."""
+    return is_finite(value) and value >= 0.0
 
 
 def check_positive(value, name: str) -> None:
@@ -56,17 +63,11 @@ def check_kind(value, allowed, what: str) -> None:
 
 
 def check_whole(value, low, high, rule: str) -> int:
-    """`value` as an int, or ConfigError stating `rule` unless it is a whole
-    number with low <= value < high.  An integral float counts as whole and
-    a bool (Python's or numpy's) does not; the range is compared first, so
-    NaN and infinities are refused before `int`, and a value that does not
-    compare as a number is refused too."""
-    try:
-        if (not isinstance(value, (bool, np.bool_))
-                and low <= value < high and int(value) == value):
-            return int(value)
-    except TypeError:
-        pass
+    """`value` as an int, or ConfigError stating `rule` unless it is a
+    number (`is_finite`) that is whole, with low <= value < high.  An
+    integral float counts as whole."""
+    if is_finite(value) and low <= value < high and int(value) == value:
+        return int(value)
     raise ConfigError(f"{rule}, got {value}")
 
 

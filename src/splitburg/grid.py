@@ -77,11 +77,8 @@ class BoundaryKind(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "BoundaryKind":
-        check_kind(name, _BOUNDARY_NAMES, "boundary kind")
+        check_kind(name, tuple(kind.value for kind in cls), "boundary kind")
         return cls(name)
-
-
-_BOUNDARY_NAMES = tuple(kind.value for kind in BoundaryKind)
 
 
 def _scan(values: np.ndarray) -> tuple[np.ndarray, float]:

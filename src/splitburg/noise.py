@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConfigError, ResourceLimit, check_kind, check_number, check_positive,
-                     check_whole, is_non_negative)
+                     check_whole, is_finite, is_non_negative)
 from .grid import FieldState
 
 _NOISE_KINDS = ("linear", "constant")
@@ -249,11 +249,10 @@ def step_counts(t_end: float, dt_fine: float, dt: float | None = None,
     unit = f"{quantum} * dt_fine" if quantum > 1 else "dt_fine"
     counts = []
     for name, value in (("t_end", t_end), ("dt", dt)):
-        if value is None:
+        if value is None and name == "dt":
             counts.append(None)
             continue
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+        check_number(value, is_finite, name, "be finite")
         n = whole_steps(value, dt_fine)
         if n is None or n % quantum:
             raise ConfigError(f"{name} {value} is not a whole multiple of "

@@ -22,10 +22,17 @@ from splitburg import (
     SchemeConfig,
     SchemeSpec,
     SpatialGrid,
+    cfl_dt,
     emit_csv,
+    exact_linear_sde,
+    generate_path,
+    integrate,
+    make_initial_state,
     parse_config,
     parse_config_file,
     run_matrix,
+    scl_step,
+    step,
 )
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -337,6 +344,54 @@ def test_number_gates_refuse_what_is_not_a_number(build, field):
     # number is the field's ConfigError there, not a TypeError
     with pytest.raises(ConfigError, match=f"{field} must .*, got "):
         build()
+
+
+def _unit_state():
+    return make_initial_state(SpatialGrid(0.0, 1.0, 10), InitialCondition.sine_bump())
+
+
+#: field -> a call that hands `bad` to that field and valid values elsewhere
+_NUMBER_GATES = {
+    "lam": lambda bad: NoiseAmplitude("linear", bad),
+    "blowup_threshold": lambda bad: SchemeConfig("ab", blowup_threshold=bad),
+    "safety": lambda bad: CflPolicy(safety=bad),
+    "xi_bound": lambda bad: CflPolicy(xi_bound=bad),
+    "dt_max": lambda bad: CflPolicy(dt_max=bad),
+    "x_min": lambda bad: SpatialGrid(bad, 1.0, 10),
+    "n_cells": lambda bad: SpatialGrid(0.0, 1.0, bad),
+    "value": lambda bad: InitialCondition("constant", value=bad),
+    "dt": lambda bad: step(_unit_state(), bad, 0.0, SchemeConfig("ab")),
+    "scl_step.dt": lambda bad: scl_step(_unit_state(), bad, SchemeConfig.flux,
+                                        SchemeConfig.bc),
+    "dt_fine": lambda bad: generate_path(1, 0.1, bad),
+    "t_end": lambda bad: integrate(_unit_state(), bad, SchemeConfig("ab"),
+                                   generate_path(1, 0.1, 0.01), dt=0.01),
+    "t": lambda bad: exact_linear_sde(1.0, 0.5, 0.0, bad),
+    "t_remaining": lambda bad: cfl_dt(_unit_state(), NoiseAmplitude(), CflPolicy(),
+                                      t_remaining=bad),
+    "RunConfig.t_end": lambda bad: RunConfig(t_end=bad),
+    "RunConfig.seeds": lambda bad: RunConfig(seeds=(bad,)),
+    "parse_config.seeds": lambda bad: parse_config({"seeds": [bad]}),
+}
+
+
+_NOT_NUMBERS = {"True": True, "np.True_": np.True_, "str": "1", "None": None,
+                "10**400": 10**400}
+
+
+# dt_max and t_remaining are optional: None is their "no cap"
+@pytest.mark.parametrize("target, bad", [
+    pytest.param(target, bad, id=f"{target}-{name}")
+    for target in _NUMBER_GATES for name, bad in _NOT_NUMBERS.items()
+    if not (bad is None and target in ("dt_max", "t_remaining"))
+])
+def test_every_number_gate_refuses_bools_non_numbers_and_huge_ints(target, bad):
+    # errors.is_finite is the one definition of a number behind every gate:
+    # a bool is not 1, a string or None is not compared, and an int too
+    # large for a float is refused, not an OverflowError
+    field = target.rpartition(".")[2]
+    with pytest.raises(ConfigError, match=rf"\b{re.escape(field)} must "):
+        _NUMBER_GATES[target](bad)
 
 
 def test_seeds_are_stored_as_ints(tmp_path):

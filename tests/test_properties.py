@@ -10,7 +10,8 @@ from hypothesis import event, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from splitburg import BoundaryKind, CflViolation, FluxFunction  # noqa: E402
+from splitburg import (BoundaryKind, CflViolation, FluxFunction, RunConfig,  # noqa: E402
+                       parse_config)
 from splitburg.burgers import _eo_step, transport  # noqa: E402
 from splitburg.grid import _mean_abs  # noqa: E402
 
@@ -377,6 +378,21 @@ def test_row_means_of_a_stack_equal_one_mean_abs_per_row(k, n, seed, decades):
     rows = np.add.reduce(np.abs(d), axis=-1)
     for i in range(k):
         assert rows[i] / n == _mean_abs(d[i].copy())
+
+
+@settings(max_examples=100, deadline=None)
+@given(base=st.sampled_from([0.1, 0.05, 0.025, 0.02, 0.01, 0.005]),
+       levels=st.integers(1, 5), horizon=st.integers(1, 4))
+def test_code_and_yaml_derive_the_same_study(base, levels, horizon):
+    # RunConfig alone defaults dt_fine, to half the finest dt, so a study
+    # built in code is the study its YAML ladder describes, in either form
+    ladder = tuple(base / 2**k for k in range(levels))
+    t_end = horizon * base
+    from_code = RunConfig(dt_ladder=ladder, t_end=t_end)
+    assert from_code.dt_fine == ladder[-1] / 2
+    assert from_code == parse_config({"dt_ladder": list(ladder), "t_end": t_end})
+    assert from_code == parse_config(
+        {"dt_ladder": {"base": base, "levels": levels}, "t_end": t_end})
 
 
 # --- ROADMAP item 10: why iter_before's transported amplitudes refuse steps ---
