@@ -10,9 +10,8 @@ one formula with the kind's coefficient: the flux (a * u) * u, the speed
 f'(u) = 2a * u and the peak speed (2a) * max|u|, with no branch on the kind.
 
 `transport(flux, bc, dx)` is the one owner of that step: every scheme
-kernel, `scl_step` and the noise-free baseline (one owner per baseline) move
-their fields through the `move` it returns, and nothing outside this module
-calls `_eo_step`.
+kernel, `scl_step` and so the noise-free baseline move their fields through
+the `move` it returns, and nothing outside this module calls `_eo_step`.
 """
 
 from __future__ import annotations

@@ -75,7 +75,9 @@ class RunConfig:
     A field that a runtime class also has takes its default from that class
     (`FluxFunction`, `NoiseAmplitude`, `CflPolicy`, `SchemeConfig`), so the
     two cannot drift apart.  `dt_fine` left as None becomes half the finest
-    `dt_ladder` entry.
+    `dt_ladder` entry at construction, and is then stored as if given: a
+    `dataclasses.replace` that changes the ladder keeps the old `dt_fine`
+    unless it also passes `dt_fine=None` to derive it again.
     """
 
     x_min: float = 0.0

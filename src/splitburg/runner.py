@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import EnsembleSample, summarize
-from .burgers import transport
+from .burgers import scl_step
 from .config import RunConfig, _as_int
 from .errors import CflViolation, ConfigError
 from .grid import FieldState
@@ -188,26 +188,21 @@ def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
     """Noise-free solution advanced to t_end with the same fixed dt and mesh.
 
     This is the baseline the summary errors are measured against; it is
-    computed once per dt level and shared by every scheme cell.  It builds
-    one `burgers.transport` owner, with the flux and boundary `make_scheme`
-    gives the cells, and steps the raw values through its `move` under one
-    `np.errstate`, adding dt to the time each step as `scl_step` does; the
-    end state is the one `FieldState` it wraps.  A step above the stability
-    bound is a ConfigError.
+    computed once per dt level and shared by every scheme cell.  Its steps
+    are `scl_step`s with the flux and boundary `make_scheme` gives the
+    cells, built once per baseline, so it is moved by the same
+    `burgers.transport` as they are.
     """
-    c0 = cfg.make_state()
-    move = transport(cfg.make_flux(), cfg.make_bc(), c0.grid.dx)
+    state, flux, bc = cfg.make_state(), cfg.make_flux(), cfg.make_bc()
     n_total, m = step_counts(cfg.t_end, cfg.dt_fine, dt)
-    u, t = c0.values, c0.time
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(n_total // m):
-                u, t = move(u, dt), t + dt
+        for _ in range(n_total // m):
+            state = scl_step(state, dt, flux, bc)
     except CflViolation as exc:
         raise ConfigError(
             f"dt {dt:g} is unstable for the noise-free baseline: {exc}"
         ) from None
-    return c0.with_values(u, t)
+    return state
 
 
 def run_matrix(

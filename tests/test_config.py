@@ -315,37 +315,6 @@ def test_counts_are_gated_as_given_before_a_cell_takes_them_as_ints():
         RunConfig(schemes=(SchemeSpec("iter_after", (2, 2.0)),))
 
 
-def test_whole_number_gates_refuse_what_is_not_a_number():
-    # one gate (errors.check_whole) serves n_cells, iteration counts and
-    # seeds, so a string is a ConfigError for each, not a TypeError from
-    # its comparison
-    for kwargs, rule in (({"n_cells": "10"}, "n_cells"),
-                         ({"seeds": ("1",)}, "below 2\\*\\*128"),
-                         ({"seeds": (None,)}, "below 2\\*\\*128")):
-        with pytest.raises(ConfigError, match=rule):
-            RunConfig(**kwargs)
-    with pytest.raises(ConfigError, match="iter_after takes iterations"):
-        SchemeConfig("iter_after", iterations="2")
-
-
-@pytest.mark.parametrize("build, field", [
-    (lambda: InitialCondition("constant", value=None), "value"),
-    (lambda: InitialCondition.table([0, "a", 1], [0.0, 1.0, 0.0]), "x_table"),
-    (lambda: InitialCondition.table([0.0, 0.5, 1.0], [0.0, None, 0.0]), "u_table"),
-    (lambda: SpatialGrid("0", 1.0, 10), "x_min"),
-    (lambda: SpatialGrid(0.0, None, 10), "x_max"),
-    (lambda: NoiseAmplitude("linear", None), "lam"),
-    (lambda: CflPolicy(safety="0.5"), "safety"),
-    (lambda: CflPolicy(dt_max="0.1"), "dt_max"),
-    (lambda: SchemeConfig("ab", blowup_threshold="1e6"), "blowup_threshold"),
-])
-def test_number_gates_refuse_what_is_not_a_number(build, field):
-    # the gates of errors.py compare, so a value that does not compare as a
-    # number is the field's ConfigError there, not a TypeError
-    with pytest.raises(ConfigError, match=f"{field} must .*, got "):
-        build()
-
-
 def _unit_state():
     return make_initial_state(SpatialGrid(0.0, 1.0, 10), InitialCondition.sine_bump())
 
@@ -358,8 +327,12 @@ _NUMBER_GATES = {
     "xi_bound": lambda bad: CflPolicy(xi_bound=bad),
     "dt_max": lambda bad: CflPolicy(dt_max=bad),
     "x_min": lambda bad: SpatialGrid(bad, 1.0, 10),
+    "x_max": lambda bad: SpatialGrid(0.0, bad, 10),
     "n_cells": lambda bad: SpatialGrid(0.0, 1.0, bad),
     "value": lambda bad: InitialCondition("constant", value=bad),
+    "x_table": lambda bad: InitialCondition.table([0.0, bad, 2.0], [0.0, 1.0, 0.0]),
+    "u_table": lambda bad: InitialCondition.table([0.0, 0.5, 1.0], [0.0, bad, 0.0]),
+    "iterations": lambda bad: SchemeConfig("iter_after", iterations=bad),
     "dt": lambda bad: step(_unit_state(), bad, 0.0, SchemeConfig("ab")),
     "scl_step.dt": lambda bad: scl_step(_unit_state(), bad, SchemeConfig.flux,
                                         SchemeConfig.bc),
@@ -387,10 +360,10 @@ _NOT_NUMBERS = {"True": True, "np.True_": np.True_, "str": "1", "None": None,
 ])
 def test_every_number_gate_refuses_bools_non_numbers_and_huge_ints(target, bad):
     # errors.is_finite is the one definition of a number behind every gate:
-    # a bool is not 1, a string or None is not compared, and an int too
-    # large for a float is refused, not an OverflowError
+    # a bool is not 1, a string or None is not compared (no TypeError), and
+    # an int too large for a float is refused, not an OverflowError
     field = target.rpartition(".")[2]
-    with pytest.raises(ConfigError, match=rf"\b{re.escape(field)} must "):
+    with pytest.raises(ConfigError, match=rf"\b{re.escape(field)}\b.*, got "):
         _NUMBER_GATES[target](bad)
 
 

@@ -393,6 +393,12 @@ def test_code_and_yaml_derive_the_same_study(base, levels, horizon):
     assert from_code == parse_config({"dt_ladder": list(ladder), "t_end": t_end})
     assert from_code == parse_config(
         {"dt_ladder": {"base": base, "levels": levels}, "t_end": t_end})
+    # the default is applied at construction: replace derives it again
+    # only when dt_fine=None is passed with the new ladder
+    finer = tuple(dt / 2 for dt in ladder)
+    assert replace(from_code, dt_ladder=finer).dt_fine == ladder[-1] / 2
+    assert (replace(from_code, dt_ladder=finer, dt_fine=None)
+            == RunConfig(dt_ladder=finer, t_end=t_end))
 
 
 # --- ROADMAP item 10: why iter_before's transported amplitudes refuse steps ---

@@ -75,20 +75,14 @@ def test_reference_endpoint_builds_its_flux_and_boundary_once(monkeypatch):
                             lambda self, name=name, real=real: built.update([name])
                             or real(self))
     steps = Counter()
-    real_transport = runner_mod.transport
-
-    def counted_transport(*args):
-        steps.update(["transport"])
-        move = real_transport(*args)
-        return lambda *a: steps.update(["move"]) or move(*a)
-
-    monkeypatch.setattr(runner_mod, "transport", counted_transport)
+    real_step = runner_mod.scl_step
+    monkeypatch.setattr(runner_mod, "scl_step",
+                        lambda *a: steps.update(["scl_step"]) or real_step(*a))
     got = reference_endpoint(cfg, 0.01)
-    # one transport owner, one flux and one boundary for all five moves
-    assert steps == {"transport": 1, "move": 5}
+    # five steps, one flux and one boundary between them
+    assert steps == {"scl_step": 5}
     assert built == {"make_flux": 1, "make_bc": 1}
     assert np.array_equal(got.values, want.values)
-    assert got.time == want.time
 
 
 def test_reference_endpoint_rejects_unstable_dt():
