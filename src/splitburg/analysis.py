@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .errors import check_ladder
 from .grid import FieldState, l1_distance
 
 
@@ -151,20 +152,16 @@ class FitResult:
 def fit_order(pairs: Sequence[tuple[float, float]]) -> FitResult:
     """Fit error ~ C * dt^p over (dt, error) pairs; returns p.
 
-    dt values must be finite and strictly decreasing.  Non-positive and
+    The dt values must form a dt ladder (`errors.check_ladder`: positive,
+    finite and strictly decreasing), else ConfigError.  Non-positive and
     non-finite errors are excluded (flagged by index); fewer than 3
     surviving points is a fit failure.
     """
     if len(pairs) < 3:
         raise ValueError(f"order fit needs >= 3 (dt, error) pairs, got {len(pairs)}")
+    check_ladder([p[0] for p in pairs], "dt")
     dts = np.asarray([p[0] for p in pairs], dtype=np.float64)
     errs = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    if not np.all(np.isfinite(dts)):
-        raise ValueError("dt values must be finite")
-    if np.any(dts <= 0.0):
-        raise ValueError("dt values must be positive")
-    if np.any(np.diff(dts) >= 0.0):
-        raise ValueError("dt values must be strictly decreasing")
     keep = (errs > 0.0) & np.isfinite(errs)
     excluded = tuple(int(i) for i in np.nonzero(~keep)[0])
     if keep.sum() < 3:

@@ -3,22 +3,19 @@
     splitburg run <config> [--out DIR] [--jobs N] [--quiet]
     splitburg validate <config>
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure in any cell.
-The output directory resolves as --out, then the SPLITBURG_OUT environment
-variable, then the config's output_dir.
+Exit codes: 0 success (and --help), 1 configuration or usage error (such as
+an unknown subcommand or `--jobs x`), 2 runtime failure in any cell.  The
+output directory is --out when given, else the config's output_dir.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import parse_config_file
 from .errors import ConfigError
 from .runner import CsvWriter, reference_endpoint, run_matrix
-
-OUT_ENV_VAR = "SPLITBURG_OUT"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -34,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("config", help="path to a YAML run configuration")
     run.add_argument("--out", default=None,
-                     help=f"output directory (overrides {OUT_ENV_VAR} and the config)")
+                     help="output directory (overrides the config's output_dir)")
     run.add_argument("--jobs", type=int, default=1,
                      help="worker processes, at most one per usable CPU; "
                           "1 runs in-process (default)")
@@ -50,7 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means a failed cell here
+        return 1 if exc.code else 0
 
     try:
         cfg = parse_config_file(args.config)
@@ -68,7 +69,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = args.out or os.environ.get(OUT_ENV_VAR) or cfg.output_dir
+    out_dir = args.out or cfg.output_dir
     try:
         # only this process writes: the pool's outcomes come back to it
         writer = CsvWriter(out_dir, cfg.make_grid().centers)

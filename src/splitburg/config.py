@@ -1,34 +1,41 @@
 """Run configuration: a strict, picklable description of an ensemble study.
 
-The document is YAML (JSON-style flow syntax also parses).  Unknown keys are
-rejected by name at every level, numeric fields must parse as finite numbers
-(plain scientific notation like `1e6` is fine even though YAML 1.1 tokenizes
-it as a string), and the dt ladder, path resolution, scheme cells, seeds and
-horizon are cross-checked here (each dt ladder entry's path alignment by
-`noise.step_counts`, the path length against `noise.MAX_PATH_STEPS` by
-`noise.check_path_steps`, repeated cells and seeds by `errors.check_unique`)
-so every downstream step can assume an aligned, well-formed study that it
-can draw the noise for.
+The document is YAML (JSON-style flow syntax also parses).  The parser keeps
+only YAML's own rules: an unknown key is refused by name at every level, and
+so is a key given twice in one mapping; each section has its shape (a
+mapping or a list); the YAML-only keys `dt_ladder.base`/`levels` and
+`seeds.base`/`count` are checked here; and a number key is read by one
+reader that takes plain scientific notation such as `1e6` (YAML 1.1
+tokenizes it as a string) and names the YAML key when the value is not a
+finite number.  Every other value goes to its field as written.
 
-`RunConfig` owns every rule of a study, so a study built in code and one
-read from YAML are the same: it derives `dt_fine` as half the finest dt
-ladder entry when none is given (after the ladder's own checks, so a bad
-ladder is blamed on the ladder) and refuses an empty scheme list or dt
-ladder.  The parser only turns keys into fields; it keeps the rules that
-name YAML keys `RunConfig` does not have (`dt_ladder.levels`,
-`seeds.count`).
+`RunConfig` owns every rule of the fields it holds, so a study built in code
+and one read from YAML are the same.  Its bool and str fields must have
+their defaults' types, `ic` must be an `InitialCondition` and each `schemes`
+entry a `SchemeSpec`; whole numbers (`n_cells`, seeds, iteration counts)
+pass `errors.check_whole`, so an integral float counts and 10.5 does not.
+It derives `dt_fine` as half the finest dt ladder entry when none is given
+(after the ladder's own checks, so a bad ladder is blamed on the ladder),
+refuses an empty scheme list or dt ladder, and cross-checks the dt ladder,
+path resolution, scheme cells, seeds and horizon (each dt ladder entry's
+path alignment by `noise.step_counts`, the path length against
+`noise.MAX_PATH_STEPS` by `noise.check_path_steps`, repeated cells and
+seeds by `errors.check_unique`), so every downstream step can assume an
+aligned, well-formed study that it can draw the noise for.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
 from .burgers import CflMode, CflPolicy, FluxFunction
-from .errors import ConfigError, check_positive, check_unique
+from .errors import (ConfigError, check_kind, check_ladder, check_number, check_positive,
+                     check_type, check_unique, check_whole, is_finite)
 from .grid import (
     BoundaryKind,
     FieldState,
@@ -46,21 +53,25 @@ DEFAULT_SEED_COUNT = 50
 @dataclass(frozen=True)
 class SchemeSpec:
     """One scheme entry of the study matrix; iterative schemes expand to one
-    cell per iteration count.  `RunConfig` gates each count, by building the
-    cell's `SchemeConfig`, and refuses a cell listed twice."""
+    cell per iteration count.  `iterations` is one count or a sequence of
+    counts, stored as a tuple.  `RunConfig` gates each count, by building
+    the cell's `SchemeConfig`, and refuses a cell listed twice."""
 
     name: str
-    iterations: tuple[int, ...] = ()
+    iterations: tuple[int, ...] | int = ()
 
     def __post_init__(self) -> None:
+        counts = self.iterations
+        if isinstance(counts, str) or not isinstance(counts, Iterable):
+            counts = (counts,)
         if not scheme_traits(self.name).iterations:
-            if self.iterations:
+            if counts:
                 raise ConfigError(
                     f"scheme {self.name!r} takes no iteration counts"
                 )
             return
         object.__setattr__(self, "iterations",
-                           tuple(self.iterations or (SchemeConfig.iterations,)))
+                           tuple(counts) or (SchemeConfig.iterations,))
 
     def cells(self) -> tuple[tuple[str, int], ...]:
         """(name, count) per cell, each count as given; 0 for a scheme
@@ -101,12 +112,19 @@ class RunConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
+        # a bool or str field takes its default's type, so "false" is not true
+        for f in fields(self):
+            if isinstance(f.default, (bool, str)):
+                check_type(getattr(self, f.name), type(f.default), f.name)
+        check_type(self.ic, InitialCondition, "ic")
         # constructing the runtime objects validates the enumerated kinds; each
         # scheme cell builds the flux, the noise amplitude and the boundary
         self.make_grid()
         self.make_policy()
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
+        for spec in self.schemes:
+            check_type(spec, SchemeSpec, "schemes entry")
         # each count is gated as given, before `cells` takes it as an int
         quantum = max(self.make_scheme(*cell).quantum
                       for spec in self.schemes for cell in spec.cells())
@@ -114,10 +132,7 @@ class RunConfig:
 
         if not self.dt_ladder:
             raise ConfigError("dt ladder must not be empty")
-        for dt in self.dt_ladder:
-            check_positive(dt, "dt_ladder")
-        if any(b >= a for a, b in zip(self.dt_ladder, self.dt_ladder[1:])):
-            raise ConfigError("dt ladder must be strictly decreasing")
+        check_ladder(self.dt_ladder, "dt_ladder")
         if self.dt_fine is None:
             object.__setattr__(self, "dt_fine", self.dt_ladder[-1] / 2.0)
         check_positive(self.t_end, "t_end")
@@ -175,68 +190,59 @@ class RunConfig:
         )
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, except that a key given twice in one mapping is
+    a ConfigError naming it, not silently the last copy."""
+
+    def construct_mapping(self, node, deep=False):
+        check_unique([key.value for key, _ in node.value
+                      if isinstance(key, yaml.ScalarNode)], "YAML keys")
+        return super().construct_mapping(node, deep)
+
+
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def _as_float(value, name: str) -> float:
-    # YAML 1.1 reads unsigned exponents ("1e6") as strings; coerce those
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return number
+def _number(value, key: str) -> float:
+    """The value of a number key as a float, or ConfigError naming `key`
+    unless it is a number (`errors.is_finite`).  A string is read with
+    `float` first: YAML 1.1 leaves an exponent without a dot, such as
+    `1e6`, a string."""
+    if isinstance(value, str):
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    check_number(value, is_finite, key, "be finite")
+    return float(value)
 
 
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _as_str(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
-    return value
-
-
-#: initial_condition kind -> its number keys; a key the document leaves out
-#: takes the `InitialCondition` field default
-_IC_NUMBERS = {"sine_bump": (), "riemann_step": ("u_left", "u_right"),
-               "constant": ("value",)}
+#: initial_condition kind -> its keys besides `kind`; a number key the
+#: document leaves out takes the `InitialCondition` field default
+_IC_KEYS = {"sine_bump": (), "riemann_step": ("u_left", "u_right"),
+            "constant": ("value",), "table": ("x", "values")}
 
 
 def _parse_ic(section) -> InitialCondition:
     if not isinstance(section, dict):
         raise ConfigError("initial_condition must be a mapping with a 'kind'")
-    kind = _as_str(section.get("kind", ""), "initial_condition.kind")
-    if kind in _IC_NUMBERS:
-        _reject_unknown(section, {"kind", *_IC_NUMBERS[kind]}, "initial_condition")
-        return InitialCondition(kind, **{key: _as_float(section[key], key)
-                                         for key in _IC_NUMBERS[kind] if key in section})
+    kind = section.get("kind", "")
+    check_kind(kind, _IC_KEYS, "initial condition")
+    _reject_unknown(section, {"kind", *_IC_KEYS[kind]}, "initial_condition")
     if kind == "table":
-        _reject_unknown(section, {"kind", "x", "values"}, "initial_condition")
         xs = section.get("x")
         us = section.get("values")
         if not isinstance(xs, list) or not isinstance(us, list):
             raise ConfigError("table initial_condition needs 'x' and 'values' lists")
         return InitialCondition.table(
-            [_as_float(v, "initial_condition.x") for v in xs],
-            [_as_float(v, "initial_condition.values") for v in us],
+            [_number(v, "initial_condition.x") for v in xs],
+            [_number(v, "initial_condition.values") for v in us],
         )
-    return InitialCondition(kind)
+    return InitialCondition(kind, **{key: _number(section[key], key)
+                                     for key in _IC_KEYS[kind] if key in section})
 
 
 def _parse_schemes(section) -> tuple[SchemeSpec, ...]:
@@ -244,68 +250,62 @@ def _parse_schemes(section) -> tuple[SchemeSpec, ...]:
         raise ConfigError("schemes must be a list")
     specs = []
     for entry in section:
-        if isinstance(entry, str):
+        if isinstance(entry, dict):
+            _reject_unknown(entry, {"name", "iterations"}, "schemes entry")
+            specs.append(SchemeSpec(entry.get("name", ""), entry.get("iterations", ())))
+        else:
             specs.append(SchemeSpec(entry))
-            continue
-        if not isinstance(entry, dict):
-            raise ConfigError(f"scheme entry must be a name or mapping, got {entry!r}")
-        _reject_unknown(entry, {"name", "iterations"}, "schemes entry")
-        name = _as_str(entry.get("name", ""), "schemes.name")
-        iters = entry.get("iterations", [])
-        if isinstance(iters, int):
-            iters = [iters]
-        if not isinstance(iters, list):
-            raise ConfigError("schemes.iterations must be an integer or a list")
-        specs.append(
-            SchemeSpec(name, tuple(_as_int(i, "schemes.iterations") for i in iters))
-        )
     return tuple(specs)
 
 
 def _parse_ladder(section) -> tuple[float, ...]:
     if isinstance(section, list):
-        return tuple(_as_float(v, "dt_ladder") for v in section)
+        return tuple(_number(v, "dt_ladder") for v in section)
     if isinstance(section, dict):
         _reject_unknown(section, {"base", "levels"}, "dt_ladder")
-        base = _as_float(section.get("base", 0.0), "dt_ladder.base")
-        levels = _as_int(section.get("levels", 1), "dt_ladder.levels")
-        if levels < 1:
-            raise ConfigError(f"dt_ladder.levels must be >= 1, got {levels}")
-        return tuple(base / 2**k for k in range(levels))
+        base = _number(section.get("base", 0.0), "dt_ladder.base")
+        levels = check_whole(section.get("levels", 1), 1, math.inf,
+                             "dt_ladder.levels must be an integer >= 1")
+        # base * 2**-k, exact as base / 2**k, without an int too large for a float
+        return tuple(math.ldexp(base, -k) for k in range(levels))
     raise ConfigError("dt_ladder must be a list or a {base, levels} mapping")
 
 
-def _parse_seeds(section) -> tuple[int, ...]:
+def _parse_seeds(section) -> list | tuple[int, ...]:
     if isinstance(section, list):
-        return tuple(_as_int(s, "seeds") for s in section)
+        return section
     if isinstance(section, dict):
         _reject_unknown(section, {"base", "count"}, "seeds")
-        base = _as_int(section.get("base", DEFAULT_SEED_BASE), "seeds.base")
-        count = _as_int(section.get("count", DEFAULT_SEED_COUNT), "seeds.count")
-        if count < 1:
-            raise ConfigError(f"seeds.count must be >= 1, got {count}")
+        base = check_whole(section.get("base", DEFAULT_SEED_BASE), 0, math.inf,
+                           "seeds.base must be an integer >= 0")
+        count = check_whole(section.get("count", DEFAULT_SEED_COUNT), 1, math.inf,
+                            "seeds.count must be an integer >= 1")
         return tuple(range(base, base + count))
     raise ConfigError("seeds must be a list or a {base, count} mapping")
 
 
-#: YAML key (or section.key) -> (RunConfig field, coercion) of every scalar
+#: YAML key (or section.key) -> RunConfig field of every scalar
 _SCALARS = {
-    "grid.x_min": ("x_min", _as_float),
-    "grid.x_max": ("x_max", _as_float),
-    "grid.n_cells": ("n_cells", _as_int),
-    "flux": ("flux_kind", _as_str),
-    "boundary": ("boundary", _as_str),
-    "noise.kind": ("noise_kind", _as_str),
-    "noise.lam": ("lam", _as_float),
-    "dt_fine": ("dt_fine", _as_float),
-    "t_end": ("t_end", _as_float),
-    "cfl.mode": ("cfl_mode", _as_str),
-    "cfl.safety": ("safety", _as_float),
-    "cfl.xi_bound": ("xi_bound", _as_float),
-    "adaptive_dt": ("adaptive_dt", _as_bool),
-    "blowup_threshold": ("blowup_threshold", _as_float),
-    "output_dir": ("output_dir", _as_str),
+    "grid.x_min": "x_min",
+    "grid.x_max": "x_max",
+    "grid.n_cells": "n_cells",
+    "flux": "flux_kind",
+    "boundary": "boundary",
+    "noise.kind": "noise_kind",
+    "noise.lam": "lam",
+    "dt_fine": "dt_fine",
+    "t_end": "t_end",
+    "cfl.mode": "cfl_mode",
+    "cfl.safety": "safety",
+    "cfl.xi_bound": "xi_bound",
+    "adaptive_dt": "adaptive_dt",
+    "blowup_threshold": "blowup_threshold",
+    "output_dir": "output_dir",
 }
+
+#: the scalars read by `_number`; every other one goes to its field as written
+_NUMBERS = {"grid.x_min", "grid.x_max", "noise.lam", "dt_fine", "t_end",
+            "cfl.safety", "cfl.xi_bound", "blowup_threshold"}
 
 #: YAML key -> (RunConfig field, parser) of every structured entry
 _STRUCTURED = {
@@ -323,7 +323,7 @@ def parse_config(doc) -> RunConfig:
     """Build a RunConfig from a YAML string or an already-loaded mapping."""
     if isinstance(doc, str):
         try:
-            doc = yaml.safe_load(doc)
+            doc = yaml.load(doc, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"config document is not well-formed: {exc}") from None
     if doc is None:
@@ -343,11 +343,11 @@ def parse_config(doc) -> RunConfig:
     for key, (field_name, parse) in _STRUCTURED.items():
         if key in doc:
             kwargs[field_name] = parse(doc[key])
-    for key, (field_name, coerce) in _SCALARS.items():
+    for key, field_name in _SCALARS.items():
         section, _, leaf = key.rpartition(".")
         node = doc.get(section, {}) if section else doc
         if leaf in node:
-            kwargs[field_name] = coerce(node[leaf], key)
+            kwargs[field_name] = _number(node[leaf], key) if key in _NUMBERS else node[leaf]
     return RunConfig(**kwargs)
 
 

@@ -1,6 +1,7 @@
 """Shared exception types, and the one gate of each validation rule: a
-number that meets a test (positive and finite among them), a named kind, a
-whole number in a range, and entries without repeats.
+number that meets a test (positive and finite among them), a dt ladder, a
+named kind, a whole number in a range, a value of a type, and entries
+without repeats.
 
 `is_finite` is the one definition of a number, and every numeric gate is
 built on it: a finite real that is not a bool (Python's or numpy's) and not
@@ -56,10 +57,31 @@ def check_positive(value, name: str) -> None:
     check_number(value, is_positive, name, "be positive and finite")
 
 
+def check_ladder(dts, name: str) -> None:
+    """Raise ConfigError naming `name` unless every entry of the sequence
+    `dts` is positive and finite and the entries strictly decrease: the one
+    rule of a dt ladder, for a study and for an order fit alike."""
+    for dt in dts:
+        check_positive(dt, name)
+    if any(b >= a for a, b in zip(dts, dts[1:])):
+        raise ConfigError(f"{name} must be strictly decreasing")
+
+
 def check_kind(value, allowed, what: str) -> None:
-    """Raise ConfigError naming `what` unless `value` is one of `allowed`."""
-    if value not in allowed:
-        raise ConfigError(f"unknown {what} {value!r}")
+    """Raise ConfigError naming `what` unless `value` is one of `allowed`; a
+    value that cannot be looked up, such as a list, is an unknown kind too."""
+    try:
+        if value in allowed:
+            return
+    except TypeError:
+        pass
+    raise ConfigError(f"unknown {what} {value!r}")
+
+
+def check_type(value, kind: type, name: str) -> None:
+    """Raise ConfigError naming `name` unless `value` is a `kind`."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be of type {kind.__name__}, got {value!r}")
 
 
 def check_whole(value, low, high, rule: str) -> int:
@@ -68,7 +90,7 @@ def check_whole(value, low, high, rule: str) -> int:
     integral float counts as whole."""
     if is_finite(value) and low <= value < high and int(value) == value:
         return int(value)
-    raise ConfigError(f"{rule}, got {value}")
+    raise ConfigError(f"{rule}, got {value!r}")
 
 
 def check_unique(values, what: str) -> None:

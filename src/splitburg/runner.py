@@ -44,7 +44,7 @@ import numpy as np
 
 from .analysis import EnsembleSample, summarize
 from .burgers import scl_step
-from .config import RunConfig, _as_int
+from .config import RunConfig
 from .errors import CflViolation, ConfigError
 from .grid import FieldState
 from .noise import NoisePath, generate_path, step_counts
@@ -217,7 +217,8 @@ def run_matrix(
     An exception it raises ends the run and cancels the chunks not started.
     `jobs > 1` starts min(jobs, usable CPUs, chunks) worker processes.
     """
-    if _as_int(jobs, "jobs") < 1:
+    # an int only: neither True nor 2.0 is a worker count
+    if type(jobs) is not int or jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs}")
 
     grid = cfg.make_grid()

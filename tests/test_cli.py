@@ -11,7 +11,7 @@ import pytest
 import splitburg
 import splitburg.cli as cli_mod
 import splitburg.runner as runner_mod
-from splitburg.cli import OUT_ENV_VAR, main
+from splitburg.cli import main
 from splitburg.noise import generate_path
 
 QUICK_DOC = """
@@ -114,19 +114,41 @@ def test_quiet_suppresses_the_report(config_file, tmp_path, capsys):
 
 
 def test_output_dir_precedence(config_file, tmp_path, monkeypatch):
+    # --out, else the config's output_dir: the removed SPLITBURG_OUT
+    # environment variable chooses nothing
     monkeypatch.chdir(tmp_path)
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv(OUT_ENV_VAR, str(env_dir))
-    assert main(["run", config_file, "--quiet"]) == 0
-    assert (env_dir / "summary.csv").exists()
-
+    monkeypatch.setenv("SPLITBURG_OUT", str(tmp_path / "from_env"))
     flag_dir = tmp_path / "from_flag"
     assert main(["run", config_file, "--quiet", "--out", str(flag_dir)]) == 0
     assert (flag_dir / "summary.csv").exists()
 
-    monkeypatch.delenv(OUT_ENV_VAR)
     assert main(["run", config_file, "--quiet"]) == 0
     assert (tmp_path / "results" / "summary.csv").exists()  # config default
+    assert not (tmp_path / "from_env").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{cfg}", "--jobs", "x"], ["run", "{cfg}", "--jobs", "2.0"],
+    ["run", "{cfg}", "--bogus"], ["run"], ["bogus", "{cfg}"], [],
+])
+def test_usage_errors_exit_1(argv, config_file, tmp_path, monkeypatch, capsys):
+    # 2 is reserved for a runtime failure in a cell
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(cfg=config_file) for arg in argv]) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["validate", "-h"]])
+def test_help_exits_0(argv, capsys):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+def test_python_dash_m_exits_1_on_a_usage_error(config_file):
+    done = run_module("splitburg", "run", config_file, "--jobs", "x")
+    assert done.returncode == 1
+    assert "invalid int value" in done.stderr
 
 
 def test_cell_failure_exits_2_but_still_writes(config_file, tmp_path,

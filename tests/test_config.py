@@ -16,6 +16,7 @@ from splitburg import (
     CflMode,
     CflPolicy,
     ConfigError,
+    FluxFunction,
     InitialCondition,
     NoiseAmplitude,
     RunConfig,
@@ -25,6 +26,7 @@ from splitburg import (
     cfl_dt,
     emit_csv,
     exact_linear_sde,
+    fit_order,
     generate_path,
     integrate,
     make_initial_state,
@@ -138,6 +140,71 @@ def test_numbers_must_be_numeric():
         parse_config("grid: {n_cells: 10.5}")
 
 
+def test_a_key_given_twice_in_one_mapping_is_refused_by_name():
+    # PyYAML would keep the last copy: 100 cells on [0, 2], or t_end 0.2
+    for doc, key in (("grid: {n_cells: 10}\ngrid: {x_max: 2.0}", "grid"),
+                     ("t_end: 0.1\nt_end: 0.2", "t_end"),
+                     ("noise: {lam: 0.1, kind: linear, lam: 0.2}", "lam"),
+                     ("{'seeds': [1], seeds: [2]}", "seeds")):
+        with pytest.raises(ConfigError, match=rf"duplicate YAML keys \['{key}'\]"):
+            parse_config(doc)
+    # the same key in two mappings is no repeat
+    assert parse_config("grid: {x_max: 2.0}\ncfl: {mode: combined}").x_max == 2.0
+
+
+#: (code, YAML document, the field both name when they refuse the value);
+#: None accepts the value, and code and YAML must then give equal configs
+_CODE_AND_YAML = {
+    "adaptive_dt-str": (lambda: RunConfig(adaptive_dt="false"),
+                        "adaptive_dt: 'false'", "adaptive_dt"),
+    "adaptive_dt-int": (lambda: RunConfig(adaptive_dt=1), "adaptive_dt: 1", "adaptive_dt"),
+    "output_dir-None": (lambda: RunConfig(output_dir=None), "output_dir: null",
+                        "output_dir"),
+    "ic-str": (lambda: RunConfig(ic="sine_bump"), "initial_condition: sine_bump",
+               "ic|initial_condition"),
+    "schemes-str": (lambda: RunConfig(schemes=("ab",)), "schemes: ab", "schemes"),
+    "flux_kind-list": (lambda: RunConfig(flux_kind=["x"]), "flux: [x]", "flux_kind"),
+    "n_cells-fraction": (lambda: RunConfig(n_cells=10.5), "grid: {n_cells: 10.5}",
+                         "n_cells"),
+    # the refusal shows a string as one, not as the number it spells
+    "n_cells-str": (lambda: RunConfig(n_cells="100"), "grid: {n_cells: '100'}",
+                    "n_cells.*'100"),
+    "seeds-fraction": (lambda: RunConfig(seeds=(1.5,)), "seeds: [1.5]", "seeds"),
+    "iterations-fraction": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", 2.5),)),
+                            "schemes: [{name: iter_after, iterations: 2.5}]",
+                            "iterations"),
+    "n_cells-integral": (lambda: RunConfig(n_cells=100.0), "grid: {n_cells: 100.0}", None),
+    "seeds-integral": (lambda: RunConfig(seeds=(1.0, 2.0)), "seeds: [1.0, 2.0]", None),
+    "iterations-integral": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", (2.0,)),)),
+                            "schemes: [{name: iter_after, iterations: [2.0]}]", None),
+    "iterations-one-count": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", 2),)),
+                             "schemes: [{name: iter_after, iterations: 2}]", None),
+}
+
+
+@pytest.mark.parametrize("case", _CODE_AND_YAML)
+def test_code_and_yaml_apply_the_same_field_rules(case):
+    # RunConfig and the fields' owners hold every rule of a value, so a study
+    # built in code and one read from YAML accept and refuse the same values
+    code, doc, field = _CODE_AND_YAML[case]
+    if field is None:
+        assert code() == parse_config(doc)
+        return
+    for build in (code, lambda: parse_config(doc)):
+        with pytest.raises(ConfigError, match=rf"\b({field})\b"):
+            build()
+
+
+@pytest.mark.parametrize("build", [FluxFunction, NoiseAmplitude, InitialCondition,
+                                   SchemeSpec, SchemeConfig, BoundaryKind.from_name,
+                                   CflMode.from_name], ids=lambda build: build.__qualname__)
+def test_a_kind_that_cannot_be_looked_up_is_an_unknown_kind(build):
+    # errors.check_kind refuses a list or a mapping, not with a TypeError
+    for bad in (["x"], {"x": 1}, None, 3):
+        with pytest.raises(ConfigError, match="unknown"):
+            build(bad)
+
+
 @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1e999"])
 @pytest.mark.parametrize("doc, key", [
     ("dt_fine: {}", "dt_fine"),
@@ -210,12 +277,33 @@ def test_dt_ladder_validation():
             parse_config(doc)
 
 
+@pytest.mark.parametrize("dts, rule", [
+    ((0.04, True, 0.01), "positive and finite, got True"),
+    ((0.04, math.nan, 0.01), "positive and finite, got nan"),
+    ((0.04, 0.0, 0.01), "positive and finite, got 0.0"),
+    ((0.04, "0.02", 0.01), "positive and finite, got '0.02'"),
+    ((0.01, 0.02, 0.04), "strictly decreasing"),
+])
+def test_a_study_and_an_order_fit_share_one_dt_ladder_rule(dts, rule):
+    # a True dt is not 1.0, for RunConfig and fit_order alike
+    with pytest.raises(ConfigError, match=rf"^dt_ladder must be {re.escape(rule)}"):
+        RunConfig(dt_ladder=dts)
+    with pytest.raises(ConfigError, match=rf"^dt must be {re.escape(rule)}"):
+        fit_order([(dt, 1.0) for dt in dts])
+
+
 def test_dt_ladder_base_levels_form():
     cfg = parse_config("{dt_ladder: {base: 0.02, levels: 3}, t_end: 0.2}")
     assert cfg.dt_ladder == (0.02, 0.01, 0.005)
     assert cfg.dt_fine == 0.0025  # half the finest level unless overridden
     with pytest.raises(ConfigError):
         parse_config("dt_ladder: {base: 0.02, levels: 0}")
+
+
+def test_a_deep_dt_ladder_is_a_config_error_not_an_overflow():
+    # 2**1100 is too large for a float; the deepest levels underflow to 0.0
+    with pytest.raises(ConfigError, match="dt_ladder must be positive"):
+        parse_config("dt_ladder: {base: 0.01, levels: 1100}")
 
 
 def test_path_resolution_must_divide_the_ladder():
