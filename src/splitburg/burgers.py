@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import (CflViolation, ConfigError, check_kind, check_number, check_positive,
                      is_positive)
-from .grid import BoundaryKind, FieldState
+from .grid import BoundaryKind, FieldState, _scan
 from .noise import NoiseAmplitude
 
 #: cells with |u| at or below this are excluded from state-dependent bounds;
@@ -71,9 +71,10 @@ class FluxFunction:
         return np.multiply(u, 2.0 * self.a)
 
     def max_speed(self, u) -> float:
-        """Largest |f'(u)| over the given values."""
-        d = np.abs(self.deriv(u))
-        return float(d.max()) if d.size else 0.0
+        """Largest |f'(u)| over the given values: `peak_speed` of their
+        largest |u| (0 for no values)."""
+        absu = np.abs(u)
+        return self.peak_speed(float(absu.max())) if absu.size else 0.0
 
     def peak_speed(self, peak: float) -> float:
         """Largest |f'(u)| over values whose largest |u| is `peak`: exactly
@@ -136,7 +137,7 @@ def _eo_step(values: np.ndarray, dt, flux: FluxFunction, bc: BoundaryKind,
     """
     if values.ndim == 1:
         if speed is None:
-            speed = flux.peak_speed(float(np.maximum.reduce(np.abs(values))))
+            speed = flux.peak_speed(_scan(values)[1])
         _check_cfl(speed, dt, dx)
         ratio = dt / dx
     else:
@@ -231,16 +232,19 @@ def cfl_dt(state: FieldState, sigma: NoiseAmplitude, policy: CflPolicy,
     survives, dt_max is returned unscaled.  The result never exceeds dt_max
     or t_remaining, which must be positive and finite.
     """
+    if t_remaining is not None:
+        check_positive(t_remaining, "t_remaining")
     peak = state.peak
-    return _governed_dt(np.abs(state.values), peak, flux.peak_speed(peak),
-                        state.grid.dx, sigma, policy, t_remaining)
+    dt = _governed_dt(np.abs(state.values), peak, flux.peak_speed(peak), state.grid.dx,
+                      sigma, policy)
+    return dt if t_remaining is None else min(dt, t_remaining)
 
 
 def _governed_dt(absu: np.ndarray, peak: float, speed: float, dx: float,
-                 sigma: NoiseAmplitude, policy: CflPolicy,
-                 t_remaining: float | None) -> float:
-    """`cfl_dt` from one scan of the values u: `absu` is |u|, `peak` its
-    largest entry and `speed` the deterministic speed max|f'(u)|."""
+                 sigma: NoiseAmplitude, policy: CflPolicy) -> float:
+    """`cfl_dt` without the horizon cap, from one scan of the values u:
+    `absu` is |u|, `peak` its largest entry and `speed` the deterministic
+    speed max|f'(u)|.  `integrate` caps the step at its horizon itself."""
     xi = policy.xi_bound
     bound = math.inf
 
@@ -274,9 +278,6 @@ def _governed_dt(absu: np.ndarray, peak: float, speed: float, dx: float,
         if policy.dt_max is not None:
             dt = min(dt, policy.dt_max)
 
-    if t_remaining is not None:
-        check_positive(t_remaining, "t_remaining")
-        dt = min(dt, t_remaining)
     if dt <= 0.0:
         raise ConfigError("stability bound collapsed to a non-positive step")
     return dt

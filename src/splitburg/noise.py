@@ -398,8 +398,13 @@ def stochastic_update(base: np.ndarray, lin: np.ndarray, sigma: NoiseAmplitude,
 
 
 def _at_itself(c, update: Callable[[np.ndarray], np.ndarray]):
-    """`update` of scalar, list or array values c, handed them as a float64
-    array of at least one dimension; a scalar gives a scalar."""
+    """`update` of scalar, list, array or FieldState values c, handed them
+    as a float64 array of at least one dimension: the one normalizer of the
+    noise steps' input.  A scalar gives a scalar, and a FieldState a state
+    that keeps its time stamp, since time bookkeeping belongs to the
+    caller."""
+    if isinstance(c, FieldState):
+        return c.with_values(update(c.values))
     u = np.asarray(c, dtype=np.float64)
     if u.ndim:
         return update(u)
@@ -407,20 +412,14 @@ def _at_itself(c, update: Callable[[np.ndarray], np.ndarray]):
 
 
 def em_step(c, sigma: NoiseAmplitude, dw: float):
-    """Euler-Maruyama update c + sigma(c) dW.
-
-    Accepts scalars, lists, arrays or a FieldState; time bookkeeping belongs
-    to the caller, so a FieldState keeps its time stamp.
-    """
-    if isinstance(c, FieldState):
-        return c.with_values(em_step(c.values, sigma, dw))
+    """Euler-Maruyama update c + sigma(c) dW of scalars, lists, arrays or a
+    FieldState (`_at_itself`)."""
     return _at_itself(c, lambda u: apply_increment(u, sigma(u), dw))
 
 
 def milstein_step(c, sigma: NoiseAmplitude, dw: float, dt: float):
-    """Milstein update c + sigma(c) dW + (1/2) sigma(c) sigma'(c) (dW^2 - dt)."""
-    if isinstance(c, FieldState):
-        return c.with_values(milstein_step(c.values, sigma, dw, dt))
+    """Milstein update c + sigma(c) dW + (1/2) sigma(c) sigma'(c) (dW^2 - dt)
+    of scalars, lists, arrays or a FieldState (`_at_itself`)."""
     return _at_itself(c, lambda u: stochastic_update(u, u, sigma, dw, dt))
 
 

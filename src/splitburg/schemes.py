@@ -277,7 +277,8 @@ def step(state: FieldState, dt: float, dw, cfg: SchemeConfig,
     by default.  The kernel also takes the companion's own aba step, whose
     result is dropped here, so the step raises that aba step's CflViolation
     too, which `integrate` records as `cfl_rejected`.  An increment or a
-    companion that does not fit the cell is a ConfigError naming the scheme.
+    companion that does not fit the cell, such as a companion on another
+    grid than the state's, is a ConfigError naming the scheme.
     """
     check_positive(dt, "dt")
     row = SCHEMES[cfg.scheme]
@@ -285,6 +286,9 @@ def step(state: FieldState, dt: float, dw, cfg: SchemeConfig,
         want = "the pair of half-interval increments" if row.halves else "one increment"
         raise ConfigError(f"{cfg.scheme} takes {want}, got {dw!r}")
     if cfg.carries_companion:
+        if companion is not None and companion.grid != state.grid:
+            raise ConfigError(f"{cfg.scheme} takes an aba companion on the state's grid "
+                              f"{state.grid}, got {companion.grid}")
         companion = (state if companion is None else companion).values
     elif companion is not None:
         raise ConfigError(f"{cfg.scheme} at iterations {cfg.iterations} carries no "
@@ -415,10 +419,11 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
               dt: float | None = None, cfl: CflPolicy | None = None) -> Trajectory:
     """Drive one trajectory from c0 to t_end along the given noise path.
 
-    Exactly one of `dt` (fixed step) or `cfl` (stability-governed step,
-    snapped down to the path resolution) selects the stepping mode;
-    `noise.step_counts` checks that t_end and dt fit the path in whole
-    steps.  Blow-up (by threshold, non-finite values, a rejected explicit
+    The path and t_end count time from 0, so c0 must be at time 0: a state
+    at any other time is a ConfigError naming c0.time.  Exactly one of `dt`
+    (fixed step) or `cfl` (stability-governed step, snapped down to the
+    path resolution) selects the stepping mode; `noise.step_counts` checks
+    that t_end and dt fit the path in whole steps.  Blow-up (by threshold, non-finite values, a rejected explicit
     step, or an admissible step below the path resolution) truncates the
     trajectory and is flagged with its time and reason; numpy's overflow and
     invalid-value warnings are silenced for the whole trajectory.
@@ -431,6 +436,8 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     """
     if (dt is None) == (cfl is None):
         raise ConfigError("provide exactly one of dt (fixed) or cfl (governed)")
+    if c0.time != 0.0:
+        raise ConfigError(f"integrate starts at time 0, got c0.time {c0.time!r}")
     fine, quantum = path.dt_fine, cfg.quantum
     n_total, m_fixed = step_counts(t_end, fine, dt, quantum)
     if n_total > path.n_steps:
@@ -455,8 +462,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
         while k < n_total:
             speed = flux.peak_speed(peak)
             if m_fixed is None:
-                bound = _governed_dt(absu, peak, speed, dx, sigma, cfl,
-                                     (n_total - k) * fine)
+                bound = _governed_dt(absu, peak, speed, dx, sigma, cfl)
                 m = int(bound / fine * (1.0 + 1e-12))
                 m -= m % quantum
                 m = min(m, n_total - k)

@@ -129,14 +129,6 @@ def test_ab_step_is_the_manual_composition_bitwise():
         assert got.iterate_residuals == ()
 
 
-def test_ab_step_noise_off_equals_transport():
-    rng = np.random.default_rng(6)
-    state = random_state(rng)
-    cfg = cfg_for("ab", lam=0.0)
-    got = step(state, 0.01, 0.33, cfg)
-    assert np.array_equal(got.state_after.values, transported(state, 0.01, cfg).values)
-
-
 def test_ab_step_zero_flux_is_a_pure_stochastic_step():
     cfg = cfg_for("ab", flux=FluxFunction("zero"))
     state = FieldState(GRID, np.linspace(-1.0, 1.0, 16))
@@ -271,17 +263,6 @@ def test_iter_before_single_iterate_formula_bitwise(sigma_kind):
         assert np.array_equal(got.state_after.values, expected)
 
 
-def test_iter_before_noise_off_is_pure_transport():
-    rng = np.random.default_rng(24)
-    state = random_state(rng)
-    for iterations in (1, 2):
-        cfg = cfg_for("iter_before", lam=0.0, iterations=iterations)
-        got = step(state, 0.01, 0.6, cfg)
-        assert np.array_equal(
-            got.state_after.values, transported(state, 0.01, cfg).values
-        )
-
-
 def test_iter_before_constant_noise_propagates_the_ones_direction():
     rng = np.random.default_rng(26)
     state = random_state(rng)
@@ -321,15 +302,6 @@ def test_iter_before_step_raises_the_companion_aba_steps_cfl_violation():
     with pytest.raises(CflViolation) as step_error:
         step(state, dt, dw, cfg, companion)
     assert str(step_error.value) == str(aba_error.value)
-
-
-def test_trapezoid_noise_off_is_pure_transport():
-    rng = np.random.default_rng(32)
-    state = random_state(rng)
-    cfg = cfg_for("iter_before_trapezoid", lam=0.0, iterations=3)
-    got = step(state, 0.01, 0.5, cfg)
-    assert np.array_equal(got.state_after.values, transported(state, 0.01, cfg).values)
-    assert len(got.iterate_residuals) == 2
 
 
 def test_trapezoid_zero_increment_keeps_the_quadratic_drift():
@@ -419,6 +391,21 @@ def test_integrate_alignment_errors():
             integrate(c0, bad, cfg_for("ab"), path, dt=0.01)
         with pytest.raises(ConfigError, match="t_end must be finite"):
             integrate(c0, bad, cfg_for("ab"), path, cfl=CflPolicy(dt_max=0.01))
+
+
+def test_integrate_refuses_a_start_state_away_from_time_zero():
+    # the path and t_end count from 0: a later start would run past the
+    # path's horizon and read its increments from the wrong place
+    c0 = sine_state()
+    path = generate_path(1, 0.1, 0.005)
+    cfg = cfg_for("ab")
+    mid = integrate(c0, 0.05, cfg, path, dt=0.01).final_state
+    assert mid.time == pytest.approx(0.05)
+    for t_end in (0.1, 0.05):
+        with pytest.raises(ConfigError, match=r"c0\.time 0\.05"):
+            integrate(mid, t_end, cfg, path, dt=0.01)
+    with pytest.raises(ConfigError, match=r"c0\.time nan"):
+        integrate(c0.with_values(c0.values, math.nan), 0.1, cfg, path, dt=0.01)
 
 
 def test_integrate_fixed_dt_consumes_the_coarsened_path():
@@ -782,6 +769,20 @@ def test_step_refuses_arguments_that_do_not_fit_the_cell(public, scheme, iterati
     extra = (state,) if companion else ()
     with pytest.raises(ConfigError, match=rf"\b{scheme}\b"):
         public(state, 0.01, dw, cfg, *extra)
+
+
+def test_step_refuses_a_companion_from_another_mesh():
+    # a companion of another size, or of the same size on another domain,
+    # would be broadcast against the state or moved with the state's dx
+    state = sine_state(10)
+    cfg = cfg_for("iter_before", iterations=2)
+    for grid in (SpatialGrid(0.0, 1.0, 12), SpatialGrid(0.0, 2.0, 10)):
+        companion = make_initial_state(grid, InitialCondition.sine_bump())
+        with pytest.raises(ConfigError, match=r"\biter_before\b.*companion"):
+            step(state, 0.01, 0.1, cfg, companion)
+    same = step(state, 0.01, 0.1, cfg, state.with_values(state.values))
+    assert np.array_equal(same.state_after.values,
+                          step(state, 0.01, 0.1, cfg).state_after.values)
 
 
 def test_iter_before_rejects_every_seed_at_lambda_two():
