@@ -41,7 +41,6 @@ from .noise import (
 from .runner import (
     CsvWriter,
     ResultRow,
-    RunArchive,
     RunStats,
     SeedOutcome,
     cell_label,
@@ -78,7 +77,6 @@ __all__ = [
     "NoisePath",
     "ResourceLimit",
     "ResultRow",
-    "RunArchive",
     "RunConfig",
     "RunStats",
     "SchemeConfig",

@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     out_dir = args.out or cfg.output_dir
     try:
         # only this process writes: the pool's outcomes come back to it
-        writer = CsvWriter(out_dir, cfg.make_grid().centers)
+        writer = CsvWriter(out_dir)
         rows, _, stats = run_matrix(cfg, jobs=args.jobs, on_outcome=writer.write)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

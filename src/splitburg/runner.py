@@ -10,12 +10,12 @@ Tasks run seed-major (for each seed, every cell and dt), so consecutive tasks
 share a Wiener path: `_run_cell` keeps the path of the task before and draws
 a new one only when (seed, t_end, dt_fine) changes.  A pool chunk holds
 whole seeds, so that is one path per seed, at most one held at a time, and
-none once `_run_tasks` returns.  The reduction and the archive are
-in cell-major order, as the outputs are.
+none once `_run_tasks` returns.  The reduction and the outcomes
+`run_matrix` returns are in cell-major order, as the outputs are.
 
 A seed's one record is its `SeedOutcome`: the `EnsembleSample` that
 `summarize` reads, with the trajectory's final `FieldState` as its endpoint,
-passed to the reduction, the archive and the writer as the worker built it.
+passed to the reduction, the caller and the writer as the worker built it.
 Its residual trace is the `(n, 4)` float64 array that `integrate` builds as
 it streams.  The process pool is imported only for `jobs > 1`.
 It starts at most as many workers as there are chunks of tasks and usable
@@ -28,7 +28,10 @@ so the parent creates files while the workers compute.  `CsvWriter` owns the
 layout (summary.csv, profiles/, residuals/), writes each file in one call
 and summary.csv last.  Only the parent writes: creating files in one
 directory from several threads made each create cost more in system time,
-not less.  `emit_csv` runs the same writer over a finished `RunArchive`.
+not less.  `emit_csv` runs the same writer over a finished run's outcomes.
+Every number written takes its mesh from the state it describes: a
+profile's x column from its endpoint's grid, a summary row's dx from its dt
+level's noise-free baseline.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .analysis import EnsembleSample, summarize
 from .burgers import scl_step
 from .config import RunConfig
 from .errors import CflViolation, ConfigError
-from .grid import FieldState
+from .grid import FieldState, SpatialGrid
 from .noise import NoisePath, generate_path, step_counts
 from .schemes import integrate
 
@@ -98,14 +101,6 @@ class SeedOutcome(EnsembleSample):
     residuals: np.ndarray
     n_steps: int
     wall_time: float
-
-
-@dataclass(frozen=True)
-class RunArchive:
-    """Per-seed endpoints and residual traces plus the shared cell geometry."""
-
-    x_centers: np.ndarray
-    outcomes: tuple[SeedOutcome, ...]
 
 
 @dataclass(frozen=True)
@@ -208,8 +203,10 @@ def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
 def run_matrix(
     cfg: RunConfig, jobs: int = 1,
     on_outcome: Callable[[SeedOutcome], None] | None = None,
-) -> tuple[tuple[ResultRow, ...], RunArchive, RunStats]:
-    """Execute every (scheme, I, dt, seed) task and reduce to summary rows.
+) -> tuple[tuple[ResultRow, ...], tuple[SeedOutcome, ...], RunStats]:
+    """Execute every (scheme, I, dt, seed) task and reduce to summary rows;
+    the outcomes come back cell-major, each (cell, dt) with its seeds in
+    order, a failed task's absent.
 
     `on_outcome(outcome)`, if given, is called in this process with each
     `SeedOutcome` as soon as its chunk of tasks is back: at `jobs == 1` once
@@ -221,7 +218,6 @@ def run_matrix(
     if type(jobs) is not int or jobs < 1:
         raise ConfigError(f"jobs must be a positive integer, got {jobs}")
 
-    grid = cfg.make_grid()
     references = {dt: reference_endpoint(cfg, dt) for dt in cfg.dt_ladder}
 
     cell_dts = [(scheme, iterations, dt)
@@ -287,7 +283,7 @@ def run_matrix(
         try:
             report = summarize(cell, references[dt])
             rows.append(ResultRow(
-                scheme, iterations, dt, grid.dx, cfg.lam,
+                scheme, iterations, dt, references[dt].grid.dx, cfg.lam,
                 report.n_seeds_used, report.blowup_count,
                 report.weak, report.strong, report.variance_mean,
                 sum(o.wall_time for o in cell),
@@ -303,7 +299,7 @@ def run_matrix(
         failures=tuple(failures),
         empty_cells=tuple(empty_cells),
     )
-    return tuple(rows), RunArchive(grid.centers, tuple(ordered)), stats
+    return tuple(rows), tuple(ordered), stats
 
 
 def _fmt(value) -> str:
@@ -319,23 +315,23 @@ class CsvWriter:
     creates the directories and removes the `*.csv` files in profiles/ and
     residuals/ and any summary.csv, so a rerun leaves none of an earlier
     run's files behind.  `write(outcome)` writes that seed's (x, c) endpoint
-    profile, unless it blew up, and its residual trace if the scheme is
-    iterative.  `finish(rows)` writes summary.csv atomically, last, so a
-    summary never sits beside another run's per-seed files, and a run that
-    fails after its first write leaves no summary at all.  Each file is
+    profile, unless it blew up, with x the centres of the endpoint's own
+    grid, and its residual trace if the scheme is iterative.  `finish(rows)`
+    writes summary.csv atomically, last, so a summary never sits beside
+    another run's per-seed files, and a run that fails after its first
+    write leaves no summary at all.  Each file is
     formatted whole and written in one call, by the one process that holds
     the writer.
     """
 
-    def __init__(self, out_dir, x_centers: np.ndarray) -> None:
+    def __init__(self, out_dir) -> None:
         self.out = Path(out_dir)
         # str paths: a pathlib join costs about 3 us, paid twice per seed
         self._profiles = os.path.join(self.out, "profiles")
         self._residuals = os.path.join(self.out, "residuals")
-        # the header and one "x,%r" line per cell: the x column is formatted
-        # once per writer; tolist() gives builtin floats, whose repr is _fmt's
-        self._profile = "x,c\n" + "".join(
-            [f"{x!r},%r\n" for x in x_centers.tolist()])
+        # per mesh met, the header and one "x,%r" line per cell: each x
+        # column is formatted once, from the grid of the first endpoint on it
+        self._profiles_by_grid: dict[SpatialGrid, str] = {}
         self._started = False
 
     def _start(self) -> None:
@@ -354,9 +350,15 @@ class CsvWriter:
         self._start()
         stem = f"{cell_label(o.scheme, o.iterations)}_{_fmt(o.dt)}_{o.seed}.csv"
         if o.endpoint is not None:
+            grid = o.endpoint.grid
+            profile = self._profiles_by_grid.get(grid)
+            if profile is None:
+                # tolist() gives builtin floats, whose repr is _fmt's
+                profile = self._profiles_by_grid[grid] = "x,c\n" + "".join(
+                    [f"{x!r},%r\n" for x in grid.centers.tolist()])
             with open(os.path.join(self._profiles, stem), "w",
                       encoding="utf-8") as fh:
-                fh.write(self._profile % tuple(o.endpoint.values.tolist()))
+                fh.write(profile % tuple(o.endpoint.values.tolist()))
         if o.iterations > 0:
             with open(os.path.join(self._residuals, stem), "w",
                       encoding="utf-8") as fh:
@@ -388,12 +390,12 @@ class CsvWriter:
         return self.out / "summary.csv"
 
 
-def emit_csv(rows, archive: RunArchive, out_dir) -> Path:
-    """Write every outcome of `archive` and then summary.csv through one
-    `CsvWriter`; empty rows are refused before anything touches the disk."""
+def emit_csv(rows, outcomes, out_dir) -> Path:
+    """Write every outcome and then summary.csv through one `CsvWriter`;
+    empty rows are refused before anything touches the disk."""
     if not rows:
         raise ValueError("no result rows to write")
-    writer = CsvWriter(out_dir, archive.x_centers)
-    for outcome in archive.outcomes:
+    writer = CsvWriter(out_dir)
+    for outcome in outcomes:
         writer.write(outcome)
     return writer.finish(rows)

@@ -163,13 +163,13 @@ def test_on_outcome_gets_each_outcome_once_in_this_process(monkeypatch, jobs):
 
     monkeypatch.setattr(runner_mod, "_run_cell", flaky)
     seen = []
-    rows, archive, stats = run_matrix(
+    rows, outcomes, stats = run_matrix(
         small_cfg(), jobs=jobs,
         on_outcome=lambda o: seen.append((os.getpid(), o.scheme, o.dt, o.seed)))
     # a failed task gives no outcome; the others arrive once each, here
     assert len(stats.failures) == 1
     assert sorted(seen) == sorted((os.getpid(), o.scheme, o.dt, o.seed)
-                                  for o in archive.outcomes)
+                                  for o in outcomes)
     assert len(seen) == 5
 
 
@@ -189,9 +189,9 @@ def test_on_outcome_runs_while_the_pool_still_computes(monkeypatch, tmp_path):
         return real(task)
 
     monkeypatch.setattr(runner_mod, "_run_cell", last_waits)
-    rows, archive, stats = run_matrix(small_cfg(), jobs=2,
+    rows, outcomes, stats = run_matrix(small_cfg(), jobs=2,
                                       on_outcome=lambda o: delivered.touch())
-    assert stats.clean and len(archive.outcomes) == 6
+    assert stats.clean and len(outcomes) == 6
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -354,9 +354,9 @@ def test_run_matrix_reduces_the_outcomes_it_archives(monkeypatch, jobs):
         return _real(samples, reference)
 
     monkeypatch.setattr(runner_mod, "summarize", recording)
-    rows, archive, stats = run_matrix(small_cfg(), jobs=jobs)
-    assert stats.clean and len(seen) == len(archive.outcomes) == 6
-    assert all(any(s is o for o in archive.outcomes) for s in seen)
+    rows, outcomes, stats = run_matrix(small_cfg(), jobs=jobs)
+    assert stats.clean and len(seen) == len(outcomes) == 6
+    assert all(any(s is o for o in outcomes) for s in seen)
 
 
 def test_emit_csv_layout(tmp_path):
@@ -413,7 +413,7 @@ def test_csv_writer_formats_files_past_a_thousand_lines(tmp_path):
     blown = SeedOutcome(5, "iter_after", 2, 0.005, endpoint=None,
                         blowup_time=0.0, residuals=np.empty((0, 4)),
                         n_steps=0, wall_time=0.0)
-    writer = CsvWriter(tmp_path, grid.centers)
+    writer = CsvWriter(tmp_path)
     writer.write(profiled)
     writer.write(blown)
 
@@ -430,6 +430,29 @@ def test_csv_writer_formats_files_past_a_thousand_lines(tmp_path):
     assert not (tmp_path / "profiles" / "iter_after2_0.005_5.csv").exists()
     assert lines(tmp_path / "residuals" / "iter_after2_0.005_5.csv") == [
         "step,time,iteration,residual", ""]
+
+
+def test_csv_writer_takes_each_profiles_x_from_its_endpoints_mesh(tmp_path):
+    # one writer, endpoints on three meshes: two of the same size, one of
+    # another size, and a mesh met again after another
+    rng = np.random.default_rng(3)
+    grids = (SpatialGrid(0.0, 1.0, 10), SpatialGrid(-1.0, 2.0, 10),
+             SpatialGrid(0.0, 1.0, 7), SpatialGrid(0.0, 1.0, 10))
+    writer = CsvWriter(tmp_path)
+    written = []
+    for seed, grid in enumerate(grids):
+        values = rng.standard_normal(grid.n_cells)
+        writer.write(SeedOutcome(seed, "ab", 0, 0.01,
+                                 endpoint=FieldState(grid, values),
+                                 residuals=np.empty((0, 4)), n_steps=1,
+                                 wall_time=0.0))
+        written.append((seed, grid, values))
+    for seed, grid, values in written:
+        text = (tmp_path / "profiles" / f"ab_0.01_{seed}.csv").read_text(
+            encoding="utf-8")
+        assert text == "x,c\n" + "".join(
+            f"{x!r},{c!r}\n"
+            for x, c in zip(grid.centers.tolist(), values.tolist()))
 
 
 def test_emit_csv_rerun_leaves_no_stale_files(tmp_path):
@@ -455,11 +478,11 @@ def test_emit_csv_skips_profiles_of_blown_seeds(tmp_path):
         "{schemes: [ab], dt_ladder: [0.01], dt_fine: 0.005, t_end: 0.1,"
         " seeds: [1, 2, 3, 4]}"
     )
-    rows, archive, stats = run_matrix(cfg)
-    blown = [o for o in archive.outcomes if o.endpoint is None]
+    rows, outcomes, stats = run_matrix(cfg)
+    blown = [o for o in outcomes if o.endpoint is None]
     assert blown and len(blown) < 4
     assert rows[0].blowup_count == len(blown)
-    emit_csv(rows, archive, tmp_path)
+    emit_csv(rows, outcomes, tmp_path)
     for o in blown:
         stem = f"{cell_label(o.scheme, o.iterations)}_{repr(o.dt)}_{o.seed}.csv"
         assert not (tmp_path / "profiles" / stem).exists()
@@ -529,12 +552,12 @@ def test_run_matrix_draws_each_path_once_and_holds_none_after(monkeypatch):
 
     monkeypatch.setattr(runner_mod, "generate_path", counting)
     cfg = parse_config(SMALL_DOC.replace("dt_ladder: [0.01]", "dt_ladder: [0.01, 0.005]"))
-    rows, archive, stats = run_matrix(cfg, jobs=1)
+    rows, outcomes, stats = run_matrix(cfg, jobs=1)
     assert drawn == list(cfg.seeds)  # not once per (cell, dt, seed) task
     assert runner_mod._held_path is None
-    assert stats.clean and len(archive.outcomes) == 12
-    # the archive stays cell-major: each (cell, dt) lists its seeds in order
-    assert [(o.scheme, o.dt, o.seed) for o in archive.outcomes] == [
+    assert stats.clean and len(outcomes) == 12
+    # the outcomes stay cell-major: each (cell, dt) lists its seeds in order
+    assert [(o.scheme, o.dt, o.seed) for o in outcomes] == [
         (scheme, dt, seed) for scheme in ("ab", "iter_after")
         for dt in (0.01, 0.005) for seed in (1, 2, 3)]
 

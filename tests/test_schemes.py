@@ -845,3 +845,49 @@ def test_constant_noise_moves_the_mass_by_lambda_w(scheme, iterations):
             assert not traj.blown_up
             want = np.mean(c0.values) + lam * path.total
             assert abs(np.mean(traj.final_state.values) - want) <= 1e-13
+
+
+_WRONG_LIMIT = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 4: iter_after at "
+    "I >= 2 and the trapezoid converge to the wrong limit, which moves the mass")
+
+
+@pytest.mark.parametrize("scheme, iterations", [
+    ("ab", 1),
+    ("aba", 1),
+    ("bab", 1),
+    ("iter_after", 1),
+    pytest.param("iter_after", 2, marks=_WRONG_LIMIT),
+    pytest.param("iter_after", 4, marks=_WRONG_LIMIT),
+    ("iter_before", 1),
+    ("iter_before", 2),
+    pytest.param("iter_before_trapezoid", 2, marks=_WRONG_LIMIT),
+    pytest.param("iter_before_trapezoid", 4, marks=_WRONG_LIMIT),
+])
+def test_linear_noise_moves_the_mass_by_the_milstein_product(scheme, iterations):
+    # the mass ledger under linear noise (ROADMAP item 9): periodic EO
+    # transport conserves the cell sum, and the Milstein update of lam c
+    # multiplies every cell by the same factor, so a consistent scheme's
+    # cell mean must end at m(0) prod_k (1 + lam dW_k + lam^2/2 (dW_k^2 - h))
+    # over its step increments, bab's over the half intervals with h dt/2;
+    # measured at most 2.3e-15 relative over these seeds and meshes
+    lam, t_end, dt, dt_fine = 0.5, 0.1, 0.001, 0.0005
+    cfg = SchemeConfig(scheme, sigma=NoiseAmplitude("linear", lam),
+                       bc=BoundaryKind.PERIODIC, iterations=iterations)
+    halves = scheme == "bab"
+    width, h = (1, 0.5 * dt) if halves else (2, dt)
+    n_steps = round(t_end / dt)
+    for seed in range(6):
+        path = generate_path(seed, t_end, dt_fine)
+        dw = path.block_sums(0, width, n_steps * 2 // width)
+        factor = np.prod(1.0 + lam * dw + 0.5 * lam**2 * (dw * dw - h))
+        for n_cells in (50, 100):
+            grid = SpatialGrid(0.0, 1.0, n_cells)
+            c0 = FieldState(grid, 2.0 * np.sin(np.pi * grid.centers) - 0.3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ContractionWarning)
+                traj = integrate(c0, t_end, cfg, path, dt=dt)
+            assert not traj.blown_up
+            want = np.mean(c0.values) * factor
+            got = np.mean(traj.final_state.values)
+            assert abs(got - want) <= 1e-13 * abs(want)
