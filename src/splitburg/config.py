@@ -54,24 +54,28 @@ DEFAULT_SEED_COUNT = 50
 class SchemeSpec:
     """One scheme entry of the study matrix; iterative schemes expand to one
     cell per iteration count.  `iterations` is one count or a sequence of
-    counts, stored as a tuple.  `RunConfig` gates each count, by building
-    the cell's `SchemeConfig`, and refuses a cell listed twice."""
+    counts, stored as a tuple; left out (None), it is
+    `SchemeConfig.iterations` for an iterative scheme and empty for another.
+    An iterative scheme given an empty sequence is refused.  `RunConfig`
+    gates each count, by building the cell's `SchemeConfig`, and refuses a
+    cell listed twice."""
 
     name: str
-    iterations: tuple[int, ...] | int = ()
+    iterations: tuple[int, ...] | int | None = None
 
     def __post_init__(self) -> None:
+        iterative = bool(scheme_traits(self.name).iterations)
         counts = self.iterations
-        if isinstance(counts, str) or not isinstance(counts, Iterable):
+        if counts is None:
+            counts = (SchemeConfig.iterations,) if iterative else ()
+        elif isinstance(counts, str) or not isinstance(counts, Iterable):
             counts = (counts,)
-        if not scheme_traits(self.name).iterations:
-            if counts:
-                raise ConfigError(
-                    f"scheme {self.name!r} takes no iteration counts"
-                )
-            return
-        object.__setattr__(self, "iterations",
-                           tuple(counts) or (SchemeConfig.iterations,))
+        counts = tuple(counts)
+        if counts and not iterative:
+            raise ConfigError(f"scheme {self.name!r} takes no iteration counts")
+        if iterative and not counts:
+            raise ConfigError(f"scheme {self.name!r} takes at least one iteration count")
+        object.__setattr__(self, "iterations", counts)
 
     def cells(self) -> tuple[tuple[str, int], ...]:
         """(name, count) per cell, each count as given; 0 for a scheme
@@ -252,7 +256,7 @@ def _parse_schemes(section) -> tuple[SchemeSpec, ...]:
     for entry in section:
         if isinstance(entry, dict):
             _reject_unknown(entry, {"name", "iterations"}, "schemes entry")
-            specs.append(SchemeSpec(entry.get("name", ""), entry.get("iterations", ())))
+            specs.append(SchemeSpec(**{"name": "", **entry}))
         else:
             specs.append(SchemeSpec(entry))
     return tuple(specs)

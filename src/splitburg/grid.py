@@ -13,12 +13,15 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, check_kind, check_number, check_whole, is_finite
+from .errors import (ConfigError, check_kind, check_number, check_positive, check_whole,
+                     is_finite)
 
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform mesh over [x_min, x_max] with n_cells cells."""
+    """Uniform mesh over [x_min, x_max] with n_cells cells, whose width dx
+    must be positive and finite: bounds whose length overflows, or that
+    are too close for a cell, are refused."""
 
     x_min: float
     x_max: float
@@ -31,6 +34,7 @@ class SpatialGrid:
             raise ConfigError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
         object.__setattr__(self, "n_cells", check_whole(
             self.n_cells, 2, math.inf, "n_cells must be an integer >= 2"))
+        check_positive(self.dx, "dx")
 
     @property
     def dx(self) -> float:

@@ -32,8 +32,9 @@ equal to `scipy.special.ndtri`.  Drawing a path therefore loads
 neither `numpy.random` nor any scipy module.
 
 `check_path_steps` is the one cap on the fine increments of a path
-(`MAX_PATH_STEPS`): `generate_path` raises a ResourceLimit past it, and a
-`RunConfig` whose paths would pass it is a ConfigError.
+(`MAX_PATH_STEPS`, read at call time): `generate_path` raises a
+ResourceLimit past it, and a `RunConfig` whose paths would pass it is a
+ConfigError.
 
 `apply_increment` is the one formula of a noise increment,
 base + amp dW [+ ((corr / 2) * slope) (dW^2 - dt)]: Euler-Maruyama without
@@ -58,7 +59,7 @@ from .grid import FieldState
 
 _NOISE_KINDS = ("linear", "constant")
 
-#: default ceiling on fine increments per path: the stored path is ~80 MB of
+#: ceiling on fine increments per path: the stored path is ~80 MB of
 #: float64, and drawing it peaks at ~68 B per increment (~0.7 GB)
 MAX_PATH_STEPS = 10_000_000
 
@@ -272,15 +273,18 @@ def step_counts(t_end: float, dt_fine: float, dt: float | None = None,
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Wiener increments of one seed at the fine resolution."""
+    """Wiener increments of one path at the fine resolution, a
+    one-dimensional float64 array, stored read-only.  Non-finite increments
+    are kept: the largest draw gives +inf."""
 
-    seed: int
     dt_fine: float
     increments: np.ndarray
 
     def __post_init__(self) -> None:
         check_positive(self.dt_fine, "dt_fine")
         inc = np.array(self.increments, dtype=np.float64)
+        if inc.ndim != 1:
+            raise ConfigError(f"increments must be one-dimensional, got shape {inc.shape}")
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
 
@@ -322,17 +326,16 @@ def check_seed(seed) -> int:
                        "seeds must be non-negative integers below 2**128")
 
 
-def check_path_steps(n: int, max_steps: int = MAX_PATH_STEPS,
-                     error: type = ResourceLimit) -> None:
-    """Raise `error` when a path of n fine increments exceeds the cap of
-    `max_steps`: the one cap check, a ResourceLimit when a path is drawn and
-    a ConfigError (`RunConfig`) when a study asks for one it could not draw."""
-    if n > max_steps:
-        raise error(f"path of {n} increments exceeds the cap of {max_steps}")
+def check_path_steps(n: int, error: type = ResourceLimit) -> None:
+    """Raise `error` when a path of n fine increments exceeds
+    `MAX_PATH_STEPS`: the one cap check, a ResourceLimit when a path is
+    drawn and a ConfigError (`RunConfig`) when a study asks for one it could
+    not draw."""
+    if n > MAX_PATH_STEPS:
+        raise error(f"path of {n} increments exceeds the cap of {MAX_PATH_STEPS}")
 
 
-def generate_path(seed: int, t_end: float, dt_fine: float,
-                  max_steps: int = MAX_PATH_STEPS) -> NoisePath:
+def generate_path(seed: int, t_end: float, dt_fine: float) -> NoisePath:
     """Draw the fine-resolution increments of stream `seed` over [0, t_end].
 
     The path depends only on (seed, t_end, dt_fine); the noise amplitude never
@@ -341,11 +344,11 @@ def generate_path(seed: int, t_end: float, dt_fine: float,
     """
     seed = check_seed(seed)
     n = step_counts(t_end, dt_fine)[0]
-    check_path_steps(n, max_steps)
+    check_path_steps(n)
     draws = _philox_draws(seed, n)
     uniforms = (draws.astype(np.float64) + 0.5) / 2**53
     xi = _ndtri(uniforms)
-    return NoisePath(seed, float(dt_fine), np.sqrt(dt_fine) * xi)
+    return NoisePath(float(dt_fine), np.sqrt(dt_fine) * xi)
 
 
 def coarsen(path: NoisePath, factor: int) -> np.ndarray:

@@ -60,10 +60,10 @@ iterate.
 either a fixed step size or a stability-bound-governed one, truncating on
 blow-up, which `_blowup_reason` alone decides from a state's peak |value|;
 `noise.step_counts` counts its fine steps and checks their alignment.  It
-streams and builds no per-step records at all: a trajectory holds its
+streams and builds no step records at all: a trajectory holds its
 current values, the aba companion's values where the scheme carries one, a
-step counter and the rows of its residual trace, and only the last step's
-record is built, for `Trajectory`, its state a copy of the values through
+step counter and the rows of its residual trace, and `Trajectory` holds
+the state it ends on, a copy of the values through
 `FieldState.with_values`.  Memory per trajectory is O(cells), not
 O(steps x cells).  The state after step k of a fixed-dt trajectory is the
 endpoint of integrating over k steps on the same path.
@@ -133,12 +133,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Outcome of one step: the new state, the step size, and the iterate
-    residuals (one entry per sweep beyond the first; empty for non-iterative
-    schemes)."""
+    """Outcome of one step: the new state and the iterate residuals (one
+    entry per sweep beyond the first; empty for non-iterative schemes)."""
 
     state_after: FieldState
-    dt_used: float
     iterate_residuals: tuple[float, ...] = ()
 
 
@@ -297,7 +295,7 @@ def step(state: FieldState, dt: float, dw, cfg: SchemeConfig,
     with np.errstate(over="ignore", invalid="ignore"):
         values, residuals, _ = row.kernel(state.values, dt, dw, companion, cfg, move, None)
     _check_contraction(residuals)
-    return StepRecord(state.with_values(values, state.time + dt), dt, tuple(residuals))
+    return StepRecord(state.with_values(values, state.time + dt), tuple(residuals))
 
 
 def iter_after_step(state: FieldState, dt: float, dw: float,
@@ -329,25 +327,19 @@ def _blowup_reason(peak: float, threshold: float) -> str | None:
 class Trajectory:
     """Outcome of one integration, truncated on blow-up.
 
-    `last_record` is the last step's record (None when no step was taken),
-    `n_steps` the number of steps taken, and `residuals` the read-only
-    `(n, 4)` float64 trace with one row (step, time, iteration, residual)
-    per iterate residual, steps counted from 0 and iterations from 2; it is
-    `(0, 4)` for a trajectory without residuals.  The states of earlier
-    steps are not kept.
+    `final_state` is the state it ends on (the start state when no step
+    was taken), `n_steps` the number of steps taken, and `residuals` the
+    read-only `(n, 4)` float64 trace with one row (step, time, iteration,
+    residual) per iterate residual, steps counted from 0 and iterations
+    from 2; it is `(0, 4)` for a trajectory without residuals.  The states
+    of earlier steps are not kept.
     """
 
-    initial_state: FieldState
-    last_record: StepRecord | None
+    final_state: FieldState
     n_steps: int
     residuals: np.ndarray
     blowup_time: float | None = None
     blowup_reason: str | None = None
-
-    @property
-    def final_state(self) -> FieldState:
-        rec = self.last_record
-        return self.initial_state if rec is None else rec.state_after
 
     @property
     def blown_up(self) -> bool:
@@ -355,10 +347,11 @@ class Trajectory:
 
     @property
     def records(self) -> tuple[StepRecord, ...]:
-        """The records the trajectory still holds: the last step's, or none.
-        Kept for the benchmark's tracer, which sums their state sizes; it
-        goes away with benchmark contract v2."""
-        return () if self.last_record is None else (self.last_record,)
+        """The end state as a one-record tuple after a step, `()` before
+        any: a record that carries the state only, kept for the benchmark's
+        tracer, which sums their state sizes; it goes with benchmark
+        contract v2."""
+        return (StepRecord(self.final_state),) if self.n_steps else ()
 
 
 @dataclass(frozen=True)
@@ -431,8 +424,8 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     Each step calls the scheme's kernel on the current values (and the
     companion's) and scans its result once: the peak |value| decides
     blow-up, gives the next step's first wave speed, and with |u| feeds the
-    governed step size.  Only the last step's record is built; each step
-    appends its iterate residuals to the trace.
+    governed step size.  No step record is built; each step appends its
+    iterate residuals to the trace.
     """
     if (dt is None) == (cfl is None):
         raise ConfigError("provide exactly one of dt (fixed) or cfl (governed)")
@@ -451,7 +444,6 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     u, time, peak = c0.values, c0.time, c0.peak
     absu = np.abs(u)
     companion = u if cfg.carries_companion else None
-    residuals: tuple[float, ...] | list[float] = ()
     n_steps = 0
     rows: list[tuple[int, float, int, float]] = []
     blowup_time: float | None = None
@@ -478,7 +470,6 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             except CflViolation:
                 blowup_time, blowup_reason = time, "cfl_rejected"
                 break
-            dt_used = step_dt
             time += step_dt
             if residuals:
                 _check_contraction(residuals)
@@ -491,9 +482,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             if blowup_reason is not None:
                 blowup_time = time
                 break
-    last = None
-    if n_steps:
-        last = StepRecord(c0.with_values(u, time), dt_used, tuple(residuals))
     trace = np.array(rows, dtype=np.float64).reshape(-1, 4)
     trace.flags.writeable = False
-    return Trajectory(c0, last, n_steps, trace, blowup_time, blowup_reason)
+    return Trajectory(c0.with_values(u, time) if n_steps else c0, n_steps, trace,
+                      blowup_time, blowup_reason)

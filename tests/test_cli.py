@@ -1,6 +1,5 @@
 """Command line interface: subcommands, exit codes, and output routing."""
 
-import functools
 import os
 import subprocess
 import sys
@@ -10,6 +9,7 @@ import pytest
 
 import splitburg
 import splitburg.cli as cli_mod
+import splitburg.noise as noise_mod
 import splitburg.runner as runner_mod
 from splitburg.cli import main
 from splitburg.noise import generate_path
@@ -81,6 +81,15 @@ def test_the_benchmark_workloads_validate_with_their_stated_shapes(capsys):
         out = capsys.readouterr().out
         assert out == (f"configuration OK: {cells} scheme cell(s) x {levels} dt "
                        f"level(s) x {seeds} seed(s)\n"), path.stem
+
+
+def test_validate_rejects_a_mesh_whose_length_overflows(tmp_path, capsys):
+    bad = tmp_path / "wide.yaml"
+    bad.write_text("grid: {x_min: -1.0e308, x_max: 1.0e308, n_cells: 4}\n")
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: dx must be positive and finite")
+    assert "configuration OK" not in captured.out
 
 
 def test_missing_config_file_is_a_config_error(tmp_path, capsys):
@@ -193,8 +202,14 @@ EVERY_CELL_FAILS = {
 def test_a_run_where_every_cell_fails_says_why_and_writes_no_summary(
         study, tmp_path, capsys, monkeypatch):
     doc, expected = EVERY_CELL_FAILS[study]
-    monkeypatch.setattr(runner_mod, "generate_path",
-                        functools.partial(generate_path, max_steps=100))
+
+    def capped(*args):
+        # the cap is lowered only around the draw, so the study still validates
+        with monkeypatch.context() as patch:
+            patch.setattr(noise_mod, "MAX_PATH_STEPS", 100)
+            return generate_path(*args)
+
+    monkeypatch.setattr(runner_mod, "generate_path", capped)
     cfg = tmp_path / "fails.yaml"
     cfg.write_text("grid: {n_cells: 20}\ndt_ladder: [0.01]\nseeds: [1, 2]\n" + doc)
     out = tmp_path / "out"

@@ -173,6 +173,16 @@ _CODE_AND_YAML = {
     "iterations-fraction": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", 2.5),)),
                             "schemes: [{name: iter_after, iterations: 2.5}]",
                             "iterations"),
+    # a length that overflows to inf, or a cell width that underflows to 0
+    "dx-inf": (lambda: RunConfig(x_min=-1.0e308, x_max=1.0e308, n_cells=4),
+               "grid: {x_min: -1.0e308, x_max: 1.0e308, n_cells: 4}", "dx"),
+    "dx-zero": (lambda: RunConfig(x_max=5.0e-324, n_cells=2),
+                "grid: {x_max: 5.0e-324, n_cells: 2}", "dx"),
+    # an empty list is refused, not read as the left-out default
+    "iterations-empty": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", []),)),
+                         "schemes: [{name: iter_after, iterations: []}]", "iter_after"),
+    "iterations-empty-non-iterative": (lambda: RunConfig(schemes=(SchemeSpec("ab", []),)),
+                                       "schemes: [{name: ab, iterations: []}]", None),
     "n_cells-integral": (lambda: RunConfig(n_cells=100.0), "grid: {n_cells: 100.0}", None),
     "seeds-integral": (lambda: RunConfig(seeds=(1.0, 2.0)), "seeds: [1.0, 2.0]", None),
     "iterations-integral": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", (2.0,)),)),
@@ -387,6 +397,22 @@ def test_scheme_entries():
         parse_config("schemes: [{name: iter_before, iterations: [3]}]")
     with pytest.raises(ConfigError):
         parse_config("schemes: []")
+
+
+def test_a_left_out_count_is_the_default_and_an_empty_one_is_refused():
+    # None marks a left-out count; an empty sequence is a count list with
+    # no cell in it, refused for an iterative scheme whatever its type
+    assert SchemeSpec("iter_after").iterations == (SchemeConfig.iterations,)
+    assert SchemeSpec("iter_after", None) == SchemeSpec("iter_after")
+    for name in ("iter_after", "iter_before", "iter_before_trapezoid"):
+        for empty in ([], (), range(0)):
+            with pytest.raises(ConfigError, match=f"scheme '{name}' takes at least one"):
+                SchemeSpec(name, empty)
+    # a scheme without iterations takes none, left out or empty alike
+    for name in ("ab", "aba", "bab"):
+        assert SchemeSpec(name, []) == SchemeSpec(name) == SchemeSpec(name, None)
+        assert SchemeSpec(name, []).iterations == ()
+        assert SchemeSpec(name).cells() == ((name, 0),)
 
 
 def test_counts_are_gated_as_given_before_a_cell_takes_them_as_ints():

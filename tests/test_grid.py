@@ -40,6 +40,14 @@ def test_grid_rejects_bad_bounds_and_cell_counts():
         SpatialGrid(0.0, 1.0, 1)
     with pytest.raises(ConfigError):
         SpatialGrid(0.0, np.inf, 10)
+    # finite bounds whose length overflows, or a cell width that underflows
+    with pytest.raises(ConfigError, match="dx must be positive and finite, got inf"):
+        SpatialGrid(-1.0e308, 1.0e308, 4)
+    with pytest.raises(ConfigError, match="dx must be positive and finite, got 0.0"):
+        SpatialGrid(0.0, 5.0e-324, 2)
+    # the order of the bounds keeps its own message
+    with pytest.raises(ConfigError, match="x_max .* must exceed x_min"):
+        SpatialGrid(1.0, 0.0, 10)
     # the range is compared before `int`, so NaN and infinities are refused;
     # a bool is not a whole number
     for n in (np.nan, np.inf, -np.inf, 1.5, 1, True):

@@ -22,6 +22,7 @@ from splitburg import (
     generate_path,
     milstein_step,
 )
+import splitburg.noise as noise_mod
 from splitburg.noise import (
     SEED_LIMIT,
     _ndtri,
@@ -217,7 +218,7 @@ def test_philox_port_equals_numpy():
     check()
 
 
-def test_path_argument_validation():
+def test_path_argument_validation(monkeypatch):
     with pytest.raises(ConfigError):
         generate_path(-1, 1.0, 1e-3)
     with pytest.raises(ConfigError, match="below 2\\*\\*128"):
@@ -230,13 +231,23 @@ def test_path_argument_validation():
         generate_path(1, 1.0, 0.0)
     with pytest.raises(ConfigError):
         generate_path(1, 0.0105, 1e-2)
-    with pytest.raises(ResourceLimit):
-        generate_path(1, 1.0, 1e-3, max_steps=100)
+    with monkeypatch.context() as patch:
+        patch.setattr(noise_mod, "MAX_PATH_STEPS", 100)
+        with pytest.raises(ResourceLimit,
+                           match="path of 1000 increments exceeds the cap of 100"):
+            generate_path(1, 1.0, 1e-3)
     for dt_fine in (0.0, -0.5, math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="dt_fine must be positive"):
-            NoisePath(1, dt_fine, [0.1, 0.2])
+            NoisePath(dt_fine, [0.1, 0.2])
         with pytest.raises(ConfigError, match="dt_fine must be positive"):
             generate_path(1, 1.0, dt_fine)
+    # a 2x2 array would be four increments to `total` and break `block_sums`,
+    # and a scalar one step that `total` cannot index
+    for bad in ([[0.1, 0.2], [0.3, 0.4]], 0.1):
+        with pytest.raises(ConfigError, match="increments must be one-dimensional"):
+            NoisePath(0.01, bad)
+    # non-finite increments stay allowed: the largest draw maps to +inf
+    assert NoisePath(0.01, [0.1, math.inf]).total == math.inf
     for t_end in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="t_end must be finite"):
             generate_path(1, t_end, 1e-3)

@@ -328,9 +328,6 @@ def _assert_same(traj, by_hand):
     assert traj.n_steps == steps
     assert (traj.blowup_time, traj.blowup_reason) == (blowup_time, reason)
     assert _same_bits(traj.residuals, np.array(rows, dtype=np.float64).reshape(-1, 4))
-    if steps:
-        assert traj.last_record.iterate_residuals == tuple(r[3] for r in rows
-                                                           if r[0] == steps - 1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
