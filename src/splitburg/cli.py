@@ -3,9 +3,12 @@
     splitburg run <config> [--out DIR] [--jobs N] [--quiet]
     splitburg validate <config>
 
-Exit codes: 0 success (and --help), 1 configuration or usage error (such as
-an unknown subcommand or `--jobs x`), 2 runtime failure in any cell.  The
-output directory is --out when given, else the config's output_dir.
+Exit codes, for both subcommands: 0 success (and --help); 1 a configuration
+or usage error (such as an unknown subcommand or `--jobs x`), printed as
+`config error: ...` or by argparse; 2 any other failure, printed as
+`<command> failed: <Type>: <message>`, or a `run` with a failed cell or a
+cell without usable samples.  The output directory is --out when given, else
+the config's output_dir.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, and 2 means a failed cell here
         return 1 if exc.code else 0
 
+    # one failure path for both commands: a ConfigError exits 1, anything
+    # else exits 2 with its type, and neither prints a traceback
     try:
         cfg = parse_config_file(args.config)
         if args.command == "validate":
@@ -65,32 +70,21 @@ def main(argv=None) -> int:
                 f"{len(cfg.dt_ladder)} dt level(s) x {len(cfg.seeds)} seed(s)"
             )
             return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    out_dir = args.out or cfg.output_dir
-    try:
         # only this process writes: the pool's outcomes come back to it
-        writer = CsvWriter(out_dir)
+        writer = CsvWriter(args.out or cfg.output_dir)
         rows, _, stats = run_matrix(cfg, jobs=args.jobs, on_outcome=writer.write)
+        # reported whenever the matrix ran, so a run without a summary says why
+        for label, dt, seed, message in stats.failures:
+            print(f"cell failure: {label} dt={dt:g} seed={seed}: {message}",
+                  file=sys.stderr)
+        for label, why in stats.empty_cells:
+            print(f"cell without usable samples: {label}: {why}", file=sys.stderr)
+        summary_path = writer.finish(rows)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-    # reported whenever the matrix ran, so a run without a summary says why
-    for label, dt, seed, message in stats.failures:
-        print(f"cell failure: {label} dt={dt:g} seed={seed}: {message}",
-              file=sys.stderr)
-    for label, why in stats.empty_cells:
-        print(f"cell without usable samples: {label}: {why}", file=sys.stderr)
-    try:
-        summary_path = writer.finish(rows)
-    except Exception as exc:
-        print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"{args.command} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     if not args.quiet:

@@ -43,6 +43,7 @@ from .grid import (
     SpatialGrid,
     make_initial_state,
 )
+from . import noise
 from .noise import NoiseAmplitude, check_path_steps, check_seed, step_counts
 from .schemes import DEFAULT_BLOWUP_THRESHOLD, SchemeConfig, scheme_traits
 
@@ -268,8 +269,11 @@ def _parse_ladder(section) -> tuple[float, ...]:
     if isinstance(section, dict):
         _reject_unknown(section, {"base", "levels"}, "dt_ladder")
         base = _number(section.get("base", 0.0), "dt_ladder.base")
-        levels = check_whole(section.get("levels", 1), 1, math.inf,
-                             "dt_ladder.levels must be an integer >= 1")
+        # the coarsest dt is at most t_end and dt_fine at most the finest, so
+        # a ladder's paths have at least 2**(levels - 1) steps, under the cap
+        most = noise.MAX_PATH_STEPS.bit_length()
+        levels = check_whole(section.get("levels", 1), 1, most + 1,
+                             f"dt_ladder.levels must be an integer from 1 to {most}")
         # base * 2**-k, exact as base / 2**k, without an int too large for a float
         return tuple(math.ldexp(base, -k) for k in range(levels))
     raise ConfigError("dt_ladder must be a list or a {base, levels} mapping")

@@ -95,12 +95,17 @@ class SeedOutcome(EnsembleSample):
     `endpoint` is the trajectory's final `FieldState`, or None when it blew
     up at `blowup_time`.  `residuals` has one row (step, time, iteration,
     residual) per iterate residual, the columns of the residual CSV; it is
-    `(0, 4)` when the scheme makes no residuals.  `_run_cell` returns it
-    read-only; the copy a pool unpickles is writable."""
+    `(0, 4)` when the scheme makes no residuals.  It is read-only at every
+    `--jobs`: `_run_cell` returns it so, and unpickling freezes it again."""
 
     residuals: np.ndarray
     n_steps: int
     wall_time: float
+
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays come back writable, as in `FieldState.__setstate__`
+        self.__dict__.update(state)
+        self.residuals.setflags(write=False)
 
 
 @dataclass(frozen=True)

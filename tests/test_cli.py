@@ -240,6 +240,20 @@ def test_a_path_over_the_cap_is_a_config_error_for_validate_and_run(
     assert not calls and not out.exists()
 
 
+def test_validate_reports_any_other_failure_as_run_does(config_file, monkeypatch,
+                                                        capsys):
+    # a baseline on a mesh too large to allocate raises MemoryError; validate
+    # reports it in one line and exits 2, as run does, with no traceback
+    def too_large(cfg, dt):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli_mod, "reference_endpoint", too_large)
+    assert main(["validate", config_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "validate failed: MemoryError: Unable to allocate 7.28 TiB\n"
+    assert not captured.out
+
+
 def test_unstable_dt_is_reported_as_config_error(tmp_path, capsys):
     cfg = tmp_path / "fast.yaml"
     cfg.write_text("{dt_ladder: [0.02], dt_fine: 0.01, t_end: 0.1}\n")

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import splitburg.config as config_mod
+import splitburg.noise as noise_mod
 from splitburg import (
     BoundaryKind,
     CflMode,
@@ -311,9 +312,31 @@ def test_dt_ladder_base_levels_form():
 
 
 def test_a_deep_dt_ladder_is_a_config_error_not_an_overflow():
-    # 2**1100 is too large for a float; the deepest levels underflow to 0.0
-    with pytest.raises(ConfigError, match="dt_ladder must be positive"):
+    # 2**1100 is too large for a float; such a ladder is refused by its depth
+    with pytest.raises(ConfigError, match=r"^dt_ladder\.levels must be an integer"):
         parse_config("dt_ladder: {base: 0.01, levels: 1100}")
+    # a base this small underflows to 0.0 one level down
+    with pytest.raises(ConfigError, match="dt_ladder must be positive"):
+        parse_config("dt_ladder: {base: 5.0e-324, levels: 2}")
+
+
+def test_dt_ladder_levels_stop_where_the_path_cap_does(monkeypatch):
+    # the coarsest dt is at most t_end and dt_fine at most the finest, so a
+    # ladder of L levels draws paths of at least 2**(L - 1) steps: 24 levels
+    # fit under the cap of 10**7 and 25 cannot, whatever the other keys say
+    def ladder(levels):
+        return {"dt_ladder": {"base": 0.01, "levels": levels}, "t_end": 0.01,
+                "dt_fine": math.ldexp(0.01, 1 - levels)}
+
+    assert len(parse_config(ladder(24)).dt_ladder) == 24
+    with pytest.raises(ConfigError,
+                       match=r"^dt_ladder\.levels must be an integer from 1 to 24, got 25$"):
+        parse_config(ladder(25))
+    # the cap is read when the ladder is parsed
+    monkeypatch.setattr(noise_mod, "MAX_PATH_STEPS", 2**10)
+    assert len(parse_config(ladder(11)).dt_ladder) == 11
+    with pytest.raises(ConfigError, match=r"from 1 to 11, got 12$"):
+        parse_config(ladder(12))
 
 
 def test_path_resolution_must_divide_the_ladder():

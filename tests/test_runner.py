@@ -296,6 +296,15 @@ def test_run_matrix_rejects_non_integer_jobs(jobs):
         run_matrix(small_cfg(), jobs=jobs)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_matrix_returns_read_only_traces_at_every_jobs(jobs):
+    # at --jobs 2 the outcomes come back pickled from the pool
+    _, outcomes, _ = run_matrix(small_cfg(), jobs=jobs)
+    traces = [o.residuals for o in outcomes if o.scheme == "iter_after"]
+    assert len(traces) == 3 and all(t.shape == (5, 4) for t in traces)
+    assert not any(o.residuals.flags.writeable for o in outcomes)
+
+
 @pytest.mark.parametrize("scheme,iterations", [
     ("iter_after", 4), ("iter_before", 2), ("iter_before_trapezoid", 2),
     ("iter_before", 1), ("ab", 0),

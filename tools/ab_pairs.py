@@ -2,9 +2,12 @@
 
     python3 tools/ab_pairs.py PARENT CHANGE --workload adaptive --seed 1 --pairs 10
 
-Each pair runs `perfbench/run.py --workload W --seed S --seconds 0 --trace 0`
+Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once in each checkout, each checkout with its own run.py and sources; which
-side runs first alternates from pair to pair.  For every end-to-end metric
+side runs first alternates from pair to pair.  T is --seconds, 0 unless
+given.  At 0 run.py makes one round of CLI runs, two at --jobs 1 and one at
+--jobs 2; a longer T lets it make more rounds, so each side's
+`study_s_jobs2` is a median over several runs too.  For every end-to-end metric
 of the parent's BENCHMARK.json it prints both sides' medians, their ratio
 (change / parent), the parent's interquartile range, and how many pairs the
 change won in the metric's better direction (ties count for neither side).
@@ -28,15 +31,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+#: the limit on one run.py invocation, past its --seconds
 RUN_TIMEOUT_S = 1200
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict | None:
+def run_once(checkout: Path, workload: str, seed: int,
+             seconds: float) -> dict | None:
     """One untraced benchmark run; its metric values, or None if it failed."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "0", "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S + seconds)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -61,6 +66,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, default=0.0,
+                        help="run length passed to each run.py (default 0)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -69,7 +76,8 @@ def main(argv=None) -> int:
     pairs: list[tuple[dict, dict] | None] = []
     for k in range(args.pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        got = {side: run_once(getattr(args, side), args.workload, args.seed)
+        got = {side: run_once(getattr(args, side), args.workload, args.seed,
+                              args.seconds)
                for side in order}
         ok = got["parent"] is not None and got["change"] is not None
         pairs.append((got["parent"], got["change"]) if ok else None)
@@ -77,8 +85,8 @@ def main(argv=None) -> int:
               f"{'ok' if ok else 'FAILED'}", flush=True)
 
     good = [p for p in pairs if p is not None]
-    print(f"\nworkload {args.workload}, seed {args.seed}: {len(good)} of "
-          f"{args.pairs} pairs ok")
+    print(f"\nworkload {args.workload}, seed {args.seed}, --seconds "
+          f"{args.seconds:g}: {len(good)} of {args.pairs} pairs ok")
     print(f"{'metric':<18} {'parent':>12} {'change':>12} {'ratio':>7} "
           f"{'parent IQR':>11} {'wins':>6}  verdict")
     for metric in spec["end_to_end"]:
