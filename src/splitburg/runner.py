@@ -4,7 +4,11 @@ to summary rows, and write the CSV outputs.
 Every task is keyed by (scheme, iterations, dt, seed) and draws its noise from
 the seed alone, so the results are byte-identical regardless of the worker
 count or scheduling order.  A worker failure is recorded against its cell and
-never aborts the rest of the matrix.
+never aborts the rest of the matrix: `_run_tasks` alone records it, as the
+failing task's error text.  A chunk the pool cannot return, because its
+worker process died, is rerun through `_run_tasks` in the calling process,
+so no seed is lost to a dead worker; a chunk that would crash any process
+(a native crash) then ends the calling process too, without a summary.
 
 Tasks run seed-major (for each seed, every cell and dt), so consecutive tasks
 share a Wiener path: `_run_cell` keeps the path of the task before and draws
@@ -154,10 +158,6 @@ def _run_cell(task: tuple[RunConfig, str, int, float, int]) -> SeedOutcome:
     )
 
 
-def _error_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def _run_tasks(tasks) -> list[SeedOutcome | str]:
     """Run tasks in order, each through `_run_cell`; a task that raises gives
     its error text in place of an outcome.  Module-level, so a pool can run
@@ -170,7 +170,7 @@ def _run_tasks(tasks) -> list[SeedOutcome | str]:
             try:
                 results.append(_run_cell(task))
             except Exception as exc:
-                results.append(_error_text(exc))
+                results.append(f"{type(exc).__name__}: {exc}")
     finally:
         _held_path = None
     return results
@@ -259,8 +259,8 @@ def run_matrix(
                     k = futures[fut]
                     try:
                         done[k] = fut.result()
-                    except Exception as exc:  # e.g. the worker died mid-chunk
-                        done[k] = [_error_text(exc)] * len(chunks[k])
+                    except Exception:  # a worker died and broke the pool: run it here
+                        done[k] = _run_tasks(chunks[k])
                     deliver(done[k])
             except BaseException:
                 pool.shutdown(cancel_futures=True)

@@ -71,7 +71,6 @@ endpoint of integrating over k steps on the same path.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -141,19 +140,13 @@ class StepRecord:
 
 
 def _check_contraction(residuals) -> None:
-    """Warn when the residuals stop decreasing, from the first frame outside
-    this module: the caller of `integrate` or of a public step."""
+    """Warn when the residuals stop decreasing, naming the line that called
+    `integrate`, `step` or `iter_after_step`: the warning's stacklevel is a
+    fixed 3, so only those three public entry points may call this."""
     for a, b in zip(residuals, residuals[1:]):
         if b >= a and b > 0.0:
-            frame, stacklevel = sys._getframe(1), 2
-            while frame.f_code.co_filename == __file__:
-                frame, stacklevel = frame.f_back, stacklevel + 1
-            warnings.warn(
-                "iterate residuals are not decreasing; the step size likely "
-                "exceeds the contraction range",
-                ContractionWarning,
-                stacklevel=stacklevel,
-            )
+            warnings.warn("iterate residuals are not decreasing; the step size likely "
+                          "exceeds the contraction range", ContractionWarning, stacklevel=3)
             return
 
 
@@ -278,6 +271,14 @@ def step(state: FieldState, dt: float, dw, cfg: SchemeConfig,
     companion that does not fit the cell, such as a companion on another
     grid than the state's, is a ConfigError naming the scheme.
     """
+    record = _step(state, dt, dw, cfg, companion)
+    _check_contraction(record.iterate_residuals)
+    return record
+
+
+def _step(state: FieldState, dt: float, dw, cfg: SchemeConfig,
+          companion: FieldState | None) -> StepRecord:
+    """`step` without its contraction check."""
     check_positive(dt, "dt")
     row = SCHEMES[cfg.scheme]
     if np.shape(dw) != ((2,) if row.halves else ()):
@@ -294,7 +295,6 @@ def step(state: FieldState, dt: float, dw, cfg: SchemeConfig,
     move = transport(cfg.flux, cfg.bc, state.grid.dx)
     with np.errstate(over="ignore", invalid="ignore"):
         values, residuals, _ = row.kernel(state.values, dt, dw, companion, cfg, move, None)
-    _check_contraction(residuals)
     return StepRecord(state.with_values(values, state.time + dt), tuple(residuals))
 
 
@@ -312,7 +312,9 @@ def iter_after_step(state: FieldState, dt: float, dw: float,
     """
     if cfg.scheme != "iter_after":
         raise ConfigError(f"iter_after_step runs iter_after, not {cfg.scheme}")
-    return step(state, dt, dw, cfg)
+    record = _step(state, dt, dw, cfg, None)
+    _check_contraction(record.iterate_residuals)
+    return record
 
 
 def _blowup_reason(peak: float, threshold: float) -> str | None:
@@ -446,8 +448,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
     companion = u if cfg.carries_companion else None
     n_steps = 0
     rows: list[tuple[int, float, int, float]] = []
-    blowup_time: float | None = None
-    blowup_reason: str | None = None
+    reason: str | None = None
     m = m_fixed
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -459,7 +460,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
                 m -= m % quantum
                 m = min(m, n_total - k)
                 if m <= 0:
-                    blowup_time, blowup_reason = time, "dt_underflow"
+                    reason = "dt_underflow"
                     break
                 dws = _step_increments(path, k, m, 1, halves)
             j = 0 if m_fixed is None else n_steps
@@ -468,7 +469,7 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
                 u, residuals, companion = kernel(u, step_dt, dws[j], companion, cfg, move,
                                                  speed)
             except CflViolation:
-                blowup_time, blowup_reason = time, "cfl_rejected"
+                reason = "cfl_rejected"
                 break
             time += step_dt
             if residuals:
@@ -478,11 +479,10 @@ def integrate(c0: FieldState, t_end: float, cfg: SchemeConfig, path: NoisePath,
             n_steps += 1
             k += m
             absu, peak = _scan(u)
-            blowup_reason = _blowup_reason(peak, threshold)
-            if blowup_reason is not None:
-                blowup_time = time
+            reason = _blowup_reason(peak, threshold)
+            if reason is not None:
                 break
     trace = np.array(rows, dtype=np.float64).reshape(-1, 4)
     trace.flags.writeable = False
     return Trajectory(c0.with_values(u, time) if n_steps else c0, n_steps, trace,
-                      blowup_time, blowup_reason)
+                      None if reason is None else time, reason)

@@ -1,4 +1,5 @@
-"""The argv that tools/ab_pairs.py builds for each checkout's run.py."""
+"""The argv that tools/ab_pairs.py builds for each checkout's run.py, and how
+it reports a run that failed."""
 
 import importlib.util
 import json
@@ -39,3 +40,31 @@ def test_each_run_gets_the_workload_seed_and_run_length(extra, seconds, tmp_path
     assert calls == [(argv, parent, timeout), (argv, change, timeout),
                      (argv, change, timeout), (argv, parent, timeout)]
     assert "2 of 2 pairs ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("code, stdout, stderr, why", [
+    (2, "", "Traceback ...\nValueError: no rows\n",
+     "no JSON line, exit 2, last stderr line 'ValueError: no rows'"),
+    (1, json.dumps({"correct": False, "metrics": {}}) + "\n", "",
+     "not correct, exit 1, no stderr"),
+])
+def test_a_failed_pair_names_the_side_its_exit_code_and_last_stderr_line(
+        code, stdout, stderr, why, tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps(SPEC))
+
+    def fake_run(argv, cwd, **kwargs):
+        if Path(cwd) == parent:
+            line = {"correct": True, "metrics": {"study_s": {"value": 1.0}}}
+            return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n",
+                                               stderr="")
+        return subprocess.CompletedProcess(argv, code, stdout=stdout, stderr=stderr)
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "adaptive",
+                          "--seed", "1", "--pairs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert f"pair 1/1 (parent first): FAILED, change: {why}\n" in out
+    assert "0 of 1 pairs ok" in out

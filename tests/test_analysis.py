@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import splitburg.analysis as analysis_mod
 from splitburg import (
     EnsembleSample,
     FieldState,
@@ -225,6 +226,14 @@ def test_summarize_populates_the_report():
     assert report.variance_mean == 1.0
     assert report.n_seeds_used == 2
     assert report.blowup_count == 1
+
+
+def test_summarize_refuses_a_weak_error_above_the_strong_one(monkeypatch):
+    monkeypatch.setattr(analysis_mod, "weak_error", lambda samples, reference: 5.0)
+    ref = constant_state(1.0)
+    with pytest.raises(RuntimeError,
+                       match="^estimator inconsistency: weak 5.0 exceeds strong 1.0$"):
+        summarize([sample(1, 2.0), sample(2, 0.0)], ref)
 
 
 def test_variance_scales_quadratically_with_noise_level():

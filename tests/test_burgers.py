@@ -192,6 +192,39 @@ def test_cfl_combined_bound_matches_hand_formula():
     assert cfl_dt(state, sigma, policy) == pytest.approx(min(cells))
 
 
+_COURANT_UNITS = pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="ROADMAP item 22: the combined bound "
+    "takes |u|/dx for the Courant speed, so it is quadratic in dx")
+
+
+def ones(n_cells):
+    return FieldState(SpatialGrid(0.0, 1.0, n_cells), np.ones(n_cells))
+
+
+@_COURANT_UNITS
+def test_combined_bound_without_noise_is_the_deterministic_one():
+    # 9e-5 against 9e-3 on 100 cells today
+    quiet = NoiseAmplitude("linear", 0.0)
+    assert cfl_dt(ones(100), quiet, CflPolicy(CflMode.COMBINED)) == pytest.approx(
+        cfl_dt(ones(100), quiet, CflPolicy(CflMode.DETERMINISTIC_ONLY)))
+
+
+@_COURANT_UNITS
+def test_combined_bound_halves_with_dx_where_transport_binds():
+    # today it quarters: 9e-5 on 100 cells, 2.25e-5 on 200
+    quiet = NoiseAmplitude("linear", 0.0)
+    coarse, fine = (cfl_dt(ones(n), quiet, CflPolicy(CflMode.COMBINED)) for n in (100, 200))
+    assert fine == pytest.approx(coarse / 2)
+
+
+@_COURANT_UNITS
+def test_combined_bound_without_transport_is_the_stochastic_one():
+    # the |u|/dx term stays today, though the zero flux moves nothing
+    sigma, zero = NoiseAmplitude("linear", 0.5), FluxFunction("zero")
+    assert cfl_dt(ones(100), sigma, CflPolicy(CflMode.COMBINED), zero) == pytest.approx(
+        cfl_dt(ones(100), sigma, CflPolicy(CflMode.STOCHASTIC_ONLY), zero))
+
+
 def test_cfl_safety_scales_the_bound():
     grid = SpatialGrid(0.0, 0.3, 3)
     state = FieldState(grid, np.array([1.0, -2.0, 0.5]))

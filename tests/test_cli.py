@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, and output routing."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import splitburg
 import splitburg.cli as cli_mod
 import splitburg.noise as noise_mod
 import splitburg.runner as runner_mod
+from splitburg import ConfigError, parse_config_file
 from splitburg.cli import main
 from splitburg.noise import generate_path
 
@@ -103,6 +105,22 @@ def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config file {bad} is not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_a_config_that_cannot_be_read_is_a_config_error(config_file, monkeypatch,
+                                                       capsys):
+    # a file that exists but is not readable; refused through read_text, as
+    # a test run with root's rights could not otherwise see it
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    with pytest.raises(ConfigError, match=f"^config file {re.escape(config_file)} cannot be read"):
+        parse_config_file(config_file)
+    assert main(["validate", config_file]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {config_file} cannot be read")
     assert "Traceback" not in err
 
 

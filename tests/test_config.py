@@ -546,6 +546,17 @@ def test_document_shape_errors():
         parse_config("{unbalanced: [")
 
 
+@pytest.mark.parametrize("doc, message", [
+    ("dt_ladder: 0.01", "dt_ladder must be a list or a {base, levels} mapping"),
+    ("seeds: 5", "seeds must be a list or a {base, count} mapping"),
+    ("initial_condition: {kind: table, x: 1, values: [1, 2]}",
+     "table initial_condition needs 'x' and 'values' lists"),
+])
+def test_a_field_of_the_wrong_shape_is_refused_by_name(doc, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config(doc)
+
+
 def test_builders_and_cell_expansion():
     cfg = RunConfig(schemes=(SchemeSpec("iter_after", (1, 4)), SchemeSpec("bab")))
     assert cfg.cells() == (("iter_after", 1), ("iter_after", 4), ("bab", 0))

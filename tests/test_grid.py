@@ -230,6 +230,13 @@ def test_table_validation():
             InitialCondition.constant(bad)
 
 
+def test_a_table_that_is_not_a_sequence_is_refused_as_not_finite():
+    # iterating 5 raises a TypeError inside the finiteness check, which the
+    # gate reports as a refusal of the field
+    with pytest.raises(ConfigError, match=r"^initial condition x_table must be finite, got 5$"):
+        InitialCondition("table", x_table=5, u_table=(0, 1))
+
+
 def test_unknown_initial_condition_kind():
     with pytest.raises(ConfigError):
         InitialCondition("gaussian")

@@ -376,6 +376,52 @@ def test_governed_integrate_equals_stepping_by_hand(cfg, seed, amplitude, mode, 
     _assert_same(traj, _step_by_hand(c0, cfg, path, n_total, policy=policy))
 
 
+_POLICIES = st.builds(
+    CflPolicy, mode=st.sampled_from(list(CflMode)), safety=st.floats(0.1, 1.0),
+    xi_bound=st.floats(0.5, 4.0),
+    dt_max=st.sampled_from([0.0005, 0.001, 0.003, 0.008, 0.02]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+# a step of 0.08 at |u| = 4 is rejected before any step is taken ...
+@example(cfg=SchemeConfig("ab"), seed=0, amplitude=4.0, m=8, n_steps=1, policy=None)
+# ... and so is a governed step capped below one fine step
+@example(cfg=SchemeConfig("ab"), seed=0, amplitude=1.0, m=1, n_steps=1,
+         policy=CflPolicy(dt_max=0.0005))
+# an amplitude whose square overflows makes the first step non-finite
+@example(cfg=SchemeConfig("ab", flux=FluxFunction("zero"),
+                          sigma=NoiseAmplitude("linear", 1e200)),
+         seed=0, amplitude=1.0, m=1, n_steps=2, policy=None)
+@given(
+    cfg=_scheme_cfgs(),
+    seed=st.integers(0, 2**63),
+    amplitude=st.floats(-4.0, 4.0),
+    m=st.sampled_from([1, 2, 4, 6, 8]),
+    n_steps=st.integers(1, 6),
+    # None: fixed steps of m fine steps of 0.01; else governed, on fine
+    # steps of 0.001 up to the same count
+    policy=st.one_of(st.none(), _POLICIES),
+)
+def test_a_blow_up_is_timed_at_the_state_it_ends_on(cfg, seed, amplitude, m, n_steps,
+                                                    policy):
+    m *= cfg.quantum
+    fine = _FINE if policy is None else 0.001
+    c0, t_end = _start(amplitude), n_steps * m * fine
+    path = generate_path(seed, t_end, fine)
+    if policy is None:
+        traj = integrate(c0, t_end, cfg, path, dt=m * fine)
+    else:
+        traj = integrate(c0, t_end, cfg, path, cfl=policy)
+    event(f"{'fixed' if policy is None else 'governed'} ends: "
+          f"{traj.blowup_reason or 'at t_end'}{'' if traj.n_steps else ' on step 0'}")
+    assert traj.blown_up == (traj.blowup_reason is not None)
+    if traj.blown_up:
+        assert traj.blowup_time == traj.final_state.time
+    if not traj.n_steps:
+        assert traj.final_state is c0
+
+
 @settings(max_examples=300, deadline=None)
 @given(k=st.integers(1, 6), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1),
        decades=st.integers(0, 40))

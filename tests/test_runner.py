@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import importlib.util
+import math
 import os
 import pickle
 import time
@@ -15,9 +16,11 @@ import pytest
 import splitburg.runner as runner_mod
 from splitburg import (
     ConfigError,
+    ContractionWarning,
     CsvWriter,
     EnsembleSample,
     FieldState,
+    ResultRow,
     SeedOutcome,
     SpatialGrid,
     cell_label,
@@ -150,6 +153,44 @@ def test_worker_failure_is_isolated_to_its_cell(monkeypatch, jobs):
     assert rows[1].n_seeds_used == 5
     assert stats.failures == (("ab", 0.01, 2, "RuntimeError: synthetic worker crash"),)
     assert not stats.clean
+
+
+@pytest.mark.parametrize("dead_seed", [2, 7])
+def test_a_chunk_lost_to_a_dead_worker_reruns_here(monkeypatch, dead_seed):
+    # one task kills the worker process that runs it, as an OOM kill would;
+    # the pool then breaks and fails every chunk still out, each of which
+    # is rerun in this process, where the task runs normally
+    real, parent = runner_mod._run_cell, os.getpid()
+
+    def dies_in_a_worker(task):
+        if task[4] == dead_seed and task[1] == "ab" and os.getpid() != parent:
+            os._exit(3)
+        return real(task)
+
+    cfg = parse_config(SMALL_DOC.replace("seeds: [1, 2, 3]", "seeds: [1, 2, 3, 4, 5, 6, 7, 8]"))
+    serial_rows, serial_outcomes, _ = run_matrix(cfg, jobs=1)
+    monkeypatch.setattr(runner_mod, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner_mod, "_run_cell", dies_in_a_worker)
+    rows, outcomes, stats = run_matrix(cfg, jobs=2)
+    assert stats.clean
+    assert [r.n_seeds_used for r in rows] == [8, 8]
+    assert without_wall_time(rows) == without_wall_time(serial_rows)
+
+    def endpoints(outcomes):
+        return [(o.scheme, o.iterations, o.dt, o.seed, o.blowup_time,
+                 o.endpoint.values.tolist(), o.residuals.tolist()) for o in outcomes]
+
+    assert endpoints(outcomes) == endpoints(serial_outcomes)
+
+
+def test_a_contraction_warning_names_the_line_that_called_integrate():
+    # lam |dW| far above 1, so the iter_after fixpoint diverges
+    cfg = parse_config(SMALL_DOC.replace("lam: 0.4", "lam: 20.0")
+                       .replace("[ab, {name: iter_after, iterations: [2]}]",
+                                "[{name: iter_after, iterations: [3]}]"))
+    with pytest.warns(ContractionWarning) as caught:
+        run_matrix(cfg, jobs=1)
+    assert {w.filename for w in caught} == {runner_mod.__file__}
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -288,6 +329,15 @@ def test_a_failing_estimator_check_empties_its_cell_only(monkeypatch, tmp_path, 
 def test_run_matrix_validates_jobs():
     with pytest.raises(ConfigError):
         run_matrix(small_cfg(), jobs=0)
+
+
+def test_a_result_row_refuses_a_non_finite_estimate():
+    fields = dict(scheme="ab", iterations=0, dt=0.01, dx=0.025, lam=0.4, n_seeds_used=3,
+                  blowup_count=0, weak_error=0.1, strong_error=0.2, mean_variance=0.0,
+                  wall_time=1.0)
+    ResultRow(**fields)
+    with pytest.raises(ValueError, match="^result field weak_error is not finite$"):
+        ResultRow(**{**fields, "weak_error": math.nan})
 
 
 @pytest.mark.parametrize("jobs", [1.5, 2.0, True])

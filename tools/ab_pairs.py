@@ -16,10 +16,12 @@ A metric is flagged `resolved` only when at least ten pairs ran, the
 change won at least nine tenths of them, and the medians differ by more
 than the parent's interquartile range.  `within bound` says whether the
 change's median is no worse than the parent's by more than the metric's
-relative bound.  A pair fails when either run exits without its JSON line or prints
-`"correct": false`; a failed pair gives neither side a value and counts as
-a pair the change did not win.  Nothing under either checkout's perfbench/
-is edited; run.py keeps its scratch runs in its own checkout.
+relative bound.  A pair fails when either run exits without its JSON line
+or prints `"correct": false`, and its line then names each failed side, its
+exit code and the last line of its stderr; a failed pair gives neither side
+a value and counts as a pair the change did not win.  Nothing under either
+checkout's perfbench/ is edited; run.py keeps its scratch runs in its own
+checkout.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ RUN_TIMEOUT_S = 1200
 
 
 def run_once(checkout: Path, workload: str, seed: int,
-             seconds: float) -> dict | None:
-    """One untraced benchmark run; its metric values, or None if it failed."""
+             seconds: float) -> dict | str:
+    """One untraced benchmark run: its metric values, or if it failed, why,
+    with its exit code and the last line of its stderr."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -46,10 +49,13 @@ def run_once(checkout: Path, workload: str, seed: int,
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return None
-    if result.get("correct") is not True:
-        return None
-    return {name: m["value"] for name, m in result["metrics"].items()}
+        result = None
+    if result is not None and result.get("correct") is True:
+        return {name: m["value"] for name, m in result["metrics"].items()}
+    stderr = (proc.stderr or "").strip().splitlines()
+    return (f"{'no JSON line' if result is None else 'not correct'}, exit "
+            f"{proc.returncode}, "
+            + (f"last stderr line {stderr[-1]!r}" if stderr else "no stderr"))
 
 
 def quartile_spread(values: list[float]) -> float:
@@ -79,10 +85,10 @@ def main(argv=None) -> int:
         got = {side: run_once(getattr(args, side), args.workload, args.seed,
                               args.seconds)
                for side in order}
-        ok = got["parent"] is not None and got["change"] is not None
-        pairs.append((got["parent"], got["change"]) if ok else None)
+        failed = [f"{side}: {why}" for side, why in got.items() if isinstance(why, str)]
+        pairs.append(None if failed else (got["parent"], got["change"]))
         print(f"pair {k + 1}/{args.pairs} ({order[0]} first): "
-              f"{'ok' if ok else 'FAILED'}", flush=True)
+              f"{'FAILED, ' + '; '.join(failed) if failed else 'ok'}", flush=True)
 
     good = [p for p in pairs if p is not None]
     print(f"\nworkload {args.workload}, seed {args.seed}, --seconds "
