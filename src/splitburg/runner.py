@@ -32,10 +32,15 @@ so the parent creates files while the workers compute.  `CsvWriter` owns the
 layout (summary.csv, profiles/, residuals/), writes each file in one call
 and summary.csv last.  Only the parent writes: creating files in one
 directory from several threads made each create cost more in system time,
-not less.  `emit_csv` runs the same writer over a finished run's outcomes.
-Every number written takes its mesh from the state it describes: a
-profile's x column from its endpoint's grid, a summary row's dx from its dt
-level's noise-free baseline.
+not less.  On the benchmark's `ensemble` study (2-core host), workers that
+wrote their own chunk's files did not resolve as a gain at `--jobs 2` (2.03
+to 1.77 s in one set of A/B pairs, 2.33 to 2.15 s with 5 wins of 10 in
+another), and a writer thread at `--jobs 1` held its writes back until
+`finish` (2.89 to 2.90 s).  Most of the parent's write time is system time
+for file creates, which recent deletes make slow.  `emit_csv` runs the
+same writer over a finished run's outcomes.  Every number written takes its
+mesh from the state it describes: a profile's x column from its endpoint's
+grid, a summary row's dx from its dt level's noise-free baseline.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import os
 import tempfile
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,26 +62,30 @@ from .grid import FieldState, SpatialGrid
 from .noise import NoisePath, generate_path, step_counts
 from .schemes import integrate
 
-CSV_COLUMNS = (
-    "scheme", "I", "dt", "dx", "lambda", "n_seeds_used", "blowup_count",
-    "weak_error", "strong_error", "mean_variance", "wall_time",
-)
-
-
 def cell_label(scheme: str, iterations: int) -> str:
     """File and report label of a matrix cell; iterative schemes embed I."""
     return scheme if iterations == 0 else f"{scheme}{iterations}"
 
 
+def _fmt(value) -> str:
+    # repr of a builtin float round-trips exactly and never abbreviates
+    return repr(float(value))
+
+
 @dataclass(frozen=True)
 class ResultRow:
-    """One (scheme, I, dt) cell of the summary table."""
+    """One (scheme, I, dt) cell of the summary table.
+
+    Its fields, in order, are summary.csv's columns, each headed by its name
+    or by its `column` metadata.  A field's declared type, not its value's,
+    sets how it is written (`str` as is, `int` by `str`, `float` by `_fmt`),
+    and every `float` field must be finite."""
 
     scheme: str
-    iterations: int
+    iterations: int = field(metadata={"column": "I"})
     dt: float
     dx: float
-    lam: float
+    lam: float = field(metadata={"column": "lambda"})
     n_seeds_used: int
     blowup_count: int
     weak_error: float
@@ -85,10 +94,16 @@ class ResultRow:
     wall_time: float
 
     def __post_init__(self) -> None:
-        for name in ("dt", "dx", "lam", "weak_error", "strong_error",
-                     "mean_variance", "wall_time"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"result field {name} is not finite")
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"result field {f.name} is not finite")
+
+
+CSV_COLUMNS = tuple(f.metadata.get("column", f.name) for f in fields(ResultRow))
+#: (field name, formatter) per summary.csv column; the annotations are
+#: strings (`from __future__ import annotations`), and an unknown one fails here
+_CSV_FORMATS = tuple((f.name, {"str": str, "int": str, "float": _fmt}[f.type])
+                     for f in fields(ResultRow))
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -307,11 +322,6 @@ def run_matrix(
     return tuple(rows), tuple(ordered), stats
 
 
-def _fmt(value) -> str:
-    # repr of a builtin float round-trips exactly and never abbreviates
-    return repr(float(value))
-
-
 class CsvWriter:
     """The output layout under one directory: summary.csv, and one file per
     seed in profiles/ and residuals/.
@@ -376,13 +386,9 @@ class CsvWriter:
         if not rows:
             raise ValueError("no result rows to write")
         self._start()
-        lines = [",".join(CSV_COLUMNS)]
-        for r in rows:
-            lines.append(",".join((
-                r.scheme, str(r.iterations), _fmt(r.dt), _fmt(r.dx), _fmt(r.lam),
-                str(r.n_seeds_used), str(r.blowup_count), _fmt(r.weak_error),
-                _fmt(r.strong_error), _fmt(r.mean_variance), _fmt(r.wall_time),
-            )))
+        lines = [",".join(CSV_COLUMNS)] + [
+            ",".join([fmt(getattr(r, name)) for name, fmt in _CSV_FORMATS])
+            for r in rows]
         fd, tmp = tempfile.mkstemp(dir=self.out, prefix=".summary-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:

@@ -1,5 +1,5 @@
-"""The argv that tools/ab_pairs.py builds for each checkout's run.py, and how
-it reports a run that failed."""
+"""The argv that tools/ab_pairs.py builds for each checkout's run.py, how it
+reports every pair's values, and how it reports a run that failed."""
 
 import importlib.util
 import json
@@ -68,3 +68,32 @@ def test_a_failed_pair_names_the_side_its_exit_code_and_last_stderr_line(
     out = capsys.readouterr().out
     assert f"pair 1/1 (parent first): FAILED, change: {why}\n" in out
     assert "0 of 1 pairs ok" in out
+
+
+def test_each_good_pair_prints_both_sides_value_of_every_metric(tmp_path, monkeypatch,
+                                                                capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    spec = {"end_to_end": [*SPEC["end_to_end"],
+                           {"name": "peak_rss_mb", "better": "lower", "bound": 0.05}]}
+    (parent / "BENCHMARK.json").write_text(json.dumps(spec))
+    runs = iter([2.0, 1.5, 1.25, 3.0])  # parent, change; then change, parent
+
+    def fake_run(argv, cwd, **kwargs):
+        metrics = {"study_s": {"value": next(runs)}}
+        if Path(cwd) == parent:
+            metrics["peak_rss_mb"] = {"value": 38.25}
+        line = {"correct": True, "metrics": metrics}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+
+    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "ensemble",
+                          "--seed", "1", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    study = "  study_s            parent {:>12} change {:>12}\n"
+    rss = "  peak_rss_mb        parent {:>12} change {:>12}\n"
+    assert ("pair 1/2 (parent first): ok\n" + study.format("2", "1.5")
+            + rss.format("38.25", "n/a")
+            + "pair 2/2 (change first): ok\n" + study.format("3", "1.25")
+            + rss.format("38.25", "n/a")) in out

@@ -216,20 +216,30 @@ def test_a_kind_that_cannot_be_looked_up_is_an_unknown_kind(build):
             build(bad)
 
 
-@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1e999"])
-@pytest.mark.parametrize("doc, key", [
+NON_FINITE_DOCS = [
+    ("grid: {{x_min: {}}}", "grid.x_min"),
+    ("grid: {{x_max: {}}}", "grid.x_max"),
     ("dt_fine: {}", "dt_fine"),
     ("t_end: {}", "t_end"),
     ("dt_ladder: [0.01, {}]", "dt_ladder"),
     ("dt_ladder: {{base: {}, levels: 2}}", "dt_ladder.base"),
     ("noise: {{lam: {}}}", "noise.lam"),
     ("blowup_threshold: {}", "blowup_threshold"),
+    ("cfl: {{safety: {}}}", "cfl.safety"),
     ("cfl: {{xi_bound: {}}}", "cfl.xi_bound"),
     ("initial_condition: {{kind: constant, value: {}}}", "value"),
-])
+]
+
+
+@pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "1e999"])
+@pytest.mark.parametrize("doc, key", NON_FINITE_DOCS)
 def test_non_finite_numbers_are_config_errors(doc, key, value):
     with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be finite"):
         parse_config(doc.format(value))
+
+
+def test_every_number_key_has_a_non_finite_case():
+    assert config_mod._NUMBERS <= {key for _, key in NON_FINITE_DOCS}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -331,13 +331,34 @@ def test_run_matrix_validates_jobs():
         run_matrix(small_cfg(), jobs=0)
 
 
-def test_a_result_row_refuses_a_non_finite_estimate():
-    fields = dict(scheme="ab", iterations=0, dt=0.01, dx=0.025, lam=0.4, n_seeds_used=3,
+ROW_FIELDS = dict(scheme="ab", iterations=0, dt=0.01, dx=0.025, lam=0.4, n_seeds_used=3,
                   blowup_count=0, weak_error=0.1, strong_error=0.2, mean_variance=0.0,
                   wall_time=1.0)
-    ResultRow(**fields)
-    with pytest.raises(ValueError, match="^result field weak_error is not finite$"):
-        ResultRow(**{**fields, "weak_error": math.nan})
+FLOAT_FIELDS = ("dt", "dx", "lam", "weak_error", "strong_error", "mean_variance",
+                "wall_time")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_a_result_row_refuses_a_non_finite_estimate(name, bad):
+    ResultRow(**ROW_FIELDS)
+    with pytest.raises(ValueError, match=f"^result field {name} is not finite$"):
+        ResultRow(**{**ROW_FIELDS, name: bad})
+
+
+def test_summary_columns_are_the_result_row_fields_written_by_declared_type(tmp_path):
+    assert FLOAT_FIELDS == tuple(f.name for f in dataclasses.fields(ResultRow)
+                                 if f.type == "float")
+    assert runner_mod.CSV_COLUMNS == (
+        "scheme", "I", "dt", "dx", "lambda", "n_seeds_used", "blowup_count",
+        "weak_error", "strong_error", "mean_variance", "wall_time")
+    # an int given to a float field is still written as a float
+    row = ResultRow(**{**ROW_FIELDS, "dt": 1, "mean_variance": 0})
+    summary = CsvWriter(tmp_path).finish([row])
+    assert summary.read_text().splitlines() == [
+        ",".join(runner_mod.CSV_COLUMNS),
+        "ab,0,1.0,0.025,0.4,3,0,0.1,0.2,0.0,1.0",
+    ]
 
 
 @pytest.mark.parametrize("jobs", [1.5, 2.0, True])
@@ -455,6 +476,13 @@ def test_emit_csv_layout(tmp_path):
     step, t, sweep, res = trace[1].split(",")
     assert (step, sweep) == ("0", "2")
     assert float(res) > 0.0
+
+
+def test_readme_outputs_name_the_summary_columns():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Outputs", 1)[1]
+    listed = section.split("columns `", 1)[1].split("`", 1)[0]
+    assert tuple(listed.replace(",", " ").split()) == runner_mod.CSV_COLUMNS
 
 
 def test_csv_writer_formats_files_past_a_thousand_lines(tmp_path):

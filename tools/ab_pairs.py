@@ -4,13 +4,15 @@
 
 Each pair runs `perfbench/run.py --workload W --seed S --seconds T --trace 0`
 once in each checkout, each checkout with its own run.py and sources; which
-side runs first alternates from pair to pair.  T is --seconds, 0 unless
-given.  At 0 run.py makes one round of CLI runs, two at --jobs 1 and one at
---jobs 2; a longer T lets it make more rounds, so each side's
-`study_s_jobs2` is a median over several runs too.  For every end-to-end metric
-of the parent's BENCHMARK.json it prints both sides' medians, their ratio
-(change / parent), the parent's interquartile range, and how many pairs the
-change won in the metric's better direction (ties count for neither side).
+side runs first alternates from pair to pair, and each good pair's line is
+followed by both sides' values of every end-to-end metric, so every run is
+reported.  T is --seconds, 0 unless given.  At 0 run.py makes one round of
+CLI runs, two at --jobs 1 and one at --jobs 2; a longer T lets it make more
+rounds, so each side's `study_s_jobs2` is a median over several runs too.
+For every end-to-end metric of the parent's BENCHMARK.json it then prints
+both sides' medians, their ratio (change / parent), the parent's
+interquartile range, and how many pairs the change won in the metric's
+better direction (ties count for neither side).
 
 A metric is flagged `resolved` only when at least ten pairs ran, the
 change won at least nine tenths of them, and the medians differ by more
@@ -58,6 +60,10 @@ def run_once(checkout: Path, workload: str, seed: int,
             + (f"last stderr line {stderr[-1]!r}" if stderr else "no stderr"))
 
 
+def _show(value) -> str:
+    return "n/a" if value is None else f"{value:.6g}"
+
+
 def quartile_spread(values: list[float]) -> float:
     if len(values) < 2:
         return float("nan")
@@ -88,7 +94,13 @@ def main(argv=None) -> int:
         failed = [f"{side}: {why}" for side, why in got.items() if isinstance(why, str)]
         pairs.append(None if failed else (got["parent"], got["change"]))
         print(f"pair {k + 1}/{args.pairs} ({order[0]} first): "
-              f"{'FAILED, ' + '; '.join(failed) if failed else 'ok'}", flush=True)
+              f"{'FAILED, ' + '; '.join(failed) if failed else 'ok'}")
+        if not failed:
+            for metric in spec["end_to_end"]:
+                name = metric["name"]
+                print(f"  {name:<18} parent {_show(got['parent'].get(name)):>12} "
+                      f"change {_show(got['change'].get(name)):>12}")
+        sys.stdout.flush()
 
     good = [p for p in pairs if p is not None]
     print(f"\nworkload {args.workload}, seed {args.seed}, --seconds "
