@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import (CflViolation, ConfigError, check_kind, check_number, check_positive,
-                     is_positive)
+                     check_type, is_positive)
 from .grid import BoundaryKind, FieldState, _scan
 from .noise import NoiseAmplitude
 
@@ -212,6 +212,7 @@ class CflPolicy:
     dt_max: float | None = None
 
     def __post_init__(self) -> None:
+        check_type(self.mode, CflMode, "mode")
         check_number(self.safety, lambda s: is_positive(s) and s <= 1.0, "safety",
                      "lie in (0, 1]")
         check_positive(self.xi_bound, "xi_bound")

@@ -7,13 +7,20 @@ mapping or a list); the YAML-only keys `dt_ladder.base`/`levels` and
 `seeds.base`/`count` are checked here; and a number key is read by one
 reader that takes plain scientific notation such as `1e6` (YAML 1.1
 tokenizes it as a string) and names the YAML key when the value is not a
-finite number.  Every other value goes to its field as written.
+finite number.  The sections `grid`, `noise` and `cfl` are read into the
+default instance of the class each describes (`SpatialGrid`,
+`NoiseAmplitude`, `CflPolicy`), their keys that class's fields less the
+`dt_max` a run sets, so a key left out keeps the class default; `flux` and
+`boundary` name a `FluxFunction` and a `BoundaryKind`.  Every other value
+goes to its field as written.  `_ENTRIES` is the one table of YAML keys.
 
-`RunConfig` owns every rule of the fields it holds, so a study built in code
-and one read from YAML are the same.  Its bool and str fields must have
-their defaults' types, `ic` must be an `InitialCondition` and each `schemes`
-entry a `SchemeSpec`; whole numbers (`n_cells`, seeds, iteration counts)
-pass `errors.check_whole`, so an integral float counts and 10.5 does not.
+`RunConfig` holds the runtime objects themselves and owns every rule of
+its own fields, so a study built in code and one read from YAML are the
+same.  A field whose default is not a number or a tuple must have its
+default's type (the objects, `ic`, `adaptive_dt` and `output_dir`), `cfl`
+must leave `dt_max` out and each `schemes` entry must be a `SchemeSpec`;
+whole numbers (`n_cells`, seeds, iteration counts) pass
+`errors.check_whole`, so an integral float counts and 10.5 does not.
 It derives `dt_fine` as half the finest dt ladder entry when none is given
 (after the ladder's own checks, so a bad ladder is blamed on the ladder),
 refuses an empty scheme list or dt ladder, and cross-checks the dt ladder,
@@ -28,12 +35,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from pathlib import Path
 
 import yaml
 
-from .burgers import CflMode, CflPolicy, FluxFunction
+from .burgers import CflPolicy, FluxFunction
 from .errors import (ConfigError, check_kind, check_ladder, check_number, check_positive,
                      check_type, check_unique, check_whole, is_finite)
 from .grid import (
@@ -45,7 +53,7 @@ from .grid import (
 )
 from . import noise
 from .noise import NoiseAmplitude, check_path_steps, check_seed, step_counts
-from .schemes import DEFAULT_BLOWUP_THRESHOLD, SchemeConfig, scheme_traits
+from .schemes import DEFAULT_BLOWUP_THRESHOLD, DEFAULT_ITERATIONS, SchemeConfig, scheme_traits
 
 DEFAULT_SEED_BASE = 1
 DEFAULT_SEED_COUNT = 50
@@ -56,7 +64,8 @@ class SchemeSpec:
     """One scheme entry of the study matrix; iterative schemes expand to one
     cell per iteration count.  `iterations` is one count or a sequence of
     counts, stored as a tuple; left out (None), it is
-    `SchemeConfig.iterations` for an iterative scheme and empty for another.
+    `schemes.DEFAULT_ITERATIONS` for an iterative scheme and empty for
+    another.
     An iterative scheme given an empty sequence is refused.  `RunConfig`
     gates each count, by building the cell's `SchemeConfig`, and refuses a
     cell listed twice."""
@@ -68,7 +77,7 @@ class SchemeSpec:
         iterative = bool(scheme_traits(self.name).iterations)
         counts = self.iterations
         if counts is None:
-            counts = (SchemeConfig.iterations,) if iterative else ()
+            counts = (DEFAULT_ITERATIONS,) if iterative else ()
         elif isinstance(counts, str) or not isinstance(counts, Iterable):
             counts = (counts,)
         counts = tuple(counts)
@@ -86,46 +95,42 @@ class SchemeSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Plain-data study description; builder methods make the runtime objects.
+    """Study description holding the runtime objects its tasks share.
 
-    A field that a runtime class also has takes its default from that class
-    (`FluxFunction`, `NoiseAmplitude`, `CflPolicy`, `SchemeConfig`), so the
-    two cannot drift apart.  `dt_fine` left as None becomes half the finest
-    `dt_ladder` entry at construction, and is then stored as if given: a
-    `dataclasses.replace` that changes the ladder keeps the old `dt_fine`
-    unless it also passes `dt_fine=None` to derive it again.
+    `grid`, `flux`, `bc`, `sigma` and `cfl` are the objects themselves, each
+    defaulting to its class's default instance, and every task of a run
+    gets the same ones.  `cfl` leaves `dt_max` out, because a run caps each
+    governed step at its dt ladder entry (`make_policy`).  `dt_fine` left as
+    None becomes half the finest `dt_ladder` entry at construction, and is
+    then stored as if given: a `dataclasses.replace` that changes the ladder
+    keeps the old `dt_fine` unless it also passes `dt_fine=None` to derive
+    it again.
     """
 
-    x_min: float = 0.0
-    x_max: float = 1.0
-    n_cells: int = 100
-    ic: InitialCondition = field(default_factory=InitialCondition.sine_bump)
-    flux_kind: str = FluxFunction.kind
-    boundary: str = SchemeConfig.bc.value
-    noise_kind: str = NoiseAmplitude.kind
-    lam: float = NoiseAmplitude.lam
+    grid: SpatialGrid = SpatialGrid()
+    ic: InitialCondition = InitialCondition.sine_bump()
+    flux: FluxFunction = FluxFunction()
+    bc: BoundaryKind = BoundaryKind.ZERO_DIRICHLET
+    sigma: NoiseAmplitude = NoiseAmplitude()
     schemes: tuple[SchemeSpec, ...] = (SchemeSpec("ab"),)
     dt_ladder: tuple[float, ...] = (0.005,)
     dt_fine: float | None = None
     t_end: float = 0.1
     seeds: tuple[int, ...] = tuple(range(DEFAULT_SEED_BASE, DEFAULT_SEED_BASE + DEFAULT_SEED_COUNT))
-    cfl_mode: str = CflPolicy.mode.value
-    safety: float = CflPolicy.safety
-    xi_bound: float = CflPolicy.xi_bound
+    cfl: CflPolicy = CflPolicy()
     adaptive_dt: bool = False
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        # a bool or str field takes its default's type, so "false" is not true
+        # a field whose default is not a number or a tuple takes its
+        # default's type, so "false" is not true and a mapping is not a grid
         for f in fields(self):
-            if isinstance(f.default, (bool, str)):
+            if not isinstance(f.default, (float, tuple, type(None))):
                 check_type(getattr(self, f.name), type(f.default), f.name)
-        check_type(self.ic, InitialCondition, "ic")
-        # constructing the runtime objects validates the enumerated kinds; each
-        # scheme cell builds the flux, the noise amplitude and the boundary
-        self.make_grid()
-        self.make_policy()
+        if self.cfl.dt_max is not None:
+            raise ConfigError(f"cfl must leave dt_max out, got {self.cfl.dt_max!r}: "
+                              "a run caps each step at its dt ladder entry")
         if not self.schemes:
             raise ConfigError("at least one scheme is required")
         for spec in self.schemes:
@@ -161,38 +166,29 @@ class RunConfig:
         an int (0 for a scheme without iterations)."""
         return tuple((name, int(i)) for spec in self.schemes for name, i in spec.cells())
 
-    def make_grid(self) -> SpatialGrid:
-        return SpatialGrid(self.x_min, self.x_max, self.n_cells)
-
     def make_state(self) -> FieldState:
-        return make_initial_state(self.make_grid(), self.ic)
+        return make_initial_state(self.grid, self.ic)
 
-    def make_flux(self) -> FluxFunction:
-        return FluxFunction(self.flux_kind)
-
-    def make_sigma(self) -> NoiseAmplitude:
-        return NoiseAmplitude(self.noise_kind, self.lam)
-
-    def make_bc(self) -> BoundaryKind:
-        return BoundaryKind.from_name(self.boundary)
-
-    def make_policy(self, dt_max: float | None = None) -> CflPolicy:
-        """The stability policy; a run caps each governed step at its dt
-        ladder entry, passed as `dt_max`."""
-        return CflPolicy(
-            CflMode.from_name(self.cfl_mode), self.safety, self.xi_bound, dt_max
-        )
+    def make_policy(self, dt_max: float) -> CflPolicy:
+        """The stability policy of a run whose governed steps are capped at
+        `dt_max`, its dt ladder entry."""
+        return replace(self.cfl, dt_max=dt_max)
 
     def make_scheme(self, name: str, iterations: int) -> SchemeConfig:
-        return SchemeConfig(
-            scheme=name,
-            flux=self.make_flux(),
-            sigma=self.make_sigma(),
-            bc=self.make_bc(),
-            # a cell's 0 means "no iterations"; SchemeConfig wants one
-            iterations=iterations if scheme_traits(name).iterations else 1,
-            blowup_threshold=self.blowup_threshold,
-        )
+        return SchemeConfig(name, flux=self.flux, sigma=self.sigma, bc=self.bc,
+                            iterations=iterations, blowup_threshold=self.blowup_threshold)
+
+    # benchmark contract v1 (perfbench/layers.py) reads these three;
+    # contract v2 (ROADMAP item 1) deletes them
+    @property
+    def n_cells(self) -> int:
+        return self.grid.n_cells
+
+    def make_flux(self) -> FluxFunction:
+        return self.flux
+
+    def make_sigma(self) -> NoiseAmplitude:
+        return self.sigma
 
 
 class _Loader(yaml.SafeLoader):
@@ -231,100 +227,115 @@ _IC_KEYS = {"sine_bump": (), "riemann_step": ("u_left", "u_right"),
             "constant": ("value",), "table": ("x", "values")}
 
 
-def _parse_ic(section) -> InitialCondition:
+def _parse_ic(section, key: str) -> InitialCondition:
     if not isinstance(section, dict):
-        raise ConfigError("initial_condition must be a mapping with a 'kind'")
+        raise ConfigError(f"{key} must be a mapping with a 'kind'")
     kind = section.get("kind", "")
     check_kind(kind, _IC_KEYS, "initial condition")
-    _reject_unknown(section, {"kind", *_IC_KEYS[kind]}, "initial_condition")
+    _reject_unknown(section, {"kind", *_IC_KEYS[kind]}, key)
     if kind == "table":
         xs = section.get("x")
         us = section.get("values")
         if not isinstance(xs, list) or not isinstance(us, list):
-            raise ConfigError("table initial_condition needs 'x' and 'values' lists")
+            raise ConfigError(f"table {key} needs 'x' and 'values' lists")
         return InitialCondition.table(
-            [_number(v, "initial_condition.x") for v in xs],
-            [_number(v, "initial_condition.values") for v in us],
+            [_number(v, f"{key}.x") for v in xs],
+            [_number(v, f"{key}.values") for v in us],
         )
-    return InitialCondition(kind, **{key: _number(section[key], key)
-                                     for key in _IC_KEYS[kind] if key in section})
+    return InitialCondition(kind, **{name: _number(section[name], name)
+                                     for name in _IC_KEYS[kind] if name in section})
 
 
-def _parse_schemes(section) -> tuple[SchemeSpec, ...]:
+def _parse_schemes(section, key: str) -> tuple[SchemeSpec, ...]:
     if not isinstance(section, list):
-        raise ConfigError("schemes must be a list")
+        raise ConfigError(f"{key} must be a list")
     specs = []
     for entry in section:
         if isinstance(entry, dict):
-            _reject_unknown(entry, {"name", "iterations"}, "schemes entry")
+            _reject_unknown(entry, {"name", "iterations"}, f"{key} entry")
             specs.append(SchemeSpec(**{"name": "", **entry}))
         else:
             specs.append(SchemeSpec(entry))
     return tuple(specs)
 
 
-def _parse_ladder(section) -> tuple[float, ...]:
+def _parse_ladder(section, key: str) -> tuple[float, ...]:
     if isinstance(section, list):
-        return tuple(_number(v, "dt_ladder") for v in section)
+        return tuple(_number(v, key) for v in section)
     if isinstance(section, dict):
-        _reject_unknown(section, {"base", "levels"}, "dt_ladder")
-        base = _number(section.get("base", 0.0), "dt_ladder.base")
+        _reject_unknown(section, {"base", "levels"}, key)
+        base = _number(section.get("base", 0.0), f"{key}.base")
         # the coarsest dt is at most t_end and dt_fine at most the finest, so
         # a ladder's paths have at least 2**(levels - 1) steps, under the cap
         most = noise.MAX_PATH_STEPS.bit_length()
         levels = check_whole(section.get("levels", 1), 1, most + 1,
-                             f"dt_ladder.levels must be an integer from 1 to {most}")
+                             f"{key}.levels must be an integer from 1 to {most}")
         # base * 2**-k, exact as base / 2**k, without an int too large for a float
         return tuple(math.ldexp(base, -k) for k in range(levels))
-    raise ConfigError("dt_ladder must be a list or a {base, levels} mapping")
+    raise ConfigError(f"{key} must be a list or a {{base, levels}} mapping")
 
 
-def _parse_seeds(section) -> list | tuple[int, ...]:
+def _parse_seeds(section, key: str) -> list | tuple[int, ...]:
     if isinstance(section, list):
         return section
     if isinstance(section, dict):
-        _reject_unknown(section, {"base", "count"}, "seeds")
+        _reject_unknown(section, {"base", "count"}, key)
         base = check_whole(section.get("base", DEFAULT_SEED_BASE), 0, math.inf,
-                           "seeds.base must be an integer >= 0")
+                           f"{key}.base must be an integer >= 0")
         count = check_whole(section.get("count", DEFAULT_SEED_COUNT), 1, math.inf,
-                            "seeds.count must be an integer >= 1")
+                            f"{key}.count must be an integer >= 1")
         return tuple(range(base, base + count))
-    raise ConfigError("seeds must be a list or a {base, count} mapping")
+    raise ConfigError(f"{key} must be a list or a {{base, count}} mapping")
 
 
-#: YAML key (or section.key) -> RunConfig field of every scalar
-_SCALARS = {
-    "grid.x_min": "x_min",
-    "grid.x_max": "x_max",
-    "grid.n_cells": "n_cells",
-    "flux": "flux_kind",
-    "boundary": "boundary",
-    "noise.kind": "noise_kind",
-    "noise.lam": "lam",
-    "dt_fine": "dt_fine",
-    "t_end": "t_end",
-    "cfl.mode": "cfl_mode",
-    "cfl.safety": "safety",
-    "cfl.xi_bound": "xi_bound",
-    "adaptive_dt": "adaptive_dt",
-    "blowup_threshold": "blowup_threshold",
-    "output_dir": "output_dir",
-}
+def _section(cls, set_by_run: tuple[str, ...] = ()):
+    """The reader of a YAML section that describes a `cls`.  Its keys are
+    the fields of `cls` less `set_by_run`, and each key given replaces that
+    field of the class's default instance: by `_number` where the default
+    is a float, by the enum's `from_name` where it is an enum member, and
+    as written otherwise."""
+    default = cls()
+    keys = {f.name for f in fields(cls)} - set(set_by_run)
 
-#: the scalars read by `_number`; every other one goes to its field as written
-_NUMBERS = {"grid.x_min", "grid.x_max", "noise.lam", "dt_fine", "t_end",
-            "cfl.safety", "cfl.xi_bound", "blowup_threshold"}
+    def read(node, key: str):
+        if not isinstance(node, dict):
+            raise ConfigError(f"{key} must be a mapping")
+        _reject_unknown(node, keys, key)
+        given = {}
+        for name, value in node.items():
+            was = getattr(default, name)
+            if isinstance(was, float):
+                value = _number(value, f"{key}.{name}")
+            elif isinstance(was, Enum):
+                value = type(was).from_name(value)
+            given[name] = value
+        return replace(default, **given)
 
-#: YAML key -> (RunConfig field, parser) of every structured entry
-_STRUCTURED = {
+    return read
+
+
+def _as_written(value, key: str):
+    return value
+
+
+#: YAML key -> (RunConfig field, reader(value, key)) of every entry
+_ENTRIES = {
+    "grid": ("grid", _section(SpatialGrid)),
+    "flux": ("flux", lambda kind, key: FluxFunction(kind)),
+    "boundary": ("bc", lambda name, key: BoundaryKind.from_name(name)),
     "initial_condition": ("ic", _parse_ic),
+    "noise": ("sigma", _section(NoiseAmplitude)),
     "schemes": ("schemes", _parse_schemes),
     "dt_ladder": ("dt_ladder", _parse_ladder),
+    "dt_fine": ("dt_fine", _number),
+    "t_end": ("t_end", _number),
     "seeds": ("seeds", _parse_seeds),
+    "adaptive_dt": ("adaptive_dt", _as_written),
+    # a run sets dt_max, each governed step's cap, from its dt ladder entry
+    "cfl": ("cfl", _section(CflPolicy, set_by_run=("dt_max",))),
+    "blowup_threshold": ("blowup_threshold", _number),
+    "output_dir": ("output_dir", _as_written),
 }
-
-#: the YAML sections that hold scalars, in `_SCALARS` order
-_SECTIONS = tuple(dict.fromkeys(key.partition(".")[0] for key in _SCALARS if "." in key))
 
 
 def parse_config(doc) -> RunConfig:
@@ -338,25 +349,9 @@ def parse_config(doc) -> RunConfig:
         doc = {}
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    _reject_unknown(doc, {key.partition(".")[0] for key in _SCALARS} | set(_STRUCTURED),
-                    "top level")
-    for section in _SECTIONS:
-        node = doc.get(section, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"{section} must be a mapping")
-        _reject_unknown(node, {key.partition(".")[2] for key in _SCALARS
-                               if key.startswith(section + ".")}, section)
-
-    kwargs: dict = {}
-    for key, (field_name, parse) in _STRUCTURED.items():
-        if key in doc:
-            kwargs[field_name] = parse(doc[key])
-    for key, field_name in _SCALARS.items():
-        section, _, leaf = key.rpartition(".")
-        node = doc.get(section, {}) if section else doc
-        if leaf in node:
-            kwargs[field_name] = _number(node[leaf], key) if key in _NUMBERS else node[leaf]
-    return RunConfig(**kwargs)
+    _reject_unknown(doc, set(_ENTRIES), "top level")
+    return RunConfig(**{name: read(doc[key], key)
+                        for key, (name, read) in _ENTRIES.items() if key in doc})
 
 
 def parse_config_file(path) -> RunConfig:

@@ -21,11 +21,12 @@ from .errors import (ConfigError, check_kind, check_number, check_positive, chec
 class SpatialGrid:
     """Uniform mesh over [x_min, x_max] with n_cells cells, whose width dx
     must be positive and finite: bounds whose length overflows, or that
-    are too close for a cell, are refused."""
+    are too close for a cell, are refused.  The defaults are a study's
+    mesh: 100 cells on [0, 1]."""
 
-    x_min: float
-    x_max: float
-    n_cells: int
+    x_min: float = 0.0
+    x_max: float = 1.0
+    n_cells: int = 100
 
     def __post_init__(self) -> None:
         for name in ("x_min", "x_max"):

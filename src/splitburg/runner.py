@@ -204,15 +204,15 @@ def reference_endpoint(cfg: RunConfig, dt: float) -> FieldState:
 
     This is the baseline the summary errors are measured against; it is
     computed once per dt level and shared by every scheme cell.  Its steps
-    are `scl_step`s with the flux and boundary `make_scheme` gives the
-    cells, built once per baseline, so it is moved by the same
+    are `scl_step`s with the configuration's flux and boundary, the objects
+    `make_scheme` gives the cells, so it is moved by the same
     `burgers.transport` as they are.
     """
-    state, flux, bc = cfg.make_state(), cfg.make_flux(), cfg.make_bc()
+    state = cfg.make_state()
     n_total, m = step_counts(cfg.t_end, cfg.dt_fine, dt)
     try:
         for _ in range(n_total // m):
-            state = scl_step(state, dt, flux, bc)
+            state = scl_step(state, dt, cfg.flux, cfg.bc)
     except CflViolation as exc:
         raise ConfigError(
             f"dt {dt:g} is unstable for the noise-free baseline: {exc}"
@@ -303,7 +303,7 @@ def run_matrix(
         try:
             report = summarize(cell, references[dt])
             rows.append(ResultRow(
-                scheme, iterations, dt, references[dt].grid.dx, cfg.lam,
+                scheme, iterations, dt, references[dt].grid.dx, cfg.sigma.lam,
                 report.n_seeds_used, report.blowup_count,
                 report.weak, report.strong, report.variance_mean,
                 sum(o.wall_time for o in cell),

@@ -78,12 +78,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .burgers import CflPolicy, FluxFunction, _governed_dt, transport
-from .errors import CflViolation, ConfigError, check_kind, check_positive, check_whole
+from .errors import (CflViolation, ConfigError, check_kind, check_positive, check_type,
+                     check_whole)
 from .grid import BoundaryKind, FieldState, _mean_abs, _scan
 from .noise import NoiseAmplitude, NoisePath, apply_increment, step_counts, stochastic_update
 
 #: hard cap on fixed-point sweeps
 MAX_ITERATIONS = 8
+
+#: fixed-point sweeps of an iterative scheme whose count is left out
+DEFAULT_ITERATIONS = 2
 
 DEFAULT_BLOWUP_THRESHOLD = 1e6
 
@@ -97,23 +101,34 @@ class SchemeConfig:
     """Everything a one-step map needs besides the state and the increments.
 
     `iterations` is stored as an `int`, so an integral float such as 2.0
-    becomes 2.  `blowup_threshold` must be positive and finite: no state
-    exceeds an infinite one, so a non-finite endpoint would pass as
-    completed.
+    becomes 2.  Left out (None), it is `DEFAULT_ITERATIONS` for an
+    iterative scheme and 0, the one way to say "no iterations", for
+    another.  A scheme without iterations takes 0 or 1, the one pass it
+    makes, and stores either as 0, so `SchemeConfig("ab", iterations=1)`
+    equals `SchemeConfig("ab")`.  `flux`, `sigma` and `bc` must be the
+    runtime objects, not their names.  `blowup_threshold` must be positive
+    and finite: no state exceeds an infinite one, so a non-finite endpoint
+    would pass as completed.
     """
 
     scheme: str
     flux: FluxFunction = FluxFunction()
     sigma: NoiseAmplitude = NoiseAmplitude()
     bc: BoundaryKind = BoundaryKind.ZERO_DIRICHLET
-    iterations: int = 2
+    iterations: int | None = None
     blowup_threshold: float = DEFAULT_BLOWUP_THRESHOLD
 
     def __post_init__(self) -> None:
-        allowed = scheme_traits(self.scheme).iterations or range(1, MAX_ITERATIONS + 1)
-        object.__setattr__(self, "iterations", check_whole(
-            self.iterations, allowed.start, allowed.stop,
-            f"{self.scheme} takes iterations {allowed.start}..{allowed.stop - 1}"))
+        allowed = scheme_traits(self.scheme).iterations
+        count = self.iterations
+        if count is None:
+            count = DEFAULT_ITERATIONS if allowed else 0
+        low, high = (allowed.start, allowed.stop) if allowed else (0, 2)
+        count = check_whole(count, low, high,
+                            f"{self.scheme} takes iterations {low}..{high - 1}")
+        object.__setattr__(self, "iterations", count if allowed else 0)
+        for name, kind in (("flux", FluxFunction), ("sigma", NoiseAmplitude), ("bc", BoundaryKind)):
+            check_type(getattr(self, name), kind, name)
         check_positive(self.blowup_threshold, "blowup_threshold")
 
     @property

@@ -3,7 +3,10 @@ reports every pair's values, and how it reports a run that failed."""
 
 import importlib.util
 import json
+import os
+import signal
 import subprocess
+import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +33,7 @@ def test_each_run_gets_the_workload_seed_and_run_length(extra, seconds, tmp_path
         line = {"correct": True, "metrics": {"study_s": {"value": 1.0}}}
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
 
-    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(ab_pairs, "_run", fake_run)
     assert ab_pairs.main([str(parent), str(change), "--workload", "adaptive",
                           "--seed", "3", "--pairs", "2", *extra]) == 0
     argv = ["perfbench/run.py", "--workload", "adaptive", "--seed", "3",
@@ -62,12 +65,39 @@ def test_a_failed_pair_names_the_side_its_exit_code_and_last_stderr_line(
                                                stderr="")
         return subprocess.CompletedProcess(argv, code, stdout=stdout, stderr=stderr)
 
-    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(ab_pairs, "_run", fake_run)
     assert ab_pairs.main([str(parent), str(change), "--workload", "adaptive",
                           "--seed", "1", "--pairs", "1"]) == 1
     out = capsys.readouterr().out
     assert f"pair 1/1 (parent first): FAILED, change: {why}\n" in out
     assert "0 of 1 pairs ok" in out
+
+
+def test_a_run_that_times_out_fails_its_pair_and_the_next_pairs_still_run(
+        tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for checkout in (parent, change):
+        checkout.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    calls = []
+
+    def fake_run(argv, cwd, **kwargs):
+        calls.append(Path(cwd))
+        if len(calls) == 2:  # the change's run of pair 1 hangs
+            raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+        line = {"correct": True, "metrics": {"study_s": {"value": 1.0}}}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
+
+    monkeypatch.setattr(ab_pairs, "_run", fake_run)
+    assert ab_pairs.main([str(parent), str(change), "--workload", "adaptive",
+                          "--seed", "1", "--pairs", "2", "--seconds", "5"]) == 1
+    out = capsys.readouterr().out
+    limit = ab_pairs.RUN_TIMEOUT_S + 5
+    assert (f"pair 1/2 (parent first): FAILED, change: timed out after {limit} s\n"
+            in out)
+    assert "pair 2/2 (change first): ok\n" in out
+    assert "1 of 2 pairs ok" in out
+    assert len(calls) == 4
 
 
 def test_each_good_pair_prints_both_sides_value_of_every_metric(tmp_path, monkeypatch,
@@ -87,7 +117,7 @@ def test_each_good_pair_prints_both_sides_value_of_every_metric(tmp_path, monkey
         line = {"correct": True, "metrics": metrics}
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(line) + "\n")
 
-    monkeypatch.setattr(ab_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(ab_pairs, "_run", fake_run)
     assert ab_pairs.main([str(parent), str(change), "--workload", "ensemble",
                           "--seed", "1", "--pairs", "2"]) == 0
     out = capsys.readouterr().out
@@ -97,3 +127,45 @@ def test_each_good_pair_prints_both_sides_value_of_every_metric(tmp_path, monkey
             + rss.format("38.25", "n/a")
             + "pair 2/2 (change first): ok\n" + study.format("3", "1.25")
             + rss.format("38.25", "n/a")) in out
+
+
+_HANGING_RUN = """
+import subprocess, sys, time
+# a CLI study in a session of its own, with a pool worker, as run.py starts it
+study = "import os, subprocess, sys, time\\n" \\
+        "worker = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\\n" \\
+        "open('pids.txt', 'w').write(f'{os.getpid()} {worker.pid}')\\n" \\
+        "time.sleep(60)\\n"
+subprocess.Popen([sys.executable, "-c", study], start_new_session=True)
+time.sleep(60)
+"""
+
+
+def _alive(pid: int) -> bool:
+    # a killed process whose new parent has not reaped it yet is a zombie
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux's /proc")
+def test_a_timed_out_run_is_killed_with_its_study_and_pool_workers(tmp_path, monkeypatch):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(_HANGING_RUN)
+    monkeypatch.setattr(ab_pairs, "RUN_TIMEOUT_S", 3)
+    pids = []
+    try:
+        assert ab_pairs.run_once(tmp_path, "adaptive", 1, 0.0) == "timed out after 3 s"
+        pids = [int(p) for p in (tmp_path / "pids.txt").read_text().split()]
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass

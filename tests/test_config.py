@@ -12,6 +12,7 @@ import yaml
 
 import splitburg.config as config_mod
 import splitburg.noise as noise_mod
+import splitburg.schemes as schemes_mod
 from splitburg import (
     BoundaryKind,
     CflMode,
@@ -40,6 +41,10 @@ from splitburg import (
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
+#: YAML section -> the class it describes; its keys are the class's fields,
+#: less the `dt_max` a run sets
+SECTIONS = {"grid": SpatialGrid, "noise": NoiseAmplitude, "cfl": CflPolicy}
+
 FULL_DOC = """
 grid: {x_min: 0.0, x_max: 2.0, n_cells: 80}
 initial_condition: {kind: riemann_step, u_left: 1.0, u_right: 0.25}
@@ -65,17 +70,18 @@ output_dir: out
 
 def test_empty_document_yields_the_documented_defaults():
     cfg = parse_config("")
-    assert cfg.n_cells == 100
+    assert cfg == RunConfig()
+    assert cfg.grid == SpatialGrid(0.0, 1.0, 100)
     assert cfg.ic.kind == "sine_bump"
-    assert cfg.flux_kind == "burgers_half"
-    assert cfg.boundary == "zero_dirichlet"
-    assert cfg.noise_kind == "linear" and cfg.lam == 0.5
+    assert cfg.flux == FluxFunction("burgers_half")
+    assert cfg.bc is BoundaryKind.ZERO_DIRICHLET
+    assert cfg.sigma == NoiseAmplitude("linear", 0.5)
     assert cfg.schemes == (SchemeSpec("ab"),)
     assert cfg.dt_ladder == (0.005,)
     assert cfg.dt_fine == 0.0025
     assert cfg.t_end == 0.1
     assert len(cfg.seeds) == 50 and cfg.seeds[0] == 1
-    assert cfg.safety == 0.9 and cfg.xi_bound == 3.0
+    assert cfg.cfl == CflPolicy(CflMode.COMBINED, 0.9, 3.0, dt_max=None)
     assert cfg.blowup_threshold == 1e6
     assert not cfg.adaptive_dt
     assert cfg.output_dir == "results"
@@ -83,21 +89,22 @@ def test_empty_document_yields_the_documented_defaults():
 
 def test_full_document_round_trip():
     cfg = parse_config(FULL_DOC)
-    assert cfg.make_grid().n_cells == 80
+    assert cfg.grid == SpatialGrid(0.0, 2.0, 80)
     assert cfg.ic.u_right == 0.25
-    assert cfg.make_flux().kind == "burgers_square"
-    assert cfg.make_bc() is BoundaryKind.PERIODIC
-    assert cfg.make_sigma().kind == "constant"
+    assert cfg.flux == FluxFunction("burgers_square")
+    assert cfg.bc is BoundaryKind.PERIODIC
+    assert cfg.sigma == NoiseAmplitude("constant", 0.3)
     assert cfg.cells() == (
         ("ab", 0), ("iter_after", 1), ("iter_after", 3), ("iter_before", 2)
     )
     assert cfg.dt_ladder == (0.02, 0.01, 0.005)
     assert cfg.seeds == tuple(range(10, 15))
-    policy = cfg.make_policy()
-    assert policy.mode is CflMode.DETERMINISTIC_ONLY
-    assert policy.safety == 0.8 and policy.xi_bound == 2.5
+    assert cfg.cfl.mode is CflMode.DETERMINISTIC_ONLY
+    assert cfg.cfl.safety == 0.8 and cfg.cfl.xi_bound == 2.5
     # the dt ladder entry is the one step cap: a run passes it to make_policy
-    assert policy.dt_max is None
+    assert cfg.cfl.dt_max is None
+    assert cfg.make_policy(dt_max=0.04) == CflPolicy(CflMode.DETERMINISTIC_ONLY, 0.8, 2.5,
+                                                     dt_max=0.04)
     assert not hasattr(cfg, "dt_max")
     with pytest.raises(ConfigError, match="unknown key.*dt_max"):
         parse_config(FULL_DOC.replace("xi_bound: 2.5}", "xi_bound: 2.5, dt_max: 0.04}"))
@@ -107,6 +114,62 @@ def test_full_document_round_trip():
     assert cfg.blowup_threshold == 1.0e4
     # every scheme's noise increment is Milstein: there is no substep key
     assert not hasattr(cfg, "stochastic_substep")
+
+
+def test_a_partial_section_keeps_its_class_defaults():
+    # a section is read into its class's default instance, key by key
+    cfg = parse_config("{grid: {n_cells: 80}, noise: {lam: 0.2}, cfl: {safety: 0.5}}")
+    assert cfg.grid == SpatialGrid(0.0, 1.0, 80)
+    assert cfg.sigma == NoiseAmplitude("linear", 0.2)
+    assert cfg.cfl == CflPolicy(CflMode.COMBINED, 0.5, 3.0)
+    assert cfg == RunConfig(grid=SpatialGrid(n_cells=80), sigma=NoiseAmplitude(lam=0.2),
+                            cfl=CflPolicy(safety=0.5))
+
+
+#: RunConfig field -> the YAML value of its section or key
+_YAML_SPELLINGS = {"grid": {"n_cells": 4}, "flux": "burgers_half", "bc": "periodic",
+                   "sigma": {"kind": "linear", "lam": 0.5}, "cfl": {"mode": "combined"}}
+
+
+@pytest.mark.parametrize("name", _YAML_SPELLINGS)
+def test_a_runtime_field_takes_its_object_not_its_yaml_value(name):
+    # RunConfig holds the objects themselves; the YAML spelling of one is
+    # the parser's to read
+    with pytest.raises(ConfigError, match=rf"^{name} must be of type "):
+        RunConfig(**{name: _YAML_SPELLINGS[name]})
+
+
+def test_a_policy_with_a_step_cap_is_refused_by_name():
+    # a run sets dt_max per dt level, so a study cannot carry one
+    with pytest.raises(ConfigError, match=r"^cfl must leave dt_max out, got 0\.1"):
+        RunConfig(cfl=CflPolicy(dt_max=0.1))
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['dt_max'\] in cfl"):
+        parse_config("cfl: {dt_max: 0.1}")
+
+
+def test_every_task_shares_the_configs_runtime_objects():
+    cfg = parse_config(FULL_DOC)
+    for cell in cfg.cells():
+        scheme = cfg.make_scheme(*cell)
+        assert scheme.flux is cfg.flux and scheme.sigma is cfg.sigma
+        assert scheme.bc is cfg.bc
+    assert cfg.make_state().grid is cfg.grid
+
+
+def test_a_cell_without_iterations_has_the_count_zero():
+    # 0 is the one way to say "no iterations": a cell's count, the CSV's I
+    # and the SchemeConfig default agree
+    assert SchemeConfig("ab") == RunConfig().make_scheme("ab", 0)
+    assert SchemeConfig("ab").iterations == 0
+    # 1, the one pass the scheme makes, is stored as 0
+    assert SchemeConfig("ab", iterations=1) == SchemeConfig("ab")
+    for bad in (2, 5, 9, -1, 0.5, True):
+        with pytest.raises(ConfigError, match=r"^ab takes iterations 0\.\.1, got "):
+            SchemeConfig("ab", iterations=bad)
+    # an iterative scheme's left-out count is the one SchemeSpec fills in
+    for name in ("iter_after", "iter_before", "iter_before_trapezoid"):
+        assert (SchemeSpec(name).iterations == (SchemeConfig(name).iterations,)
+                == (schemes_mod.DEFAULT_ITERATIONS,) == (2,))
 
 
 def test_config_is_picklable():
@@ -150,7 +213,7 @@ def test_a_key_given_twice_in_one_mapping_is_refused_by_name():
         with pytest.raises(ConfigError, match=rf"duplicate YAML keys \['{key}'\]"):
             parse_config(doc)
     # the same key in two mappings is no repeat
-    assert parse_config("grid: {x_max: 2.0}\ncfl: {mode: combined}").x_max == 2.0
+    assert parse_config("grid: {x_max: 2.0}\ncfl: {mode: combined}").grid.x_max == 2.0
 
 
 #: (code, YAML document, the field both name when they refuse the value);
@@ -164,27 +227,34 @@ _CODE_AND_YAML = {
     "ic-str": (lambda: RunConfig(ic="sine_bump"), "initial_condition: sine_bump",
                "ic|initial_condition"),
     "schemes-str": (lambda: RunConfig(schemes=("ab",)), "schemes: ab", "schemes"),
-    "flux_kind-list": (lambda: RunConfig(flux_kind=["x"]), "flux: [x]", "flux_kind"),
-    "n_cells-fraction": (lambda: RunConfig(n_cells=10.5), "grid: {n_cells: 10.5}",
-                         "n_cells"),
+    "flux-list": (lambda: RunConfig(flux=FluxFunction(["x"])), "flux: [x]", "flux"),
+    "n_cells-fraction": (lambda: RunConfig(grid=SpatialGrid(n_cells=10.5)),
+                         "grid: {n_cells: 10.5}", "n_cells"),
     # the refusal shows a string as one, not as the number it spells
-    "n_cells-str": (lambda: RunConfig(n_cells="100"), "grid: {n_cells: '100'}",
-                    "n_cells.*'100"),
+    "n_cells-str": (lambda: RunConfig(grid=SpatialGrid(n_cells="100")),
+                    "grid: {n_cells: '100'}", "n_cells.*'100"),
     "seeds-fraction": (lambda: RunConfig(seeds=(1.5,)), "seeds: [1.5]", "seeds"),
     "iterations-fraction": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", 2.5),)),
                             "schemes: [{name: iter_after, iterations: 2.5}]",
                             "iterations"),
     # a length that overflows to inf, or a cell width that underflows to 0
-    "dx-inf": (lambda: RunConfig(x_min=-1.0e308, x_max=1.0e308, n_cells=4),
+    "dx-inf": (lambda: RunConfig(grid=SpatialGrid(-1.0e308, 1.0e308, 4)),
                "grid: {x_min: -1.0e308, x_max: 1.0e308, n_cells: 4}", "dx"),
-    "dx-zero": (lambda: RunConfig(x_max=5.0e-324, n_cells=2),
+    "dx-zero": (lambda: RunConfig(grid=SpatialGrid(x_max=5.0e-324, n_cells=2)),
                 "grid: {x_max: 5.0e-324, n_cells: 2}", "dx"),
+    # a run sets the step cap from its dt ladder entry, in code and YAML alike
+    "cfl-dt_max": (lambda: RunConfig(cfl=CflPolicy(dt_max=0.1)), "cfl: {dt_max: 0.1}",
+                   "cfl"),
+    # a mode is a CflMode in code and a known name in YAML, not a string
+    "cfl-mode-str": (lambda: RunConfig(cfl=CflPolicy(mode="combined")), "cfl: {mode: bogus}",
+                     "mode"),
     # an empty list is refused, not read as the left-out default
     "iterations-empty": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", []),)),
                          "schemes: [{name: iter_after, iterations: []}]", "iter_after"),
     "iterations-empty-non-iterative": (lambda: RunConfig(schemes=(SchemeSpec("ab", []),)),
                                        "schemes: [{name: ab, iterations: []}]", None),
-    "n_cells-integral": (lambda: RunConfig(n_cells=100.0), "grid: {n_cells: 100.0}", None),
+    "n_cells-integral": (lambda: RunConfig(grid=SpatialGrid(n_cells=100.0)),
+                         "grid: {n_cells: 100.0}", None),
     "seeds-integral": (lambda: RunConfig(seeds=(1.0, 2.0)), "seeds: [1.0, 2.0]", None),
     "iterations-integral": (lambda: RunConfig(schemes=(SchemeSpec("iter_after", (2.0,)),)),
                             "schemes: [{name: iter_after, iterations: [2.0]}]", None),
@@ -239,7 +309,15 @@ def test_non_finite_numbers_are_config_errors(doc, key, value):
 
 
 def test_every_number_key_has_a_non_finite_case():
-    assert config_mod._NUMBERS <= {key for _, key in NON_FINITE_DOCS}
+    # the number keys: the entries read by `_number`, and each section key
+    # whose class default is a float
+    numbers = {key for key, (_, read) in config_mod._ENTRIES.items()
+               if read is config_mod._number}
+    for section, cls in SECTIONS.items():
+        numbers |= {f"{section}.{f.name}" for f in dataclasses.fields(cls)
+                    if isinstance(getattr(cls(), f.name), float)}
+    assert {"t_end", "grid.x_max", "noise.lam", "cfl.safety"} <= numbers
+    assert numbers <= {key for _, key in NON_FINITE_DOCS}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -261,9 +339,9 @@ def test_nan_fails_the_dataclass_gates():
             SchemeConfig("ab", blowup_threshold=bad)
         with pytest.raises(ConfigError, match="xi_bound"):
             CflPolicy(xi_bound=bad)
-        for kwargs in ({"lam": bad}, {"blowup_threshold": bad}, {"xi_bound": bad}):
-            with pytest.raises(ConfigError, match=next(iter(kwargs))):
-                RunConfig(**kwargs)
+        # RunConfig holds those objects, and gates its own number field
+        with pytest.raises(ConfigError, match="blowup_threshold"):
+            RunConfig(blowup_threshold=bad)
 
 
 def test_readme_configuration_block_names_every_key():
@@ -273,11 +351,14 @@ def test_readme_configuration_block_names_every_key():
     parse_config(block)
     named = set()
     for key, value in yaml.safe_load(block).items():
-        if key in config_mod._SECTIONS:
+        if key in SECTIONS:
             named.update(f"{key}.{leaf}" for leaf in value)
         else:
             named.add(key)
-    assert named == set(config_mod._SCALARS) | set(config_mod._STRUCTURED)
+    keys = set(config_mod._ENTRIES) - set(SECTIONS)
+    for section, cls in SECTIONS.items():
+        keys |= {f"{section}.{f.name}" for f in dataclasses.fields(cls)}
+    assert named == keys - {"cfl.dt_max"}
 
 
 def test_dt_ladder_validation():
@@ -435,7 +516,7 @@ def test_scheme_entries():
 def test_a_left_out_count_is_the_default_and_an_empty_one_is_refused():
     # None marks a left-out count; an empty sequence is a count list with
     # no cell in it, refused for an iterative scheme whatever its type
-    assert SchemeSpec("iter_after").iterations == (SchemeConfig.iterations,)
+    assert SchemeSpec("iter_after").iterations == (SchemeConfig("iter_after").iterations,)
     assert SchemeSpec("iter_after", None) == SchemeSpec("iter_after")
     for name in ("iter_after", "iter_before", "iter_before_trapezoid"):
         for empty in ([], (), range(0)):
@@ -499,11 +580,12 @@ _NOT_NUMBERS = {"True": True, "np.True_": np.True_, "str": "1", "None": None,
                 "10**400": 10**400}
 
 
-# dt_max and t_remaining are optional: None is their "no cap"
+# dt_max and t_remaining are optional, None their "no cap", and so is
+# iterations, None its scheme's default count
 @pytest.mark.parametrize("target, bad", [
     pytest.param(target, bad, id=f"{target}-{name}")
     for target in _NUMBER_GATES for name, bad in _NOT_NUMBERS.items()
-    if not (bad is None and target in ("dt_max", "t_remaining"))
+    if not (bad is None and target in ("dt_max", "t_remaining", "iterations"))
 ])
 def test_every_number_gate_refuses_bools_non_numbers_and_huge_ints(target, bad):
     # errors.is_finite is the one definition of a number behind every gate:
@@ -571,7 +653,7 @@ def test_builders_and_cell_expansion():
     cfg = RunConfig(schemes=(SchemeSpec("iter_after", (1, 4)), SchemeSpec("bab")))
     assert cfg.cells() == (("iter_after", 1), ("iter_after", 4), ("bab", 0))
     scheme = cfg.make_scheme("bab", 0)
-    assert scheme.scheme == "bab" and scheme.iterations == 1
+    assert scheme.scheme == "bab" and scheme.iterations == 0
     assert cfg.make_policy(dt_max=0.5).dt_max == 0.5
     state = cfg.make_state()
     assert state.grid.n_cells == 100 and state.time == 0.0

@@ -69,22 +69,20 @@ def test_reference_endpoint_is_the_noise_free_run():
 
 
 def test_reference_endpoint_builds_its_flux_and_boundary_once(monkeypatch):
+    # the config builds them once, and the baseline and every cell take
+    # those very objects
     cfg = small_cfg()
     want = reference_endpoint(cfg, 0.01)
-    built = Counter()
-    for name in ("make_flux", "make_bc"):
-        real = getattr(type(cfg), name)
-        monkeypatch.setattr(type(cfg), name,
-                            lambda self, name=name, real=real: built.update([name])
-                            or real(self))
-    steps = Counter()
+    moved_by = []
     real_step = runner_mod.scl_step
     monkeypatch.setattr(runner_mod, "scl_step",
-                        lambda *a: steps.update(["scl_step"]) or real_step(*a))
+                        lambda state, dt, flux, bc: moved_by.append((flux, bc))
+                        or real_step(state, dt, flux, bc))
     got = reference_endpoint(cfg, 0.01)
-    # five steps, one flux and one boundary between them
-    assert steps == {"scl_step": 5}
-    assert built == {"make_flux": 1, "make_bc": 1}
+    assert len(moved_by) == 5
+    assert all(flux is cfg.flux and bc is cfg.bc for flux, bc in moved_by)
+    scheme = cfg.make_scheme("ab", 0)
+    assert scheme.flux is cfg.flux and scheme.bc is cfg.bc
     assert np.array_equal(got.values, want.values)
 
 
@@ -679,3 +677,5 @@ def test_trajectory_exposes_what_the_benchmark_reads():
     assert noise.milstein_step(state.values, sigma, 0.1, 0.01).shape == (40,)
     assert burgers.cfl_dt(state, sigma, cfg.make_policy(dt_max=0.01),
                           flux=cfg.make_flux(), t_remaining=cfg.t_end) > 0.0
+    # the mesh size the benchmark's byte model reads
+    assert cfg.n_cells == cfg.grid.n_cells == 40

@@ -91,6 +91,15 @@ def test_scheme_config_validation():
         assert got.residuals.tobytes() == want.residuals.tobytes()
 
 
+@pytest.mark.parametrize("field, value", [("flux", "burgers"), ("sigma", "linear"),
+                                         ("bc", "zero_dirichlet")])
+def test_a_scheme_config_takes_objects_not_their_names(field, value):
+    # a name would pass silently: transport reads a bc that is not
+    # ZERO_DIRICHLET as periodic
+    with pytest.raises(ConfigError, match=rf"^{field} must be of type"):
+        SchemeConfig("ab", **{field: value})
+
+
 def test_scheme_config_flags():
     assert set(SCHEMES) == {"ab", "aba", "bab", "iter_after", "iter_before",
                             "iter_before_trapezoid"}
@@ -103,10 +112,10 @@ def test_scheme_config_flags():
     # two half-interval increments
     flags = {}
     for name, row in SCHEMES.items():
-        for i in row.iterations or (1,):
+        for i in row.iterations or (0,):
             cfg = SchemeConfig(name, iterations=i)
             flags[name, i] = (cfg.quantum, cfg.carries_companion)
-    want = {("ab", 1): (1, False), ("aba", 1): (1, False), ("bab", 1): (2, False)}
+    want = {("ab", 0): (1, False), ("aba", 0): (1, False), ("bab", 0): (2, False)}
     want.update({("iter_after", i): (1, False) for i in range(1, 9)})
     want.update({("iter_before", 1): (1, False), ("iter_before", 2): (1, True)})
     want.update({("iter_before_trapezoid", i): (1, False) for i in range(2, 9)})
@@ -298,7 +307,7 @@ def test_iter_before_step_raises_the_companion_aba_steps_cfl_violation():
     dt, dw = GRID.dx / companion.peak, 3.0
     cfg = cfg_for("iter_before", iterations=2)
     with pytest.raises(CflViolation) as aba_error:
-        step(companion, dt, dw, replace(cfg, scheme="aba"))
+        step(companion, dt, dw, replace(cfg, scheme="aba", iterations=0))
     with pytest.raises(CflViolation) as step_error:
         step(state, dt, dw, cfg, companion)
     assert str(step_error.value) == str(aba_error.value)
@@ -514,7 +523,7 @@ def test_integrate_carries_the_aba_companion_across_steps():
     dw1 = path.increment_over(0, 10)
     dw2 = path.increment_over(10, 20)
     step1 = step(c0, 0.01, dw1, cfg, c0)
-    companion = step(c0, 0.01, dw1, replace(cfg, scheme="aba")).state_after
+    companion = step(c0, 0.01, dw1, replace(cfg, scheme="aba", iterations=0)).state_after
     step2 = step(step1.state_after, 0.01, dw2, cfg, companion)
     assert np.array_equal(ends[0].final_state.values, step1.state_after.values)
     assert np.array_equal(ends[1].final_state.values, step2.state_after.values)
@@ -708,7 +717,7 @@ def test_a_trajectory_holds_one_state_not_one_per_step(scheme, states):
     # 47.3 and 22.2 states
     c0 = make_initial_state(SpatialGrid(0.0, 1.0, 10_000), InitialCondition.sine_bump())
     path = generate_path(1, 0.01, 2.5e-5)
-    cfg = cfg_for(scheme, iterations=2 if SCHEMES[scheme].iterations else 1)
+    cfg = cfg_for(scheme, iterations=2 if SCHEMES[scheme].iterations else 0)
     tracemalloc.start()
     try:
         traj = integrate(c0, 0.01, cfg, path, dt=5e-5)
@@ -793,7 +802,7 @@ def test_iter_before_rejects_every_seed_at_lambda_two():
     sigma = NoiseAmplitude("linear", 2.0)
     paths = [generate_path(seed, 0.1, 6.25e-5) for seed in range(40)]
     rejected = {}
-    for scheme, iterations in (("ab", 1), ("aba", 1), ("iter_after", 2),
+    for scheme, iterations in (("ab", 0), ("aba", 0), ("iter_after", 2),
                                ("iter_before", 1), ("iter_before", 2),
                                ("iter_before_trapezoid", 2)):
         cfg = SchemeConfig(scheme, sigma=sigma, bc=BoundaryKind.PERIODIC,
@@ -803,7 +812,7 @@ def test_iter_before_rejects_every_seed_at_lambda_two():
             trajs = [integrate(c0, 0.1, cfg, path, dt=0.001) for path in paths]
         rejected[scheme, iterations] = sum(t.blowup_reason == "cfl_rejected"
                                            for t in trajs)
-    assert rejected == {("ab", 1): 0, ("aba", 1): 0, ("iter_after", 2): 4,
+    assert rejected == {("ab", 0): 0, ("aba", 0): 0, ("iter_after", 2): 4,
                         ("iter_before", 1): 40, ("iter_before", 2): 40,
                         ("iter_before_trapezoid", 2): 40}
 

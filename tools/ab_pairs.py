@@ -20,16 +20,21 @@ than the parent's interquartile range.  `within bound` says whether the
 change's median is no worse than the parent's by more than the metric's
 relative bound.  A pair fails when either run exits without its JSON line
 or prints `"correct": false`, and its line then names each failed side, its
-exit code and the last line of its stderr; a failed pair gives neither side
-a value and counts as a pair the change did not win.  Nothing under either
-checkout's perfbench/ is edited; run.py keeps its scratch runs in its own
-checkout.
+exit code and the last line of its stderr; so does a run that outlives its
+time limit, RUN_TIMEOUT_S past its --seconds, named as `timed out after N
+s`.  Such a run is killed with the CLI study it started and that study's
+pool workers, so the pairs after it do not share the host with them.  A
+failed pair gives neither side a value and counts as a pair the change
+did not win.  Nothing under either checkout's perfbench/ is edited;
+run.py keeps its scratch runs in its own checkout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -39,14 +44,45 @@ from pathlib import Path
 RUN_TIMEOUT_S = 1200
 
 
+def _run(argv: list[str], cwd: Path, timeout: float) -> subprocess.CompletedProcess:
+    """`subprocess.run(argv, cwd=cwd, timeout=timeout)` with the output
+    captured as text, except that a timeout kills the whole run.  run.py
+    starts each CLI study in a session of its own, where the study's pool
+    workers also live, so killing run.py alone would leave the study
+    running.  run.py is stopped, its children are read from Linux's
+    /proc/PID/task/*/children, and run.py's process group and each child's
+    are killed.  Where /proc is missing only run.py's group is killed."""
+    with subprocess.Popen(argv, cwd=cwd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGSTOP)  # so it starts no child past this read
+            children = [int(pid) for f in Path(f"/proc/{proc.pid}/task").glob("*/children")
+                        for pid in f.read_text().split()]
+            for group in (proc.pid, *children):
+                try:
+                    os.killpg(group, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            proc.communicate()
+            raise
+    return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
+
+
 def run_once(checkout: Path, workload: str, seed: int,
              seconds: float) -> dict | str:
-    """One untraced benchmark run: its metric values, or if it failed, why,
-    with its exit code and the last line of its stderr."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S + seconds)
+    """One untraced benchmark run: its metric values, or if it failed, why:
+    its exit code and the last line of its stderr, or the time limit it
+    ran past (`_run` then kills it)."""
+    timeout = RUN_TIMEOUT_S + seconds
+    try:
+        proc = _run(
+            [sys.executable, "perfbench/run.py", "--workload", workload,
+             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return f"timed out after {timeout:g} s"
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
